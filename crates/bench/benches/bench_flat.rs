@@ -8,8 +8,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcenter_bench::flatbench::{
-    clustered_flat, dense_assign_scan, dense_relax_rounds, flat_iteration_under,
-    flat_par_iteration, gonzalez_centers, grid_assign_scan, grid_relax_rounds, old_iteration,
+    clustered_flat, dense_assign_scan, flat_iteration_under, flat_par_iteration, gonzalez_centers,
+    grid_assign_scan, old_iteration,
 };
 use kcenter_core::coreset::GonzalezCoresetConfig;
 use kcenter_core::prelude::*;
@@ -91,10 +91,10 @@ fn bench_nearest_center_scan(c: &mut Criterion) {
 }
 
 /// Grid-vs-dense assignment arms (`--assign`) at reduced scale: the
-/// k-round relax loop and the k-candidate assignment scan, dense flat
-/// kernels vs the spatial grid, across the bucketing dimension range.
-/// `flat_report` measures the same arms at n = 1M and derives the
-/// `AssignChoice::Auto` crossover recorded in `BENCH_flat.json`.
+/// k-candidate assignment scan, dense vs the spatial grid, across the
+/// bucketing dimension range.  `flat_report` measures the same arms at
+/// n = 1M and records the `assign_crossover` table `AssignChoice::Auto`
+/// reads.
 fn bench_assignment_arms(c: &mut Criterion) {
     let simd_kernel = KernelChoice::from_env()
         .and_then(KernelChoice::resolve)
@@ -108,27 +108,9 @@ fn bench_assignment_arms(c: &mut Criterion) {
     group.sample_size(10);
     for &dim in &[2usize, 4, 8, 16] {
         let space = VecSpace::from_flat(clustered_flat::<f64>(n, dim, 25, 42));
-        let members: Vec<usize> = (0..n).collect();
         let centers = gonzalez_centers(&space, k);
         let label = format!("n{n}_d{dim}_k{k}");
 
-        group.bench_with_input(BenchmarkId::new("relax_dense", &label), &n, |b, _| {
-            let mut nearest = vec![f64::INFINITY; n];
-            b.iter(|| {
-                nearest.fill(f64::INFINITY);
-                black_box(dense_relax_rounds(&space, &centers, &mut nearest))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("relax_grid", &label), &n, |b, _| {
-            let mut nearest = vec![f64::INFINITY; n];
-            b.iter(|| {
-                nearest.fill(f64::INFINITY);
-                black_box(
-                    grid_relax_rounds(&space, &members, &centers, &mut nearest)
-                        .expect("clustered instance buckets fine"),
-                )
-            })
-        });
         group.bench_with_input(BenchmarkId::new("assign_dense", &label), &n, |b, _| {
             b.iter(|| black_box(dense_assign_scan(&space, &centers)))
         });

@@ -12,7 +12,12 @@
 //! the allocation order the way parallel generators and long-lived
 //! processes do.
 //!
-//! A second section (`sweep_results`) measures the coreset layer's
+//! The assignment sections time one nearest-center assignment scan on the
+//! dense arm vs the spatial-grid arm: `assign_results` at n = 1M, and
+//! `assign_crossover`, the smallest winning candidate count per probed
+//! `(n, dim)`, which `kcenter_metric::grid::AUTO_CROSSOVER` copies.
+//!
+//! A further section (`sweep_results`) measures the coreset layer's
 //! build-once/solve-many amortisation: one weighted coreset (Gonzalez and
 //! EIM builders, both storage precisions) against per-cell EIM reruns over
 //! a `(k, φ)` grid, charged in the paper's simulated-time metric.
@@ -25,9 +30,8 @@
 
 use kcenter_bench::execbench::{run_executor_comparison, ExecutorComparison};
 use kcenter_bench::flatbench::{
-    clustered_flat, dense_assign_scan, dense_relax_rounds, flat_iteration_under,
-    flat_par_iteration, gonzalez_centers, grid_assign_scan, grid_relax_rounds, old_iteration,
-    to_points_aged_heap,
+    clustered_flat, dense_assign_scan, flat_iteration_under, flat_par_iteration, gonzalez_centers,
+    grid_assign_scan, old_iteration, to_points_aged_heap,
 };
 use kcenter_bench::sweepbench::{run_sweep_comparison, SweepBuilder, SweepComparison};
 use kcenter_data::{DatasetSpec, PointGenerator, UnifGenerator};
@@ -47,10 +51,14 @@ const ASSIGN_DIMS: [usize; 4] = [2, 4, 8, 16];
 /// Headline assignment rows: the paper-scale clustered workload.
 const ASSIGN_N: usize = 1_000_000;
 const ASSIGN_K: usize = 50;
-/// Crossover sweep: candidate counts probed per dimension at a reduced
-/// point count (the crossover is a per-scan property, not a scale one).
-const CROSS_N: usize = 1 << 18;
+/// Crossover sweep: candidate counts probed per dimension at each probed
+/// point count; the smallest count where the grid wins anywhere becomes
+/// `auto`'s point floor.
+const CROSS_NS: [usize; 2] = [1 << 12, 1 << 18];
 const CROSS_KS: [usize; 7] = [4, 8, 12, 16, 24, 32, 48];
+/// Each timed crossover block scans at least this many points (repeating
+/// the scan at small `n`), so small scans are not lost in timer noise.
+const CROSS_BLOCK_POINTS: usize = 1 << 18;
 /// The assignment sections measure heavier scans (k candidates per point,
 /// not 1), so they use a lighter best-of.
 const ASSIGN_WARMUP: usize = 1;
@@ -247,37 +255,19 @@ fn main() {
         }
     }
 
-    // ---- Grid-vs-dense assignment scans (ISSUE 7): the clustered
-    // paper-scale headline rows, then the crossover sweep that the
-    // `AssignChoice::Auto` constants are read from.  Both arms run under
-    // the dispatched kernel backend, so the grid must beat the *SIMD*
-    // dense scan, not a strawman.
+    // ---- Grid-vs-dense assignment scans: the clustered paper-scale
+    // headline rows, then the crossover sweep that `AssignChoice::Auto`
+    // reads.  Both arms run under the dispatched kernel backend, so the
+    // grid must beat the *SIMD* dense scan, not a strawman.
     simd::set_active(simd_kernel).unwrap();
     let mut assign_rows = Vec::new();
     for &dim in &ASSIGN_DIMS {
         let space = VecSpace::from_flat(clustered_flat::<f64>(ASSIGN_N, dim, 25, 42));
-        let members: Vec<usize> = (0..ASSIGN_N).collect();
         let centers = gonzalez_centers(&space, ASSIGN_K);
-        let nearest = std::cell::RefCell::new(vec![f64::INFINITY; ASSIGN_N]);
         let timed = best_interleaved_n(
             ASSIGN_WARMUP,
             ASSIGN_REPEATS,
             &mut [
-                &mut || {
-                    nearest.borrow_mut().fill(f64::INFINITY);
-                    black_box(dense_relax_rounds(
-                        &space,
-                        &centers,
-                        &mut nearest.borrow_mut(),
-                    ));
-                },
-                &mut || {
-                    nearest.borrow_mut().fill(f64::INFINITY);
-                    black_box(
-                        grid_relax_rounds(&space, &members, &centers, &mut nearest.borrow_mut())
-                            .expect("clustered f64 instance buckets fine"),
-                    );
-                },
                 &mut || {
                     black_box(dense_assign_scan(&space, &centers));
                 },
@@ -286,60 +276,57 @@ fn main() {
                 },
             ],
         );
-        // Relax blocks are k scans; assign blocks are one k-candidate scan.
-        let dense_relax_ns = timed[0] / ASSIGN_K as u128;
-        let grid_relax_ns = timed[1] / ASSIGN_K as u128;
-        let dense_assign_ns = timed[2];
-        let grid_assign_ns = timed[3];
+        let (dense_assign_ns, grid_assign_ns) = (timed[0], timed[1]);
         eprintln!(
-            "assign n={ASSIGN_N} d={dim:>2} k={ASSIGN_K}: relax dense {dense_relax_ns} ns/scan vs grid {grid_relax_ns} ns/scan ({:.2}x); assign dense {dense_assign_ns} ns vs grid {grid_assign_ns} ns ({:.2}x)",
-            dense_relax_ns as f64 / grid_relax_ns as f64,
+            "assign n={ASSIGN_N} d={dim:>2} k={ASSIGN_K}: dense {dense_assign_ns} ns vs grid {grid_assign_ns} ns ({:.2}x)",
             dense_assign_ns as f64 / grid_assign_ns as f64,
         );
-        assign_rows.push((
-            dim,
-            dense_relax_ns,
-            grid_relax_ns,
-            dense_assign_ns,
-            grid_assign_ns,
-        ));
+        assign_rows.push((dim, dense_assign_ns, grid_assign_ns));
     }
 
     let mut crossover_rows = Vec::new();
-    for &dim in &ASSIGN_DIMS {
-        let space = VecSpace::from_flat(clustered_flat::<f64>(CROSS_N, dim, 25, 43));
-        let max_k = *CROSS_KS.iter().max().expect("CROSS_KS is non-empty");
-        let all_centers = gonzalez_centers(&space, max_k);
-        let mut dense_ns = Vec::new();
-        let mut grid_ns = Vec::new();
-        for &k in &CROSS_KS {
-            let centers = all_centers[..k].to_vec();
-            let timed = best_interleaved_n(
-                ASSIGN_WARMUP,
-                ASSIGN_REPEATS,
-                &mut [
-                    &mut || {
-                        black_box(dense_assign_scan(&space, &centers));
-                    },
-                    &mut || {
-                        black_box(
-                            grid_assign_scan(&space, &centers).expect("center set buckets fine"),
-                        );
-                    },
-                ],
+    for &n in &CROSS_NS {
+        let scans = (CROSS_BLOCK_POINTS / n).max(1);
+        for &dim in &ASSIGN_DIMS {
+            let space = VecSpace::from_flat(clustered_flat::<f64>(n, dim, 25, 43));
+            let max_k = *CROSS_KS.iter().max().expect("CROSS_KS is non-empty");
+            let all_centers = gonzalez_centers(&space, max_k);
+            let mut dense_ns = Vec::new();
+            let mut grid_ns = Vec::new();
+            for &k in &CROSS_KS {
+                let centers = all_centers[..k].to_vec();
+                let timed = best_interleaved_n(
+                    ASSIGN_WARMUP,
+                    ASSIGN_REPEATS,
+                    &mut [
+                        &mut || {
+                            for _ in 0..scans {
+                                black_box(dense_assign_scan(&space, &centers));
+                            }
+                        },
+                        &mut || {
+                            for _ in 0..scans {
+                                black_box(
+                                    grid_assign_scan(&space, &centers)
+                                        .expect("center set buckets fine"),
+                                );
+                            }
+                        },
+                    ],
+                );
+                dense_ns.push(timed[0] / scans as u128);
+                grid_ns.push(timed[1] / scans as u128);
+            }
+            let crossover_k = CROSS_KS
+                .iter()
+                .zip(dense_ns.iter().zip(grid_ns.iter()))
+                .find(|(_, (d, g))| g < d)
+                .map(|(&k, _)| k);
+            eprintln!(
+                "crossover n={n} d={dim:>2}: dense {dense_ns:?} vs grid {grid_ns:?} -> grid wins from k = {crossover_k:?}"
             );
-            dense_ns.push(timed[0]);
-            grid_ns.push(timed[1]);
+            crossover_rows.push((n, dim, dense_ns, grid_ns, crossover_k));
         }
-        let crossover_k = CROSS_KS
-            .iter()
-            .zip(dense_ns.iter().zip(grid_ns.iter()))
-            .find(|(_, (d, g))| g < d)
-            .map(|(&k, _)| k);
-        eprintln!(
-            "crossover d={dim:>2} (n={CROSS_N}): dense {dense_ns:?} vs grid {grid_ns:?} -> grid wins from k = {crossover_k:?}"
-        );
-        crossover_rows.push((dim, dense_ns, grid_ns, crossover_k));
     }
 
     let mut json = String::new();
@@ -384,15 +371,12 @@ fn main() {
 
     // ---- Grid-vs-dense assignment sections.
     json.push_str("  \"assign\": \"dense flat scans vs the kcenter_metric::grid spatial-grid arm (KCENTER_ASSIGN / --assign); both arms under the dispatched kernel backend, results bit-identical by construction\",\n");
-    json.push_str("  \"assign_benchmark\": \"clustered workload (25 uniform cluster centres, spread side/50), candidates from a farthest-point traversal (the spread distribution solvers actually produce): per-scan relax cost over a k-round Gonzalez loop (grid build charged to the loop) and one k-candidate assignment scan (grid build charged to the scan)\",\n");
+    json.push_str("  \"assign_benchmark\": \"clustered workload (25 uniform cluster centres, spread side/50), candidates from a farthest-point traversal (the spread distribution solvers actually produce): one k-candidate assignment scan per n-point instance (grid build charged to the scan)\",\n");
     json.push_str("  \"assign_results\": [\n");
-    for (i, (dim, dense_relax_ns, grid_relax_ns, dense_assign_ns, grid_assign_ns)) in
-        assign_rows.iter().enumerate()
-    {
+    for (i, (dim, dense_assign_ns, grid_assign_ns)) in assign_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"n\": {ASSIGN_N}, \"dim\": {dim}, \"k\": {ASSIGN_K}, \"dense_relax_ns\": {dense_relax_ns}, \"grid_relax_ns\": {grid_relax_ns}, \"relax_speedup\": {:.3}, \"dense_assign_ns\": {dense_assign_ns}, \"grid_assign_ns\": {grid_assign_ns}, \"assign_speedup\": {:.3}}}",
-            *dense_relax_ns as f64 / *grid_relax_ns as f64,
+            "    {{\"n\": {ASSIGN_N}, \"dim\": {dim}, \"k\": {ASSIGN_K}, \"dense_assign_ns\": {dense_assign_ns}, \"grid_assign_ns\": {grid_assign_ns}, \"assign_speedup\": {:.3}}}",
             *dense_assign_ns as f64 / *grid_assign_ns as f64,
         );
         json.push_str(if i + 1 < assign_rows.len() {
@@ -402,15 +386,18 @@ fn main() {
         });
     }
     json.push_str("  ],\n");
-    json.push_str("  \"assign_crossover_note\": \"per dimension, the smallest probed candidate count at which the grid assignment scan beats the dense one; AssignChoice::Auto's constants in kcenter_metric::grid::auto_mode are read from these records\",\n");
+    let _ = writeln!(
+        json,
+        "  \"assign_crossover_note\": \"per (n, dim), the smallest probed candidate count at which the grid assignment scan beats the dense one (ns per scan, best of {ASSIGN_REPEATS} blocks of at least {CROSS_BLOCK_POINTS} scanned points); kcenter_metric::grid::AUTO_CROSSOVER copies these records, a kcenter-bench test fails when they disagree, and auto_mode reads them for the assignment scans only (the Gonzalez relax loop always runs dense)\","
+    );
     json.push_str("  \"assign_crossover\": [\n");
-    for (i, (dim, dense_ns, grid_ns, crossover_k)) in crossover_rows.iter().enumerate() {
+    for (i, (n, dim, dense_ns, grid_ns, crossover_k)) in crossover_rows.iter().enumerate() {
         let ks: Vec<String> = CROSS_KS.iter().map(|k| k.to_string()).collect();
         let dense: Vec<String> = dense_ns.iter().map(|t| t.to_string()).collect();
         let grid: Vec<String> = grid_ns.iter().map(|t| t.to_string()).collect();
         let _ = write!(
             json,
-            "    {{\"n\": {CROSS_N}, \"dim\": {dim}, \"ks\": [{}], \"dense_assign_ns\": [{}], \"grid_assign_ns\": [{}], \"crossover_k\": {}}}",
+            "    {{\"n\": {n}, \"dim\": {dim}, \"ks\": [{}], \"dense_assign_ns\": [{}], \"grid_assign_ns\": [{}], \"crossover_k\": {}}}",
             ks.join(", "),
             dense.join(", "),
             grid.join(", "),

@@ -14,8 +14,15 @@
 //!   chunked-parallel variant, at **both storage precisions** (`f64` and
 //!   `f32`; the scan is DRAM-bound at n = 1M, so the halved bytes of the
 //!   `f32` rows are the measurement that justifies the precision mode).
+//!
+//! The assignment arms ([`dense_assign_scan`] vs the spatial-grid
+//! [`grid_assign_scan`], on [`clustered_flat`] data with
+//! [`gonzalez_centers`] as candidates) back the `assign_results` and
+//! `assign_crossover` records that `kcenter_metric::grid::AUTO_CROSSOVER`
+//! copies.  Only assignment scans have a grid arm; the relax pass above is
+//! always dense.
 
-use kcenter_metric::grid::{GridRelaxer, SpatialGrid, NEAREST_OCCUPANCY};
+use kcenter_metric::grid::{SpatialGrid, NEAREST_OCCUPANCY};
 use kcenter_metric::kernel::{self, simd};
 use kcenter_metric::{
     Distance, Euclidean, FlatPoints, KernelBackend, MetricSpace, Point, Scalar, VecSpace,
@@ -170,39 +177,6 @@ pub fn gonzalez_centers<S: Scalar>(space: &VecSpace<Euclidean, S>, k: usize) -> 
     centers
 }
 
-/// `k` consecutive relax rounds on the dense arm — the scan loop of
-/// `select_centers` with the grid disabled.  Returns the last round's
-/// farthest point so the work cannot be discarded.
-pub fn dense_relax_rounds<S: Scalar>(
-    space: &VecSpace<Euclidean, S>,
-    centers: &[usize],
-    nearest: &mut [S],
-) -> (usize, S) {
-    let mut last = (0, S::ZERO);
-    for &c in centers {
-        last = space.relax_all_max(c, nearest);
-    }
-    last
-}
-
-/// `k` consecutive relax rounds on the grid arm: one [`GridRelaxer`] build
-/// (charged here, exactly as `select_centers` pays it) plus `k` occupied-
-/// cell sweeps.  `members` must be the identity id list of `space`; `None`
-/// when the grid refuses the space.
-pub fn grid_relax_rounds<S: Scalar>(
-    space: &VecSpace<Euclidean, S>,
-    members: &[usize],
-    centers: &[usize],
-    nearest: &mut [S],
-) -> Option<(usize, S)> {
-    let mut relaxer = GridRelaxer::build(space, members)?;
-    let mut last = (0, S::ZERO);
-    for &c in centers {
-        last = relaxer.relax_max(space, members, c, nearest);
-    }
-    Some(last)
-}
-
 /// One dense assignment scan: per-point argmin over `centers` with
 /// smallest-position tie-breaking — the dense arm of `evaluate::assign`
 /// and the coreset weights round.  Returns a label checksum so the work
@@ -312,13 +286,8 @@ mod tests {
 
     #[test]
     fn grid_and_dense_bench_arms_agree() {
-        // Integer-snapped coordinates keep every squared distance exactly
-        // representable, so the per-pair kernel the grid arm scans with and
-        // the fused-rows kernel the dense arm scans with return identical
-        // bits on every backend — the cross-kernel contract the simd module
-        // documents.  On raw float coordinates the two code paths may
-        // differ in the last ulps under AVX2 (different documented
-        // reduction orders), which is a kernel property, not a grid bug.
+        // Integer-snapped coordinates force exact distance ties, so the
+        // lowest-index tie-break of both arms is exercised.
         let snapped: Vec<f64> = clustered_flat::<f64>(4_000, 4, 25, 11)
             .coords()
             .iter()
@@ -326,20 +295,66 @@ mod tests {
             .collect();
         let flat = FlatPoints::from_coords(snapped, 4).expect("consistent dims");
         let space = VecSpace::from_flat(flat);
-        let members: Vec<usize> = (0..space.len()).collect();
         let centers = gonzalez_centers(&space, 40);
-
-        let mut dense_nearest = vec![f64::INFINITY; space.len()];
-        let mut grid_nearest = dense_nearest.clone();
-        let dense = dense_relax_rounds(&space, &centers, &mut dense_nearest);
-        let grid = grid_relax_rounds(&space, &members, &centers, &mut grid_nearest)
-            .expect("clustered f64 instance buckets fine");
-        assert_eq!(dense, grid);
-        assert_eq!(dense_nearest, grid_nearest);
-
         let dense_sum = dense_assign_scan(&space, &centers);
         let grid_sum = grid_assign_scan(&space, &centers).expect("center set buckets fine");
         assert_eq!(dense_sum, grid_sum);
+    }
+
+    #[test]
+    fn auto_mode_matches_the_committed_crossover_records() {
+        use crate::scenario::{parse_json, Value};
+        use kcenter_metric::grid::{auto_mode, AssignMode, ScanShape, AUTO_CROSSOVER};
+
+        let bench = parse_json(include_str!("../../../BENCH_flat.json")).expect("record parses");
+        let rows = bench
+            .get("assign_crossover")
+            .and_then(Value::as_array)
+            .expect("assign_crossover records");
+        let field = |row: &Value, key: &str| {
+            row.get(key)
+                .and_then(Value::as_usize)
+                .unwrap_or_else(|| panic!("record without {key}"))
+        };
+        let mut records = Vec::new();
+        for row in rows {
+            let (n, dim) = (field(row, "n"), field(row, "dim"));
+            let crossover = row.get("crossover_k").and_then(Value::as_usize);
+            let ks = row.get("ks").and_then(Value::as_array).expect("probed ks");
+            for k in ks.iter().map(|k| k.as_usize().expect("integer k")) {
+                let want = match crossover {
+                    Some(c) if k >= c => AssignMode::Grid,
+                    _ => AssignMode::Dense,
+                };
+                let shape = ScanShape {
+                    points: n,
+                    candidates: k,
+                    dim,
+                };
+                assert_eq!(auto_mode(shape), want, "{shape:?}");
+            }
+            records.push((n, dim, crossover));
+        }
+        assert_eq!(
+            records, AUTO_CROSSOVER,
+            "table drifted from BENCH_flat.json"
+        );
+        // The point floor: below the smallest n at which the grid won,
+        // every scan stays dense.
+        let floor = records
+            .iter()
+            .filter(|r| r.2.is_some())
+            .map(|r| r.0)
+            .min()
+            .expect("the grid wins on some record");
+        for &(_, dim, _) in &records {
+            let shape = ScanShape {
+                points: floor - 1,
+                candidates: usize::MAX,
+                dim,
+            };
+            assert_eq!(auto_mode(shape), AssignMode::Dense, "{shape:?}");
+        }
     }
 
     #[test]

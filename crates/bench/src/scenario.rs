@@ -72,6 +72,7 @@
 //! faults = ["none", "seed=9"]
 //! ```
 
+use kcenter_core::hash::Fnv;
 use kcenter_core::outliers::evaluate_with_outliers;
 use kcenter_core::prelude::*;
 use kcenter_data::DatasetSpec;
@@ -187,7 +188,8 @@ pub enum Value {
 }
 
 impl Value {
-    fn get(&self, key: &str) -> Option<&Value> {
+    /// The value under `key` when this is an object holding it.
+    pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -208,7 +210,8 @@ impl Value {
         }
     }
 
-    fn as_usize(&self) -> Option<usize> {
+    /// The number as a `usize`, when it is a non-negative integer.
+    pub fn as_usize(&self) -> Option<usize> {
         match self {
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
                 Some(*n as usize)
@@ -226,7 +229,8 @@ impl Value {
         }
     }
 
-    fn as_array(&self) -> Option<&[Value]> {
+    /// The items, when this is an array.
+    pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(items) => Some(items),
             _ => None,
@@ -1329,14 +1333,11 @@ pub struct ScenarioReport {
 /// FNV-1a 64-bit over the center ids' little-endian bytes, rendered as
 /// 16 hex digits.
 pub fn center_digest(centers: &[PointId]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv::new();
     for &c in centers {
-        for byte in (c as u64).to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        hash.write_u64(c as u64);
     }
-    format!("{hash:016x}")
+    format!("{:016x}", hash.finish())
 }
 
 struct CellOutcome {

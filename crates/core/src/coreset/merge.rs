@@ -163,13 +163,12 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
         }
 
         let ids: Vec<PointId> = (0..self.len()).collect();
-        let survivors = SequentialSolver::Gonzalez.select_centers_weighted_cached(
+        let survivors = SequentialSolver::Gonzalez.select_centers_weighted(
             &self.space,
             &ids,
             &self.weights,
             budget,
             FirstCenter::default(),
-            Some(&self.relax_grid),
         );
         let r_compress = weighted_covering_radius(&self.space, &self.weights, &survivors);
 

@@ -94,7 +94,7 @@ use kcenter_mapreduce::{
     MapReduceError,
 };
 use kcenter_metric::distance::Distance;
-use kcenter_metric::grid::{self, RelaxGridCache, SpatialGrid};
+use kcenter_metric::grid::{self, SpatialGrid};
 use kcenter_metric::{Euclidean, FlatPoints, MetricSpace, PointId, Scalar, VecSpace};
 use serde::{Deserialize, Serialize};
 
@@ -185,11 +185,6 @@ pub struct WeightedCoreset<D: Distance = Euclidean, S: Scalar = f64> {
     seed: Option<u64>,
     stats: JobStats,
     coverage: CoresetCoverage,
-    /// Build-once bucketing of the representative rows for the grid-mode
-    /// Gonzalez selections of a `(k, φ)` sweep — the rows never change
-    /// after construction, so every solve shares one [`SpatialGrid`]
-    /// (clones share it too; results are bit-identical either way).
-    relax_grid: RelaxGridCache,
 }
 
 impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
@@ -227,7 +222,6 @@ impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
             seed,
             stats,
             coverage,
-            relax_grid: RelaxGridCache::new(),
         }
     }
 
@@ -355,10 +349,7 @@ impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
     /// sequential solver and returns the solution together with its quality
     /// certificate.  Cost is `O(k · t)` for Gonzalez on `t` representatives
     /// — independent of the source size, which is what makes a `(k, φ)`
-    /// sweep over one coreset cheap.  Grid-mode selections share one
-    /// build-once bucketing of the representative rows across all solves
-    /// on this coreset (the rows are immutable); outputs are bit-identical
-    /// to a fresh build per call.
+    /// sweep over one coreset cheap.
     pub fn solve(
         &self,
         k: usize,
@@ -372,14 +363,8 @@ impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
             return Err(KCenterError::ZeroK);
         }
         let local_ids: Vec<PointId> = (0..self.len()).collect();
-        let local_centers = solver.select_centers_weighted_cached(
-            &self.space,
-            &local_ids,
-            &self.weights,
-            k,
-            first,
-            Some(&self.relax_grid),
-        );
+        let local_centers =
+            solver.select_centers_weighted(&self.space, &local_ids, &self.weights, k, first);
         Ok(self.package_solution(k, local_centers))
     }
 
@@ -404,20 +389,10 @@ impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
         let local_ids: Vec<PointId> = (0..self.len()).collect();
         let weights = &self.weights;
         let space = &self.space;
-        let relax_grid = &self.relax_grid;
         let local_centers = cluster.run_single(
             label,
             local_ids,
-            |ids| {
-                solver.select_centers_weighted_cached(
-                    space,
-                    ids,
-                    weights,
-                    k,
-                    first,
-                    Some(relax_grid),
-                )
-            },
+            |ids| solver.select_centers_weighted(space, ids, weights, k, first),
             Vec::len,
         )?;
         Ok(self.package_solution(k, local_centers))
@@ -1049,37 +1024,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sweep_solves_share_one_relax_grid_and_stay_bit_identical() {
-        // Large enough that the auto crossover picks the grid arm for the
-        // per-k selections: ≥ 4096 representatives, k ≥ 16, dim 2.
-        let space = cloud(4_800, 11);
-        let coreset = GonzalezCoresetConfig::new(4_200).build(&space).unwrap();
-        assert_eq!(coreset.len(), 4_200);
-        assert!(!coreset.relax_grid.is_built());
-        let local_ids: Vec<PointId> = (0..coreset.len()).collect();
-        for k in [16usize, 24, 40] {
-            let sol = coreset
-                .solve(k, SequentialSolver::Gonzalez, FirstCenter::default())
-                .unwrap();
-            // Uncached reference: a fresh selection (fresh grid build)
-            // for every k.
-            let fresh = SequentialSolver::Gonzalez.select_centers_weighted(
-                coreset.space(),
-                &local_ids,
-                coreset.weights(),
-                k,
-                FirstCenter::default(),
-            );
-            assert_eq!(sol.local_centers, fresh, "k={k}");
-            // The first grid-mode solve latches the bucketing; every
-            // later solve reuses it.
-            assert!(coreset.relax_grid.is_built(), "k={k}");
-        }
-        // Clones share the latched grid rather than rebuilding.
-        assert!(coreset.clone().relax_grid.is_built());
     }
 
     #[test]

@@ -58,6 +58,7 @@
 //! use, bit-identically.
 
 use super::{CoresetBuilder, CoresetCoverage, WeightedCoreset};
+use crate::hash::fnv1a64;
 use kcenter_mapreduce::{DroppedShard, FaultCause, JobStats};
 use kcenter_metric::distance::Distance;
 use kcenter_metric::point::PointError;
@@ -164,16 +165,6 @@ impl fmt::Display for PersistError {
 }
 
 impl std::error::Error for PersistError {}
-
-/// FNV-1a 64 over `bytes` — the same digest the scenario reports use.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn builder_tag(builder: CoresetBuilder) -> u8 {
     match builder {

@@ -15,7 +15,6 @@
 use crate::error::KCenterError;
 use crate::evaluate::covering_radius;
 use crate::solution::KCenterSolution;
-use kcenter_metric::grid::{self, GridRelaxer, RelaxGridCache};
 use kcenter_metric::space::is_identity_subset;
 use kcenter_metric::{MetricSpace, PointId, Scalar};
 use serde::{Deserialize, Serialize};
@@ -141,29 +140,6 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
     first: FirstCenter,
     parallel_scan: bool,
 ) -> Vec<PointId> {
-    select_centers_cached(space, subset, k, first, parallel_scan, None)
-}
-
-/// [`select_centers`] with an optional build-once cache for the relax
-/// grid's bucketing.
-///
-/// A `(k, φ)` sweep re-selects centers many times over the *same* subset
-/// (a coreset's representatives); with a [`RelaxGridCache`] the
-/// [`SpatialGrid`](kcenter_metric::grid::SpatialGrid) is built on the
-/// first grid-mode selection and every later one pays only the cheap
-/// relax-state reset.  The cache must belong to this exact `(space,
-/// subset)` pair — keying is the caller's responsibility — and results are
-/// bit-identical with or without it.  The grid-vs-dense crossover still
-/// runs per selection (it depends on `k`), so the cache is consulted only
-/// when the grid arm is selected.
-pub fn select_centers_cached<S: MetricSpace + ?Sized>(
-    space: &S,
-    subset: &[PointId],
-    k: usize,
-    first: FirstCenter,
-    parallel_scan: bool,
-    relax_cache: Option<&RelaxGridCache>,
-) -> Vec<PointId> {
     if subset.is_empty() || k == 0 {
         return Vec::new();
     }
@@ -190,42 +166,14 @@ pub fn select_centers_cached<S: MetricSpace + ?Sized>(
     // Detecting the full-space case once lets every iteration stream rows
     // without per-point id loads (and without re-checking per call).
     let identity = is_identity_subset(subset, space.len());
-    // Grid arm: bucket the subset once and serve every relax pass from the
-    // occupied-cell sweep.  `select_mode` applies the `--assign` pin or the
-    // measured crossover; the build itself refuses incompatible spaces
-    // (non-Euclidean surrogate, no coordinates, all-duplicate data), in
-    // which case the dense kernels below run as before.  Results are
-    // bit-identical either way (see `kcenter_metric::grid`).
-    let dim = space.coord_row(subset[0]).map_or(0, <[S::Cmp]>::len);
-    let shape = grid::ScanShape {
-        points: subset.len(),
-        candidates: k,
-        dim,
-    };
-    let mut relaxer = if grid::select_mode(shape) == grid::AssignMode::Grid {
-        match relax_cache {
-            Some(cache) => cache.get_or_build(space, subset),
-            None => GridRelaxer::build(space, subset),
-        }
-    } else {
-        None
-    };
-    grid::note_scan(if relaxer.is_some() {
-        grid::AssignMode::Grid
-    } else {
-        grid::AssignMode::Dense
-    });
     let mut nearest: Vec<S::Cmp> = vec![<S::Cmp as Scalar>::INFINITY; subset.len()];
     let mut newest = first_center;
     while centers.len() < k {
-        let (far_pos, far_dist) = match relaxer.as_mut() {
-            Some(relaxer) => relaxer.relax_max(space, subset, newest, &mut nearest),
-            None => match (identity, parallel) {
-                (true, true) => space.par_relax_all_max(newest, &mut nearest),
-                (true, false) => space.relax_all_max(newest, &mut nearest),
-                (false, true) => space.par_relax_nearest_max(subset, newest, &mut nearest),
-                (false, false) => space.relax_nearest_max(subset, newest, &mut nearest),
-            },
+        let (far_pos, far_dist) = match (identity, parallel) {
+            (true, true) => space.par_relax_all_max(newest, &mut nearest),
+            (true, false) => space.relax_all_max(newest, &mut nearest),
+            (false, true) => space.par_relax_nearest_max(subset, newest, &mut nearest),
+            (false, false) => space.relax_nearest_max(subset, newest, &mut nearest),
         };
         // All remaining points coincide with existing centers: no point in
         // adding duplicates (the covering radius is already 0).
@@ -261,34 +209,13 @@ pub fn select_centers_weighted<S: MetricSpace + ?Sized>(
     first: FirstCenter,
     parallel_scan: bool,
 ) -> Vec<PointId> {
-    select_centers_weighted_cached(space, subset, weights, k, first, parallel_scan, None)
-}
-
-/// [`select_centers_weighted`] with an optional relax-grid cache (see
-/// [`select_centers_cached`] for the contract).  The cache is keyed on the
-/// **full** `subset`, so it is consulted only on the all-positive-weights
-/// fast path; a zero-weight entry changes the member list the grid would
-/// bucket, and that selection falls back to a fresh build.
-///
-/// # Panics
-///
-/// Panics if `subset` and `weights` have different lengths.
-pub fn select_centers_weighted_cached<S: MetricSpace + ?Sized>(
-    space: &S,
-    subset: &[PointId],
-    weights: &[u64],
-    k: usize,
-    first: FirstCenter,
-    parallel_scan: bool,
-    relax_cache: Option<&RelaxGridCache>,
-) -> Vec<PointId> {
     assert_eq!(
         subset.len(),
         weights.len(),
         "subset/weights length mismatch"
     );
     if weights.iter().all(|&w| w > 0) {
-        return select_centers_cached(space, subset, k, first, parallel_scan, relax_cache);
+        return select_centers(space, subset, k, first, parallel_scan);
     }
     let support: Vec<PointId> = subset
         .iter()

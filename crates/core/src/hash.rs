@@ -1,36 +1,47 @@
-//! FNV-1a 64 — the same tiny stable hash the coreset persist format and
-//! the scenario harness use for digests and trailing checksums.
+//! FNV-1a 64 — the one tiny stable hash behind every digest and checksum in
+//! the workspace: the KCWC/KCKP trailing checksums, the snapshot and stream
+//! digests, and the scenario center digests.
 
-pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a 64 hasher.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
+    /// A hasher at the FNV-1a 64 offset basis.
+    pub fn new() -> Self {
         Fnv(FNV_BASIS)
     }
 
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
+    /// Folds `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
-    pub(crate) fn write_u64(&mut self, v: u64) {
+    /// Folds the little-endian bytes of `v` into the hash.
+    pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
-    pub(crate) fn finish(self) -> u64 {
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
         self.0
     }
 }
 
 /// One-shot FNV-1a 64 over a byte slice.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.write(bytes);
     h.finish()

@@ -23,6 +23,8 @@
 //!   "solution value");
 //! * [`outliers`] — the robust with-outliers objective: certify a center
 //!   set over the `n − z` kept points after dropping the `z` farthest;
+//! * [`hash`] — FNV-1a 64, the one digest behind every checksum and
+//!   determinism fingerprint in the workspace;
 //! * [`cost_model`] — the theoretical comparison of Table 1 as executable
 //!   formulas.
 //!
@@ -57,6 +59,7 @@ pub mod eim;
 pub mod error;
 pub mod evaluate;
 pub mod gonzalez;
+pub mod hash;
 pub mod hochbaum_shmoys;
 pub mod mrg;
 pub mod outliers;

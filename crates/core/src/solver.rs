@@ -9,7 +9,6 @@
 
 use crate::gonzalez::{self, FirstCenter};
 use crate::hochbaum_shmoys;
-use kcenter_metric::grid::RelaxGridCache;
 use kcenter_metric::{MetricSpace, PointId};
 use serde::{Deserialize, Serialize};
 
@@ -59,37 +58,10 @@ impl SequentialSolver {
         k: usize,
         first: FirstCenter,
     ) -> Vec<PointId> {
-        self.select_centers_weighted_cached(space, subset, weights, k, first, None)
-    }
-
-    /// [`SequentialSolver::select_centers_weighted`] with an optional
-    /// build-once relax-grid cache for the subset (see
-    /// [`gonzalez::select_centers_cached`] for the keying contract).  Only
-    /// Gonzalez consults it — Hochbaum–Shmoys has no relax grid — and
-    /// results are bit-identical with or without the cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subset` and `weights` have different lengths.
-    pub fn select_centers_weighted_cached<S: MetricSpace + ?Sized>(
-        &self,
-        space: &S,
-        subset: &[PointId],
-        weights: &[u64],
-        k: usize,
-        first: FirstCenter,
-        relax_cache: Option<&RelaxGridCache>,
-    ) -> Vec<PointId> {
         match self {
-            SequentialSolver::Gonzalez => gonzalez::select_centers_weighted_cached(
-                space,
-                subset,
-                weights,
-                k,
-                first,
-                false,
-                relax_cache,
-            ),
+            SequentialSolver::Gonzalez => {
+                gonzalez::select_centers_weighted(space, subset, weights, k, first, false)
+            }
             SequentialSolver::HochbaumShmoys => {
                 hochbaum_shmoys::select_centers_weighted(space, subset, weights, k)
             }

@@ -40,29 +40,32 @@ use kcenter_metric::{FlatPoints, Point, Scalar};
 /// Every generator draws its randomness in `f64` (so the sample stream —
 /// and therefore the generated geometry — is identical at every storage
 /// precision for a given seed) and rounds each coordinate into the target
-/// [`Scalar`] **at emission**: an `f32` workload is written as one `f32`
-/// buffer directly, with no `f64`-materialise-then-convert pass.
-pub struct CoordSink<S: Scalar> {
-    coords: Vec<S>,
+/// [`Scalar`] **at emission**, writing it straight into its slot of the
+/// caller's flat buffer: an `f32` workload is written as one `f32` buffer
+/// directly, with no `f64`-materialise-then-convert pass.
+pub(crate) struct CoordSink<'a, S: Scalar> {
+    slots: std::slice::IterMut<'a, S>,
 }
 
-impl<S: Scalar> CoordSink<S> {
-    /// An empty sink with room for `n` coordinates.
-    pub fn with_capacity(n: usize) -> Self {
+impl<'a, S: Scalar> CoordSink<'a, S> {
+    /// A sink that fills `slots` front to back.
+    pub(crate) fn new(slots: &'a mut [S]) -> Self {
         Self {
-            coords: Vec::with_capacity(n),
+            slots: slots.iter_mut(),
         }
     }
 
-    /// Rounds one sample into the target scalar and appends it.
+    /// Rounds one sample into the target scalar and writes the next slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every slot has already been written.
     #[inline]
-    pub fn push(&mut self, v: f64) {
-        self.coords.push(S::from_f64(v));
-    }
-
-    /// The accumulated coordinate block.
-    pub fn into_coords(self) -> Vec<S> {
-        self.coords
+    pub(crate) fn push(&mut self, v: f64) {
+        *self
+            .slots
+            .next()
+            .expect("generator emitted more coordinates than its rows hold") = S::from_f64(v);
     }
 }
 

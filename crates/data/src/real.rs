@@ -17,10 +17,10 @@
 //! any algorithm code.
 
 use crate::rng::{derive_seed, normal, power_law, seeded, weighted_choice};
-use crate::{CoordSink, PointGenerator};
+use crate::synthetic::generate_chunked;
+use crate::PointGenerator;
 use kcenter_metric::{FlatPoints, Scalar};
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Number of rows in the UCI Poker Hand training set.
@@ -63,33 +63,19 @@ impl Default for PokerHandSim {
 
 impl PointGenerator for PokerHandSim {
     fn generate_flat_at<S: Scalar>(&self, seed: u64) -> FlatPoints<S> {
-        const CHUNK: usize = 8_192;
-        let chunks = self.n.div_ceil(CHUNK.max(1));
-        let coords: Vec<S> = (0..chunks)
-            .into_par_iter()
-            .flat_map_iter(|chunk| {
-                let start = chunk * CHUNK;
-                let len = CHUNK.min(self.n - start);
-                let mut rng = seeded(derive_seed(seed, chunk as u64));
-                let mut block = CoordSink::with_capacity(len * 10);
-                for _ in 0..len {
-                    // Five cards drawn without replacement from a 52-card
-                    // deck, encoded as (suit, rank) pairs like the UCI file.
-                    let mut deck: Vec<u8> = (0..52).collect();
-                    for _ in 0..5 {
-                        let idx = rng.gen_range(0..deck.len());
-                        let card = deck.swap_remove(idx);
-                        let suit = (card / 13) + 1; // 1..=4
-                        let rank = (card % 13) + 1; // 1..=13
-                        block.push(suit as f64);
-                        block.push(rank as f64);
-                    }
-                }
-                block.into_coords()
-            })
-            .collect();
-        FlatPoints::from_coords(coords, if self.n == 0 { 0 } else { 10 })
-            .expect("poker surrogate emits finite coordinates")
+        generate_chunked(self.n, 10, 8_192, seed, |_, rng, block| {
+            // Five cards drawn without replacement from a 52-card deck,
+            // encoded as (suit, rank) pairs like the UCI file.
+            let mut deck: Vec<u8> = (0..52).collect();
+            for _ in 0..5 {
+                let idx = rng.gen_range(0..deck.len());
+                let card = deck.swap_remove(idx);
+                let suit = (card / 13) + 1; // 1..=4
+                let rank = (card % 13) + 1; // 1..=13
+                block.push(suit as f64);
+                block.push(rank as f64);
+            }
+        })
     }
 
     fn len(&self) -> usize {
@@ -215,30 +201,15 @@ impl PointGenerator for KddCupSim {
             })
             .collect();
         let weights: Vec<f64> = self.classes.iter().map(|c| c.weight).collect();
-
-        const CHUNK: usize = 16_384;
-        let chunks = self.n.div_ceil(CHUNK.max(1));
         let dim = self.dim;
-        let coords: Vec<S> = (0..chunks)
-            .into_par_iter()
-            .flat_map_iter(|chunk| {
-                let start = chunk * CHUNK;
-                let len = CHUNK.min(self.n - start);
-                let mut rng = seeded(derive_seed(seed, chunk as u64));
-                let mut block = CoordSink::with_capacity(len * dim);
-                for _ in 0..len {
-                    let c = weighted_choice(&mut rng, &weights);
-                    let means = &class_means[c];
-                    let sigma = self.classes[c].spread * self.classes[c].scale;
-                    for &mean in means.iter().take(dim) {
-                        block.push(normal(&mut rng, mean, sigma).max(0.0));
-                    }
-                }
-                block.into_coords()
-            })
-            .collect();
-        FlatPoints::from_coords(coords, if self.n == 0 { 0 } else { dim })
-            .expect("kdd surrogate emits finite coordinates")
+        generate_chunked(self.n, dim, 16_384, seed, |_, rng, block| {
+            let c = weighted_choice(rng, &weights);
+            let means = &class_means[c];
+            let sigma = self.classes[c].spread * self.classes[c].scale;
+            for &mean in means.iter().take(dim) {
+                block.push(normal(rng, mean, sigma).max(0.0));
+            }
+        })
     }
 
     fn len(&self) -> usize {

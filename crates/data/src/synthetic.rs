@@ -24,37 +24,44 @@ use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Points generated per parallel chunk; each chunk owns a derived RNG
-/// stream, so results are independent of the rayon split while remaining
-/// deterministic for a given seed.
+/// Points generated per parallel chunk by the synthetic families; each
+/// chunk owns a derived RNG stream, so results are independent of the
+/// rayon split while remaining deterministic for a given seed.
 const GEN_CHUNK: usize = 16_384;
 
 /// Runs `fill(point_index, rng, sink)` for every point in parallel chunks
-/// and concatenates the per-chunk coordinate blocks into one flat store at
-/// the target storage precision.  The RNG stream is precision-independent
-/// (all draws are `f64`; the sink rounds at emission), so a given seed
-/// produces the same geometry at every precision.  `fill` receives the
-/// global point index (the chunk is `index / GEN_CHUNK`), letting
-/// generators place specific rows — e.g. planted outliers — by position
-/// while keeping the chunk-derived RNG streams rayon-split-independent.
-fn generate_chunked<S: Scalar, F>(n: usize, dim: usize, seed: u64, fill: F) -> FlatPoints<S>
+/// of `chunk` points, each writing its rows straight into its own slice of
+/// one caller-allocated flat buffer at the target storage precision (no
+/// per-chunk blocks to concatenate, so no freed blocks linger in the
+/// worker threads' allocator arenas).  The RNG stream is
+/// precision-independent (all draws are `f64`; the sink rounds at
+/// emission), so a given seed produces the same geometry at every
+/// precision.  Chunk `c` draws from `derive_seed(seed, c)`, so `chunk` is
+/// part of a generator's stream layout.  `fill` receives the global point
+/// index, letting generators place specific rows — e.g. planted outliers —
+/// by position.
+pub(crate) fn generate_chunked<S: Scalar, F>(
+    n: usize,
+    dim: usize,
+    chunk: usize,
+    seed: u64,
+    fill: F,
+) -> FlatPoints<S>
 where
-    F: Fn(usize, &mut rand::rngs::StdRng, &mut CoordSink<S>) + Sync,
+    F: Fn(usize, &mut rand::rngs::StdRng, &mut CoordSink<'_, S>) + Sync,
 {
-    let chunks = n.div_ceil(GEN_CHUNK);
-    let coords: Vec<S> = (0..chunks)
-        .into_par_iter()
-        .flat_map_iter(|chunk| {
-            let start = chunk * GEN_CHUNK;
-            let len = GEN_CHUNK.min(n - start);
-            let mut rng = seeded(derive_seed(seed, chunk as u64));
-            let mut block = CoordSink::with_capacity(len * dim);
-            for i in 0..len {
-                fill(start + i, &mut rng, &mut block);
+    let mut coords = vec![S::ZERO; n * dim];
+    coords
+        .par_chunks_mut(chunk * dim)
+        .enumerate()
+        .for_each(|(c, block)| {
+            let rows = block.len() / dim;
+            let mut rng = seeded(derive_seed(seed, c as u64));
+            let mut sink = CoordSink::new(block);
+            for i in 0..rows {
+                fill(c * chunk + i, &mut rng, &mut sink);
             }
-            block.into_coords()
-        })
-        .collect();
+        });
     FlatPoints::from_coords(coords, if n == 0 { 0 } else { dim })
         .expect("generators emit finite coordinates")
 }
@@ -98,7 +105,7 @@ impl UnifGenerator {
 impl PointGenerator for UnifGenerator {
     fn generate_flat_at<S: Scalar>(&self, seed: u64) -> FlatPoints<S> {
         let (dim, side) = (self.dim, self.side);
-        generate_chunked(self.n, dim, seed, |_, rng, block| {
+        generate_chunked(self.n, dim, GEN_CHUNK, seed, |_, rng, block| {
             for _ in 0..dim {
                 block.push(rng.gen::<f64>() * side);
             }
@@ -166,7 +173,7 @@ impl ClusteredConfig {
         let centers = self.centers(seed);
         let sigma = self.sigma_fraction * self.cube_side;
         let dim = self.dim;
-        generate_chunked(self.n, dim, seed, |_, rng, block| {
+        generate_chunked(self.n, dim, GEN_CHUNK, seed, |_, rng, block| {
             let c = weighted_choice(rng, weights);
             let center = &centers[c];
             for d in 0..dim {
@@ -412,7 +419,7 @@ impl PointGenerator for ExpGenerator {
         let sigma = self.sigma_fraction * self.base;
         let weights = vec![1.0; self.k_prime];
         let dim = self.dim;
-        generate_chunked(self.n, dim, seed, |_, rng, block| {
+        generate_chunked(self.n, dim, GEN_CHUNK, seed, |_, rng, block| {
             let c = weighted_choice(rng, &weights);
             let center = &centers[c];
             for d in 0..dim {
@@ -517,7 +524,7 @@ impl PointGenerator for DupGenerator {
         let locations = self.locations();
         let distinct = self.distinct;
         let dim = self.dim;
-        generate_chunked(self.n, dim, seed, |_, rng, block| {
+        generate_chunked(self.n, dim, GEN_CHUNK, seed, |_, rng, block| {
             // Uniform location choice from the f64 stream (kept off the
             // integer API so the draw count per point is always one).
             let j = ((rng.gen::<f64>() * distinct as f64) as usize).min(distinct - 1);
@@ -621,7 +628,7 @@ impl PointGenerator for PlantedOutlierGenerator {
         let side = self.config.cube_side;
         let spread = self.spread;
         let cut = self.config.n - self.outliers;
-        generate_chunked(self.config.n, dim, seed, |index, rng, block| {
+        generate_chunked(self.config.n, dim, GEN_CHUNK, seed, |index, rng, block| {
             if index >= cut {
                 // Planted outlier: deterministic by position, far outside
                 // the cluster cube, pairwise spread so no k centers can

@@ -1,39 +1,36 @@
 //! Axis-aligned spatial grid bucketing for sub-quadratic assignment scans.
 //!
-//! Every solver and the coreset weights round pay a dense `O(n · k)`
-//! comparison-space scan per assignment/relax step.  For the
-//! constant-dimensional Euclidean case this module buckets flat-store rows
-//! into an axis-aligned grid built over the [`crate::bbox`] layer, so the
-//! hot scans visit only *candidate* cells instead of every pair — the
+//! Per-point assignment (`kcenter_core::evaluate::assign`) and the coreset
+//! weights round pay a dense `O(n · k)` comparison-space argmin over the
+//! candidates (centers or coreset representatives).  For the
+//! constant-dimensional Euclidean case this module buckets the candidate
+//! rows into an axis-aligned grid built over the [`crate::bbox`] layer, so
+//! each query visits only nearby cells instead of every candidate — the
 //! output-sensitive probing that Coy–Czumaj–Mishra's parallel k-center
-//! bounds are built on.  Two accelerators are provided:
+//! bounds are built on.  [`SpatialGrid::nearest_member`] and
+//! [`SpatialGrid::wide_nearest_bounded`] expand Chebyshev rings of cells
+//! around the query until the ring lower bound exceeds the best distance
+//! seen.
 //!
-//! * [`GridRelaxer`] backs the fused Gonzalez relaxation
-//!   ([`MetricSpace::relax_nearest_max`] / `relax_all_max`): the member
-//!   rows are bucketed once, and each relax pass sweeps the occupied cells
-//!   in ascending cell order, skipping any cell whose bounding-box distance
-//!   to the new center proves that no `nearest[]` slot in it can change.
-//! * [`SpatialGrid::nearest_member`] and
-//!   [`SpatialGrid::wide_nearest_bounded`] back the nearest-candidate
-//!   argmin scans (the coreset weights round, per-point assignment) by
-//!   expanding Chebyshev rings of cells around the query until the ring
-//!   lower bound exceeds the best distance seen.
+//! The Gonzalez farthest-point relax loop is not bucketed: it always runs
+//! the dense fused kernels ([`MetricSpace::relax_nearest_max`] /
+//! `relax_all_max`).
 //!
 //! # Cell-width choice
 //!
 //! The classical analysis buckets at cell width `~r/√d` so that a cell's
-//! diagonal is at most the current radius `r`.  `r` changes every Gonzalez
-//! round, though, and rebucketing per round would erase the win.  Instead
-//! the grid picks a *fixed* resolution from the member count: with `m`
-//! members and a target occupancy `OCC`, each dimension of positive extent
-//! gets `res = max(1, floor((m / OCC)^(1/d_eff)))` cells, i.e. about
-//! `m / OCC` cells total and `OCC` members per cell on uniform data.  The
+//! diagonal is at most the query radius `r`.  That radius differs from
+//! query to query, so the grid instead picks a *fixed* resolution from the
+//! member count: with `m` members and a target occupancy `OCC`, each
+//! dimension of positive extent gets
+//! `res = max(1, floor((m / OCC)^(1/d_eff)))` cells, i.e. about `m / OCC`
+//! cells total and `OCC` members per cell on uniform data.  The
 //! radius-dependence moves into the *pruning* instead of the bucketing:
 //! every cell stores the tight bounding box of its members, and a scan
 //! skips the cell when the squared box distance (a lower bound on every
 //! member's squared distance) proves the scan outcome cannot change.  That
 //! is exactly the `r/√d` test, evaluated per cell per query against the
-//! current radius rather than baked into the cell width.
+//! best distance so far rather than baked into the cell width.
 //!
 //! Dimensions of zero extent (duplicate-heavy data) get a single cell and
 //! do not count toward `d_eff`, so a cell width can never be zero; if
@@ -47,31 +44,24 @@
 //! assign)`:
 //!
 //! * Cells are enumerated in fixed ascending cell order; within a cell,
-//!   rows are scanned in ascending member order.  The relax sweep folds
-//!   per-cell records with a "greater value, or equal value at a lower
-//!   position" rule, which reproduces the dense lowest-index argmax
-//!   regardless of which cells were skipped; the ring argmin keeps the
-//!   lowest candidate index on ties for the same reason.
+//!   rows are scanned in ascending member order, and the ring argmin keeps
+//!   the lowest candidate index on ties, so the winner never depends on
+//!   which cells were skipped.
 //! * Pruning never changes a value: a cell is skipped only when a
 //!   conservative rounding-slack margin (`(d + 8) · 4 · u` for storage
 //!   unit roundoff `u`) proves every member comparison in it is a no-op.
 //!   Comparison-space distances themselves come from the same per-pair
-//!   [`MetricSpace::cmp_distance`] path as the dense argmin, and the
-//!   `wide_cmp_*` f64 certification scans stay ground truth.
-//! * The per-pair comparison values match the dense fused relax kernels
-//!   bit-for-bit under the `scalar` and `portable` backends (identical
-//!   summation order); the AVX2 fused-rows kernels use a different
-//!   reduction tree, so under `avx2` the relax arms agree exactly only on
-//!   inputs whose squared distances are exactly representable (e.g.
-//!   integer lattices) — same caveat as the kernel A/B in
-//!   [`crate::kernel::simd`].
+//!   [`MetricSpace::cmp_distance`] path as the dense argmin, under every
+//!   kernel backend, and the `wide_cmp_*` f64 certification scans stay
+//!   ground truth.
 //!
 //! # Dispatch
 //!
 //! Mirroring the kernel table, the active arm is selected once per process
 //! from the `--assign` flag / [`ASSIGN_ENV`] (`auto` | `dense` | `grid`)
-//! via [`set_choice`] / [`active_choice`], and `auto` applies a *measured*
-//! dense-scan crossover (see [`auto_mode`]) — brute force wins when the
+//! via [`set_choice`] / [`active_choice`].  The choice governs the
+//! assignment scans only; `auto` applies the measured dense-scan crossover
+//! table [`AUTO_CROSSOVER`] (see [`auto_mode`]) — brute force wins when the
 //! candidate count or point count is small.  Call sites report which arm
 //! actually ran through the [`note_scan`] / [`scan_counts`] telemetry.
 
@@ -80,7 +70,6 @@ use crate::space::MetricSpace;
 use crate::PointId;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
 
 /// Environment variable naming the assignment arm (`auto` | `dense` |
 /// `grid`), mirroring `KCENTER_KERNEL`; the CLI `--assign` flag wins over
@@ -92,13 +81,9 @@ pub const ASSIGN_ENV: &str = "KCENTER_ASSIGN";
 /// buffers are stack-pinned to this length).
 pub const MAX_GRID_DIM: usize = 32;
 
-/// Target members per cell for the relax grids (built once over the whole
-/// subset, swept many times).
-pub const RELAX_OCCUPANCY: usize = 8;
-
-/// Target members per cell for the small candidate grids behind the
-/// nearest-member argmin (centers / coreset reps): smaller cells give the
-/// ring search tighter bounds.
+/// Target members per cell for the candidate grids behind the
+/// nearest-member argmin (centers / coreset reps): small cells give the
+/// ring search tight bounds.
 pub const NEAREST_OCCUPANCY: usize = 2;
 
 /// An assignment-scan implementation the dispatcher can select.
@@ -255,40 +240,54 @@ pub fn set_choice(choice: AssignChoice) {
 /// The shape of one assignment scan, for the crossover decision.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanShape {
-    /// How many points get scanned (queries / relax slots).
+    /// How many points get assigned (the queries).
     pub points: usize,
-    /// How many candidates each point is compared against (`k` centers,
-    /// coreset reps, or Gonzalez rounds for the relax grid).
+    /// How many candidates each point is compared against (`k` centers or
+    /// coreset representatives).
     pub candidates: usize,
     /// Coordinate dimension (0 when the space has no coordinate rows).
     pub dim: usize,
 }
 
-/// What `auto` resolves to for a scan of this shape: the measured
-/// dense-scan crossover.
+/// The `assign_crossover` records of `BENCH_flat.json` as
+/// `(n, dim, crossover_k)`: on the clustered `n`-point workload in `dim`
+/// dimensions, the grid assignment scan beat the dense one from
+/// `crossover_k` candidates on (`None`: at no probed candidate count).
+/// Sorted by `n`, then `dim`.  A `kcenter-bench` test fails when this table
+/// and the committed records disagree.
+pub const AUTO_CROSSOVER: [(usize, usize, Option<usize>); 8] = [
+    (1 << 12, 2, Some(24)),
+    (1 << 12, 4, None),
+    (1 << 12, 8, None),
+    (1 << 12, 16, None),
+    (1 << 18, 2, Some(24)),
+    (1 << 18, 4, None),
+    (1 << 18, 8, None),
+    (1 << 18, 16, None),
+];
+
+/// What `auto` resolves to for a scan of this shape, read from
+/// [`AUTO_CROSSOVER`].
 ///
-/// The constants come from `flat_report`'s dense-vs-grid columns
-/// (`BENCH_flat.json`, `assign_crossover` records): per dimension, the
-/// smallest candidate count at which the grid arm beat the dense SIMD
-/// scan on the clustered 1M-point workload, with a point-count floor below
-/// which grid build cost dominates.  Brute force wins at small `k` or `d`
-/// above the bucketing range, so those shapes stay dense.
+/// A scan uses the records of the largest probed `n` at or below its point
+/// count and, among those, the record of the next probed dimension at or
+/// above its own.  Scans smaller than every probed `n`, or of higher
+/// dimension than every probed one, stay dense; so the point floor is the
+/// smallest probed `n` at which the grid wins at all.
 pub fn auto_mode(shape: ScanShape) -> AssignMode {
-    if shape.dim == 0 || shape.dim > 16 || shape.points < 1 << 12 {
+    let Some(&(n, _, _)) = AUTO_CROSSOVER
+        .iter()
+        .rev()
+        .find(|&&(n, _, _)| n <= shape.points)
+    else {
         return AssignMode::Dense;
-    }
-    // Measured crossover (candidates axis) per dimension band; see
-    // BENCH_flat.json "assign_crossover".
-    let min_candidates = match shape.dim {
-        1..=2 => 16,
-        3..=4 => 16,
-        5..=8 => 24,
-        _ => 48,
     };
-    if shape.candidates >= min_candidates {
-        AssignMode::Grid
-    } else {
-        AssignMode::Dense
+    let record = AUTO_CROSSOVER
+        .iter()
+        .find(|&&(rn, dim, _)| rn == n && dim >= shape.dim);
+    match record {
+        Some(&(_, _, Some(k))) if shape.dim > 0 && shape.candidates >= k => AssignMode::Grid,
+        _ => AssignMode::Dense,
     }
 }
 
@@ -307,8 +306,8 @@ pub fn select_mode(shape: ScanShape) -> AssignMode {
 static GRID_SCANS: AtomicU64 = AtomicU64::new(0);
 static DENSE_SCANS: AtomicU64 = AtomicU64::new(0);
 
-/// Records that one assignment scan (a full relax loop, weights round, or
-/// per-point assignment pass) ran on `mode`'s arm.  The CLI prints these
+/// Records that one assignment scan (a weights round or a per-point
+/// assignment pass) ran on `mode`'s arm.  The CLI prints these
 /// next to the round accounting so A/B runs show which arm actually
 /// executed.
 pub fn note_scan(mode: AssignMode) {
@@ -337,8 +336,8 @@ pub fn reset_scan_counts() {
 /// space, with per-cell tight bounding boxes for distance lower bounds.
 ///
 /// Members are addressed by their *position* in the member list handed to
-/// [`SpatialGrid::build`] (matching the position-based contracts of the
-/// relax/argmin scans).  All box geometry is kept in `f64`, widened
+/// [`SpatialGrid::build`] (matching the position-based contract of the
+/// argmin scans).  All box geometry is kept in `f64`, widened
 /// exactly from the storage rows.
 pub struct SpatialGrid {
     dim: usize,
@@ -351,8 +350,6 @@ pub struct SpatialGrid {
     starts: Vec<u32>,
     /// Member positions, grouped by cell, ascending within each cell.
     bucket: Vec<u32>,
-    /// Indices of non-empty cells, ascending.
-    occupied: Vec<u32>,
     /// Per-cell tight member bounding boxes (`cells × dim`, `±inf` for
     /// empty cells).
     cell_lo: Vec<f64>,
@@ -442,7 +439,6 @@ impl SpatialGrid {
             stride,
             starts: vec![0; cells + 1],
             bucket: vec![0; members.len()],
-            occupied: Vec::new(),
             cell_lo: vec![f64::INFINITY; cells * dim],
             cell_hi: vec![f64::NEG_INFINITY; cells * dim],
             min_cell_width,
@@ -460,9 +456,6 @@ impl SpatialGrid {
         for (c, &count) in counts.iter().enumerate() {
             grid.starts[c] = acc;
             acc += count;
-            if count > 0 {
-                grid.occupied.push(c as u32);
-            }
         }
         grid.starts[cells] = acc;
         let mut cursor: Vec<u32> = grid.starts[..cells].to_vec();
@@ -503,11 +496,6 @@ impl SpatialGrid {
     /// Total number of cells.
     pub fn cells(&self) -> usize {
         self.starts.len() - 1
-    }
-
-    /// Number of non-empty cells.
-    pub fn occupied_cells(&self) -> usize {
-        self.occupied.len()
     }
 
     /// Per-dimension clamped cell coordinates of a row.
@@ -709,183 +697,6 @@ fn cmp_slack<S: Scalar>(dim: usize) -> f64 {
     (dim as f64 + 8.0) * 4.0 * S::UNIT_ROUNDOFF
 }
 
-/// Grid accelerator for the fused Gonzalez relaxation: buckets the subset
-/// once, then serves [`GridRelaxer::relax_max`] passes that sweep occupied
-/// cells in ascending order, skipping cells the new center provably cannot
-/// touch.
-///
-/// Each occupied cell caches `(position, value)` of the lowest-position
-/// maximum `nearest[]` entry among its members; a skipped cell's cache
-/// stays valid because the skip condition proves no slot in it changed.
-/// Folding the caches with a "greater value, or equal value at a lower
-/// position" rule reproduces the dense lowest-index argmax bit-for-bit.
-pub struct GridRelaxer<S: Scalar> {
-    /// Shared so a sweep can rebuild relaxers from one cached bucketing —
-    /// [`SpatialGrid::build`] (bbox pass + counting sort) is the expensive
-    /// part; the per-selection `cell_best` state below is O(occupied).
-    grid: Arc<SpatialGrid>,
-    /// Per *occupied* cell (parallel to `grid.occupied`): lowest-position
-    /// argmax of `nearest[]` over the cell's members.  Starts at
-    /// `(first member, +inf)` — every slot is `+inf` before the first
-    /// relax pass.
-    cell_best: Vec<(u32, S)>,
-}
-
-impl<S: Scalar> GridRelaxer<S> {
-    /// Buckets `members` (the relax subset, positions `0..members.len()`)
-    /// of `space`; `None` exactly when [`SpatialGrid::build`] refuses the
-    /// space ([`RELAX_OCCUPANCY`] members per cell).
-    pub fn build<Sp: MetricSpace<Cmp = S> + ?Sized>(
-        space: &Sp,
-        members: &[PointId],
-    ) -> Option<GridRelaxer<S>> {
-        SpatialGrid::build(space, members, RELAX_OCCUPANCY)
-            .map(Arc::new)
-            .map(Self::from_grid)
-    }
-
-    /// Wraps an already-built bucketing (of the *same* member list) with
-    /// fresh relax state — the cheap part of [`GridRelaxer::build`], so a
-    /// sweep can run many selections against one [`SpatialGrid`] (see
-    /// [`RelaxGridCache`]).
-    pub fn from_grid(grid: Arc<SpatialGrid>) -> GridRelaxer<S> {
-        let cell_best = grid
-            .occupied
-            .iter()
-            .map(|&c| (grid.bucket[grid.starts[c as usize] as usize], S::INFINITY))
-            .collect();
-        GridRelaxer { grid, cell_best }
-    }
-
-    /// The underlying grid.
-    pub fn grid(&self) -> &SpatialGrid {
-        &self.grid
-    }
-
-    /// The underlying grid, shareable with further relaxers.
-    pub fn shared_grid(&self) -> &Arc<SpatialGrid> {
-        &self.grid
-    }
-
-    /// One fused Gonzalez iteration, bit-identical to
-    /// [`MetricSpace::relax_nearest_max`] (lower `nearest[pos]` to the
-    /// distance to `center`, return the lowest-position maximum entry)
-    /// whenever the per-pair comparison values match the dense kernel's —
-    /// see the module docs for the backend caveat.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members`/`nearest` do not match the list the relaxer was
-    /// built over.
-    pub fn relax_max<Sp: MetricSpace<Cmp = S> + ?Sized>(
-        &mut self,
-        space: &Sp,
-        members: &[PointId],
-        center: PointId,
-        nearest: &mut [S],
-    ) -> (usize, S) {
-        assert_eq!(members.len(), self.grid.len, "grid/member list mismatch");
-        assert_eq!(
-            members.len(),
-            nearest.len(),
-            "subset/nearest length mismatch"
-        );
-        let center_row = space.coord_row(center).expect("grid-compatible space");
-        for (oi, &cell_u) in self.grid.occupied.iter().enumerate() {
-            let cell = cell_u as usize;
-            let cached = self.cell_best[oi].1.to_f64();
-            // No member of this cell can get closer than the box bound; if
-            // even that (with comparison-rounding slack) cannot undercut
-            // the cell's current maximum slot, no slot in the cell changes
-            // and the cached record stays exact.
-            if self.grid.lb_dist2(cell, center_row) * (1.0 - self.grid.cmp_slack) >= cached {
-                continue;
-            }
-            let mut rec = (u32::MAX, S::NEG_INFINITY);
-            let span = self.grid.starts[cell] as usize..self.grid.starts[cell + 1] as usize;
-            for &pos in &self.grid.bucket[span] {
-                let p = pos as usize;
-                let d = space.cmp_distance(members[p], center);
-                let slot = &mut nearest[p];
-                if d < *slot {
-                    *slot = d;
-                }
-                if *slot > rec.1 {
-                    rec = (pos, *slot);
-                }
-            }
-            self.cell_best[oi] = rec;
-        }
-        let mut best = (usize::MAX, S::NEG_INFINITY);
-        for &(p, v) in &self.cell_best {
-            if v > best.1 || (v == best.1 && (p as usize) < best.0) {
-                best = (p as usize, v);
-            }
-        }
-        if best.0 == usize::MAX {
-            (0, S::NEG_INFINITY)
-        } else {
-            best
-        }
-    }
-}
-
-/// Build-once cache of the relax bucketing for a **fixed** member list.
-///
-/// A `(k, φ)` sweep re-runs the Gonzalez selection many times over the
-/// same candidate rows (a coreset's representatives never change once
-/// built), and each selection used to re-bucket them from scratch.  The
-/// cache latches the first [`SpatialGrid::build`] outcome — including a
-/// refusal (`None`), so incompatible spaces are probed exactly once — and
-/// every later selection pays only the O(occupied) relax-state reset in
-/// [`GridRelaxer::from_grid`].  Results are bit-identical to fresh builds
-/// because the grid depends only on the rows and the occupancy target.
-///
-/// The caller owns the keying: a cache is valid for exactly one
-/// `(space, members)` pair at [`RELAX_OCCUPANCY`].  Cloning shares the
-/// latched grid (it is behind an [`Arc`]).
-#[derive(Clone, Default)]
-pub struct RelaxGridCache {
-    slot: OnceLock<Option<Arc<SpatialGrid>>>,
-}
-
-impl RelaxGridCache {
-    /// An empty cache; the grid is built on first use.
-    pub fn new() -> RelaxGridCache {
-        RelaxGridCache::default()
-    }
-
-    /// A relaxer over `members` of `space`, bucketing on the first call
-    /// and reusing the cached [`SpatialGrid`] afterwards.  `None` exactly
-    /// when [`GridRelaxer::build`] would refuse the space.
-    pub fn get_or_build<S: Scalar, Sp: MetricSpace<Cmp = S> + ?Sized>(
-        &self,
-        space: &Sp,
-        members: &[PointId],
-    ) -> Option<GridRelaxer<S>> {
-        self.slot
-            .get_or_init(|| SpatialGrid::build(space, members, RELAX_OCCUPANCY).map(Arc::new))
-            .clone()
-            .map(GridRelaxer::from_grid)
-    }
-
-    /// Whether the build outcome (grid or refusal) is already latched.
-    pub fn is_built(&self) -> bool {
-        self.slot.get().is_some()
-    }
-}
-
-impl fmt::Debug for RelaxGridCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = match self.slot.get() {
-            None => "unbuilt",
-            Some(Some(_)) => "built",
-            Some(None) => "refused",
-        };
-        write!(f, "RelaxGridCache({state})")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -987,6 +798,32 @@ mod tests {
     }
 
     #[test]
+    fn auto_mode_reads_the_next_probed_dimension_up() {
+        // Every dimension above the previous probed one reads this record.
+        let mut below = 0;
+        for &(n, dim, crossover) in &AUTO_CROSSOVER {
+            if dim <= below {
+                below = 0; // the rows of the next probed `n` start over
+            }
+            for d in below + 1..=dim {
+                for candidates in 1..=64 {
+                    let want = match crossover {
+                        Some(k) if candidates >= k => AssignMode::Grid,
+                        _ => AssignMode::Dense,
+                    };
+                    let shape = ScanShape {
+                        points: n,
+                        candidates,
+                        dim: d,
+                    };
+                    assert_eq!(auto_mode(shape), want, "{shape:?}");
+                }
+            }
+            below = dim;
+        }
+    }
+
+    #[test]
     fn scan_telemetry_counts_both_arms() {
         reset_scan_counts();
         note_scan(AssignMode::Grid);
@@ -1002,18 +839,18 @@ mod tests {
         // All-duplicate members: every extent is zero.
         let flat = FlatPoints::from_coords(vec![3.0, 4.0, 3.0, 4.0, 3.0, 4.0], 2).unwrap();
         let space = VecSpace::from_flat(flat);
-        assert!(SpatialGrid::build(&space, &[0, 1, 2], RELAX_OCCUPANCY).is_none());
+        assert!(SpatialGrid::build(&space, &[0, 1, 2], NEAREST_OCCUPANCY).is_none());
         // Empty member list.
-        assert!(SpatialGrid::build(&space, &[], RELAX_OCCUPANCY).is_none());
+        assert!(SpatialGrid::build(&space, &[], NEAREST_OCCUPANCY).is_none());
         // Non-Euclidean surrogate: box bounds would be invalid.
         let flat = FlatPoints::from_coords(vec![0.0, 0.0, 5.0, 1.0], 2).unwrap();
         let manhattan = VecSpace::from_flat_with_distance(flat, Manhattan);
-        assert!(SpatialGrid::build(&manhattan, &[0, 1], RELAX_OCCUPANCY).is_none());
+        assert!(SpatialGrid::build(&manhattan, &[0, 1], NEAREST_OCCUPANCY).is_none());
         // Matrix spaces expose no coordinate rows.
         let mut m = DistanceMatrix::<f64>::zeros(2);
         m.set(0, 1, 1.0);
         let ms = MatrixSpace::new(m);
-        assert!(SpatialGrid::build(&ms, &[0, 1], RELAX_OCCUPANCY).is_none());
+        assert!(SpatialGrid::build(&ms, &[0, 1], NEAREST_OCCUPANCY).is_none());
     }
 
     #[test]
@@ -1087,120 +924,12 @@ mod tests {
     }
 
     #[test]
-    fn relax_trajectory_matches_dense_over_many_centers() {
-        let flat = lattice_flat::<f64>(512, 2, 42);
-        let space = VecSpace::from_flat(flat);
-        let members: Vec<PointId> = (0..512).collect();
-        let mut relaxer = GridRelaxer::build(&space, &members).unwrap();
-        let mut grid_nearest = vec![f64::INFINITY; members.len()];
-        let mut dense_nearest = vec![f64::INFINITY; members.len()];
-        let mut center = 17;
-        for round in 0..24 {
-            let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
-            let d = space.relax_nearest_max(&members, center, &mut dense_nearest);
-            assert_eq!(g, d, "round {round}");
-            assert_eq!(grid_nearest, dense_nearest, "round {round}");
-            center = members[g.0];
-        }
-    }
-
-    #[test]
-    fn relax_trajectory_matches_dense_at_f32_with_duplicates() {
-        let mut flat = lattice_flat::<f32>(400, 3, 9);
-        // Duplicate a block of rows to force exact ties in the argmax.
-        for i in 0..40 {
-            let row: Vec<f32> = flat.row(i).to_vec();
-            flat.push_row(&row);
-        }
-        let space: VecSpace<Euclidean, f32> = VecSpace::from_flat(flat);
-        let members: Vec<PointId> = (0..440).collect();
-        let mut relaxer = GridRelaxer::build(&space, &members).unwrap();
-        let mut grid_nearest = vec![f32::INFINITY; members.len()];
-        let mut dense_nearest = vec![f32::INFINITY; members.len()];
-        let mut center = 3;
-        for round in 0..16 {
-            let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
-            let d = space.relax_nearest_max(&members, center, &mut dense_nearest);
-            assert_eq!(g, d, "round {round}");
-            assert_eq!(grid_nearest, dense_nearest, "round {round}");
-            center = members[g.0];
-        }
-    }
-
-    #[test]
-    fn relax_handles_non_identity_subsets() {
-        let flat = lattice_flat::<f64>(600, 4, 77);
-        let space = VecSpace::from_flat(flat);
-        let members: Vec<PointId> = (0..600).step_by(2).collect();
-        let mut relaxer = GridRelaxer::build(&space, &members).unwrap();
-        let mut grid_nearest = vec![f64::INFINITY; members.len()];
-        let mut dense_nearest = vec![f64::INFINITY; members.len()];
-        let mut center = members[5];
-        for round in 0..12 {
-            let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
-            let d = space.relax_nearest_max(&members, center, &mut dense_nearest);
-            assert_eq!(g, d, "round {round}");
-            assert_eq!(grid_nearest, dense_nearest, "round {round}");
-            center = members[g.0];
-        }
-    }
-
-    #[test]
-    fn relax_grid_cache_builds_once_and_reuses_bit_identically() {
-        let flat = lattice_flat::<f64>(512, 2, 42);
-        let space = VecSpace::from_flat(flat);
-        let members: Vec<PointId> = (0..512).collect();
-        let cache = RelaxGridCache::new();
-        assert!(!cache.is_built());
-        assert_eq!(format!("{cache:?}"), "RelaxGridCache(unbuilt)");
-
-        let first: GridRelaxer<f64> = cache.get_or_build(&space, &members).unwrap();
-        assert!(cache.is_built());
-        assert_eq!(format!("{cache:?}"), "RelaxGridCache(built)");
-        // The second relaxer shares the first's bucketing rather than
-        // rebuilding it — and a clone of the cache shares it too.
-        let second: GridRelaxer<f64> = cache.get_or_build(&space, &members).unwrap();
-        assert!(Arc::ptr_eq(first.shared_grid(), second.shared_grid()));
-        let cloned: GridRelaxer<f64> = cache.clone().get_or_build(&space, &members).unwrap();
-        assert!(Arc::ptr_eq(first.shared_grid(), cloned.shared_grid()));
-
-        // A cached relaxer replays the exact trajectory of a fresh build.
-        let mut fresh = GridRelaxer::build(&space, &members).unwrap();
-        let mut cached = second;
-        let mut fresh_nearest = vec![f64::INFINITY; members.len()];
-        let mut cached_nearest = vec![f64::INFINITY; members.len()];
-        let mut center = 17;
-        for round in 0..24 {
-            let c = cached.relax_max(&space, &members, center, &mut cached_nearest);
-            let f = fresh.relax_max(&space, &members, center, &mut fresh_nearest);
-            assert_eq!(c, f, "round {round}");
-            assert_eq!(cached_nearest, fresh_nearest, "round {round}");
-            center = members[c.0];
-        }
-    }
-
-    #[test]
-    fn relax_grid_cache_latches_a_refusal() {
-        // All-duplicate members: the build refuses, and the cache records
-        // that outcome instead of re-probing on every selection.
-        let flat = FlatPoints::from_coords(vec![3.0, 4.0, 3.0, 4.0, 3.0, 4.0], 2).unwrap();
-        let space = VecSpace::from_flat(flat);
-        let members: Vec<PointId> = vec![0, 1, 2];
-        let cache = RelaxGridCache::new();
-        assert!(cache.get_or_build::<f64, _>(&space, &members).is_none());
-        assert!(cache.is_built());
-        assert_eq!(format!("{cache:?}"), "RelaxGridCache(refused)");
-        assert!(cache.get_or_build::<f64, _>(&space, &members).is_none());
-    }
-
-    #[test]
     fn grid_shape_is_bounded_by_member_count() {
         let flat = lattice_flat::<f64>(1000, 2, 1);
         let space = VecSpace::from_flat(flat);
         let members: Vec<PointId> = (0..1000).collect();
-        let grid = SpatialGrid::build(&space, &members, RELAX_OCCUPANCY).unwrap();
-        assert!(grid.cells() <= 1000 / RELAX_OCCUPANCY);
-        assert!(grid.occupied_cells() <= grid.cells());
+        let grid = SpatialGrid::build(&space, &members, NEAREST_OCCUPANCY).unwrap();
+        assert!(grid.cells() <= 1000 / NEAREST_OCCUPANCY);
         assert_eq!(grid.len(), 1000);
         assert!(!grid.is_empty());
         assert_eq!(grid.dim(), 2);

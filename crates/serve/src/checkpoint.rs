@@ -42,10 +42,9 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use kcenter_core::hash::fnv1a64;
 use kcenter_core::{PersistError, WeightedCoreset};
 use kcenter_metric::{Distance, Scalar};
-
-use crate::hash::fnv1a64;
 
 /// Magic bytes identifying a checkpoint file.
 pub const MAGIC: [u8; 4] = *b"KCKP";

@@ -31,6 +31,7 @@
 
 use std::path::{Path, PathBuf};
 
+use kcenter_core::hash::Fnv;
 use kcenter_core::{
     FirstCenter, GonzalezCoresetConfig, KCenterError, SequentialSolver, WeightedCoreset,
 };
@@ -38,7 +39,6 @@ use kcenter_mapreduce::{Executor, FaultConfig, FaultPlan};
 use kcenter_metric::{Distance, PointId, Scalar};
 
 use crate::checkpoint::{self, CheckpointError, CheckpointMeta};
-use crate::hash::Fnv;
 use crate::snapshot::{CenterSnapshot, SnapshotCell};
 use crate::stream::{BatchStream, StreamConfig, StreamError};
 

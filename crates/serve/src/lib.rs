@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-mod hash;
 pub mod ingest;
 pub mod snapshot;
 pub mod stream;

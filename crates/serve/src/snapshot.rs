@@ -12,10 +12,9 @@
 
 use std::sync::{Arc, RwLock};
 
+use kcenter_core::hash::Fnv;
 use kcenter_core::{CoresetSolution, WeightedCoreset};
 use kcenter_metric::{Distance, FlatPoints, PointId, Scalar};
-
-use crate::hash::Fnv;
 
 /// One nearest-center answer.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -12,10 +12,9 @@
 //! the stream (by global id) and re-ingested, healing the summary instead
 //! of disclosing the points as lost.
 
+use kcenter_core::hash::Fnv;
 use kcenter_data::DatasetSpec;
 use kcenter_metric::{Distance, FlatPoints, PointId, Scalar, VecSpace};
-
-use crate::hash::Fnv;
 
 /// Declarative description of a batched stream: which dataset, which
 /// generator seed, and how many contiguous batches to split it into.
