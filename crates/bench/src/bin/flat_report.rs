@@ -14,8 +14,10 @@
 //!
 //! The assignment sections time one nearest-center assignment scan on the
 //! dense arm vs the spatial-grid arm: `assign_results` at n = 1M, and
-//! `assign_crossover`, the smallest winning candidate count per probed
-//! `(n, dim)`, which `kcenter_metric::grid::AUTO_CROSSOVER` copies.
+//! `assign_crossover`, the candidate count per probed `(n, dim)` from which
+//! the grid wins, which `kcenter_metric::grid::ASSIGN_CROSSOVER` copies.
+//! `relax_crossover` does the same for whole k-center Gonzalez selections
+//! (the relax loop) under each pinned arm; `RELAX_CROSSOVER` copies it.
 //!
 //! A further section (`sweep_results`) measures the coreset layer's
 //! build-once/solve-many amortisation: one weighted coreset (Gonzalez and
@@ -30,11 +32,13 @@
 
 use kcenter_bench::execbench::{run_executor_comparison, ExecutorComparison};
 use kcenter_bench::flatbench::{
-    clustered_flat, dense_assign_scan, flat_iteration_under, flat_par_iteration, gonzalez_centers,
-    grid_assign_scan, old_iteration, to_points_aged_heap,
+    clustered_flat, crossover_k, dense_assign_scan, flat_iteration_under, flat_par_iteration,
+    gonzalez_centers, grid_assign_scan, old_iteration, to_points_aged_heap,
 };
 use kcenter_bench::sweepbench::{run_sweep_comparison, SweepBuilder, SweepComparison};
+use kcenter_core::gonzalez::{self, FirstCenter};
 use kcenter_data::{DatasetSpec, PointGenerator, UnifGenerator};
+use kcenter_metric::grid::{self, AssignChoice, AssignMode};
 use kcenter_metric::kernel::simd;
 use kcenter_metric::{KernelBackend, KernelChoice, Scalar, VecSpace};
 use std::fmt::Write as _;
@@ -45,20 +49,26 @@ const SIZES: [usize; 3] = [10_000, 100_000, 1_000_000];
 const DIMS: [usize; 2] = [2, 16];
 const WARMUP: usize = 2;
 const REPEATS: usize = 7;
-/// Grid-vs-dense assignment benchmark: dimensions the spatial grid
-/// targets (bucketing stops paying above d = 16).
-const ASSIGN_DIMS: [usize; 4] = [2, 4, 8, 16];
+/// Grid-vs-dense benchmarks: dimensions the spatial grid targets
+/// (bucketing stops paying above d = 16), including the generators'
+/// default d = 3.
+const ASSIGN_DIMS: [usize; 5] = [2, 3, 4, 8, 16];
 /// Headline assignment rows: the paper-scale clustered workload.
 const ASSIGN_N: usize = 1_000_000;
 const ASSIGN_K: usize = 50;
-/// Crossover sweep: candidate counts probed per dimension at each probed
-/// point count; the smallest count where the grid wins anywhere becomes
-/// `auto`'s point floor.
-const CROSS_NS: [usize; 2] = [1 << 12, 1 << 18];
-const CROSS_KS: [usize; 7] = [4, 8, 12, 16, 24, 32, 48];
-/// Each timed crossover block scans at least this many points (repeating
+/// Crossover sweeps: point counts probed per dimension; the smallest count
+/// where the grid wins anywhere becomes `auto`'s point floor.
+const CROSS_NS: [usize; 3] = [1 << 12, 1 << 15, 1 << 18];
+/// Assignment candidate counts, up to the coreset sizes the weights round
+/// buckets.
+const CROSS_KS: [usize; 13] = [4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 256, 512, 1024];
+/// Gonzalez selection sizes (centers picked), up to coreset-build sizes.
+const RELAX_KS: [usize; 13] = [16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024];
+/// Each timed assignment block scans at least this many points (repeating
 /// the scan at small `n`), so small scans are not lost in timer noise.
 const CROSS_BLOCK_POINTS: usize = 1 << 18;
+/// Same for the relax blocks, whose selections already run `k` passes.
+const RELAX_BLOCK_POINTS: usize = 1 << 16;
 /// The assignment sections measure heavier scans (k candidates per point,
 /// not 1), so they use a lighter best-of.
 const ASSIGN_WARMUP: usize = 1;
@@ -317,17 +327,57 @@ fn main() {
                 dense_ns.push(timed[0] / scans as u128);
                 grid_ns.push(timed[1] / scans as u128);
             }
-            let crossover_k = CROSS_KS
-                .iter()
-                .zip(dense_ns.iter().zip(grid_ns.iter()))
-                .find(|(_, (d, g))| g < d)
-                .map(|(&k, _)| k);
+            let crossover = crossover_k(&CROSS_KS, &dense_ns, &grid_ns);
             eprintln!(
-                "crossover n={n} d={dim:>2}: dense {dense_ns:?} vs grid {grid_ns:?} -> grid wins from k = {crossover_k:?}"
+                "assign crossover n={n} d={dim:>2}: dense {dense_ns:?} vs grid {grid_ns:?} -> grid wins from k = {crossover:?}"
             );
-            crossover_rows.push((n, dim, dense_ns, grid_ns, crossover_k));
+            crossover_rows.push((n, dim, dense_ns, grid_ns, crossover));
         }
     }
+
+    // ---- Relax crossover: whole k-center Gonzalez selections through the
+    // solver's entry point with the arm pinned (grid bucketing charged to
+    // each selection), against the sequential dense kernel that every
+    // MapReduce reducer and coreset round runs.
+    let mut relax_rows = Vec::new();
+    for &n in &CROSS_NS {
+        let selections = (RELAX_BLOCK_POINTS / n).max(1);
+        for &dim in &ASSIGN_DIMS {
+            let space = VecSpace::from_flat(clustered_flat::<f64>(n, dim, 25, 43));
+            let ids: Vec<usize> = (0..n).collect();
+            let select = |mode: AssignMode, k: usize| {
+                grid::set_choice(AssignChoice::Fixed(mode));
+                for _ in 0..selections {
+                    black_box(gonzalez::select_centers(
+                        &space,
+                        &ids,
+                        k,
+                        FirstCenter::default(),
+                        false,
+                    ));
+                }
+            };
+            let mut dense_ns = Vec::new();
+            let mut grid_ns = Vec::new();
+            for &k in &RELAX_KS {
+                let timed = best_interleaved_n(
+                    ASSIGN_WARMUP,
+                    ASSIGN_REPEATS,
+                    &mut [&mut || select(AssignMode::Dense, k), &mut || {
+                        select(AssignMode::Grid, k)
+                    }],
+                );
+                dense_ns.push(timed[0] / selections as u128);
+                grid_ns.push(timed[1] / selections as u128);
+            }
+            let crossover = crossover_k(&RELAX_KS, &dense_ns, &grid_ns);
+            eprintln!(
+                "relax crossover n={n} d={dim:>2}: dense {dense_ns:?} vs grid {grid_ns:?} -> grid wins from k = {crossover:?}"
+            );
+            relax_rows.push((n, dim, dense_ns, grid_ns, crossover));
+        }
+    }
+    grid::set_choice(AssignChoice::Auto);
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -388,28 +438,26 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"assign_crossover_note\": \"per (n, dim), the smallest probed candidate count at which the grid assignment scan beats the dense one (ns per scan, best of {ASSIGN_REPEATS} blocks of at least {CROSS_BLOCK_POINTS} scanned points); kcenter_metric::grid::AUTO_CROSSOVER copies these records, a kcenter-bench test fails when they disagree, and auto_mode reads them for the assignment scans only (the Gonzalez relax loop always runs dense)\","
+        "  \"assign_crossover_note\": \"per (n, dim), the smallest probed candidate count from which the grid assignment scan beats the dense one at every larger probed count (ns per scan, best of {ASSIGN_REPEATS} blocks of at least {CROSS_BLOCK_POINTS} scanned points); kcenter_metric::grid::ASSIGN_CROSSOVER copies these records and a kcenter-bench test fails when they disagree\","
     );
-    json.push_str("  \"assign_crossover\": [\n");
-    for (i, (n, dim, dense_ns, grid_ns, crossover_k)) in crossover_rows.iter().enumerate() {
-        let ks: Vec<String> = CROSS_KS.iter().map(|k| k.to_string()).collect();
-        let dense: Vec<String> = dense_ns.iter().map(|t| t.to_string()).collect();
-        let grid: Vec<String> = grid_ns.iter().map(|t| t.to_string()).collect();
-        let _ = write!(
-            json,
-            "    {{\"n\": {n}, \"dim\": {dim}, \"ks\": [{}], \"dense_assign_ns\": [{}], \"grid_assign_ns\": [{}], \"crossover_k\": {}}}",
-            ks.join(", "),
-            dense.join(", "),
-            grid.join(", "),
-            crossover_k.map_or("null".to_string(), |k| k.to_string()),
-        );
-        json.push_str(if i + 1 < crossover_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
+    write_crossover(
+        &mut json,
+        "assign_crossover",
+        ["dense_assign_ns", "grid_assign_ns"],
+        &CROSS_KS,
+        &crossover_rows,
+    );
+    let _ = writeln!(
+        json,
+        "  \"relax_crossover_note\": \"per (n, dim), the smallest probed selection size k from which a k-center Gonzalez selection (select_centers, sequential scan) runs faster with the grid relax arm pinned, bucketing included, than with the dense fused kernel, at every larger probed k (ns per selection, best of {ASSIGN_REPEATS} blocks of at least {RELAX_BLOCK_POINTS} points); kcenter_metric::grid::RELAX_CROSSOVER copies these records and a kcenter-bench test fails when they disagree\","
+    );
+    write_crossover(
+        &mut json,
+        "relax_crossover",
+        ["dense_select_ns", "grid_select_ns"],
+        &RELAX_KS,
+        &relax_rows,
+    );
 
     // ---- Sweep-via-coreset vs per-cell EIM reruns (build once, solve a
     // (k, phi) grid).  Both sides are charged in the paper's simulated-time
@@ -534,6 +582,37 @@ fn main() {
 
     std::fs::write(&out_path, &json).expect("write BENCH_flat.json");
     println!("wrote {out_path}");
+}
+
+/// One crossover record per probed `(n, dim)`: timings of both arms per
+/// probed count and the crossover they give.
+type CrossoverRow = (usize, usize, Vec<u128>, Vec<u128>, Option<usize>);
+
+/// Writes the `section` array of crossover records, naming the dense and
+/// grid timing columns `arms`.
+fn write_crossover(
+    json: &mut String,
+    section: &str,
+    arms: [&str; 2],
+    ks: &[usize],
+    rows: &[CrossoverRow],
+) {
+    let list = |v: &mut dyn Iterator<Item = String>| v.collect::<Vec<_>>().join(", ");
+    let _ = writeln!(json, "  \"{section}\": [");
+    for (i, (n, dim, dense_ns, grid_ns, crossover)) in rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"n\": {n}, \"dim\": {dim}, \"ks\": [{}], \"{}\": [{}], \"{}\": [{}], \"crossover_k\": {}}}",
+            list(&mut ks.iter().map(|k| k.to_string())),
+            arms[0],
+            list(&mut dense_ns.iter().map(|t| t.to_string())),
+            arms[1],
+            list(&mut grid_ns.iter().map(|t| t.to_string())),
+            crossover.map_or("null".to_string(), |k| k.to_string()),
+        );
+        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
 }
 
 /// One sweep comparison at the report's fixed cluster shape (the paper's

@@ -18,9 +18,10 @@
 //! The assignment arms ([`dense_assign_scan`] vs the spatial-grid
 //! [`grid_assign_scan`], on [`clustered_flat`] data with
 //! [`gonzalez_centers`] as candidates) back the `assign_results` and
-//! `assign_crossover` records that `kcenter_metric::grid::AUTO_CROSSOVER`
-//! copies.  Only assignment scans have a grid arm; the relax pass above is
-//! always dense.
+//! `assign_crossover` records that `kcenter_metric::grid::ASSIGN_CROSSOVER`
+//! copies; `flat_report` times whole Gonzalez selections under each pinned
+//! arm for the `relax_crossover` records behind `RELAX_CROSSOVER`.  Both
+//! reduce their timings to one threshold with [`crossover_k`].
 
 use kcenter_metric::grid::{SpatialGrid, NEAREST_OCCUPANCY};
 use kcenter_metric::kernel::{self, simd};
@@ -213,6 +214,22 @@ pub fn grid_assign_scan<S: Scalar>(
     Some(acc)
 }
 
+/// The crossover a `(n, dim)` record states: the smallest probed count at
+/// which the grid arm beat the dense one and kept beating it at every
+/// larger probed count, or `None` when it lost at the largest.  Requiring
+/// the win to hold from there on keeps one noisy early win from moving the
+/// threshold.
+pub fn crossover_k(ks: &[usize], dense_ns: &[u128], grid_ns: &[u128]) -> Option<usize> {
+    let mut crossover = None;
+    for ((&k, d), g) in ks.iter().zip(dense_ns).zip(grid_ns).rev() {
+        if g >= d {
+            break;
+        }
+        crossover = Some(k);
+    }
+    crossover
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,57 +321,103 @@ mod tests {
     #[test]
     fn auto_mode_matches_the_committed_crossover_records() {
         use crate::scenario::{parse_json, Value};
-        use kcenter_metric::grid::{auto_mode, AssignMode, ScanShape, AUTO_CROSSOVER};
+        use kcenter_metric::grid::{
+            auto_mode, AssignMode, ScanKind, ScanShape, ASSIGN_CROSSOVER, RELAX_CROSSOVER,
+        };
 
         let bench = parse_json(include_str!("../../../BENCH_flat.json")).expect("record parses");
-        let rows = bench
-            .get("assign_crossover")
-            .and_then(Value::as_array)
-            .expect("assign_crossover records");
+        let usizes = |row: &Value, key: &str| -> Vec<usize> {
+            row.get(key)
+                .and_then(Value::as_array)
+                .unwrap_or_else(|| panic!("record without {key}"))
+                .iter()
+                .map(|v| v.as_usize().expect("non-negative integer"))
+                .collect()
+        };
         let field = |row: &Value, key: &str| {
             row.get(key)
                 .and_then(Value::as_usize)
                 .unwrap_or_else(|| panic!("record without {key}"))
         };
-        let mut records = Vec::new();
-        for row in rows {
-            let (n, dim) = (field(row, "n"), field(row, "dim"));
-            let crossover = row.get("crossover_k").and_then(Value::as_usize);
-            let ks = row.get("ks").and_then(Value::as_array).expect("probed ks");
-            for k in ks.iter().map(|k| k.as_usize().expect("integer k")) {
-                let want = match crossover {
-                    Some(c) if k >= c => AssignMode::Grid,
-                    _ => AssignMode::Dense,
+        for (kind, section, arms, table) in [
+            (
+                ScanKind::Assign,
+                "assign_crossover",
+                ["dense_assign_ns", "grid_assign_ns"],
+                &ASSIGN_CROSSOVER,
+            ),
+            (
+                ScanKind::Relax,
+                "relax_crossover",
+                ["dense_select_ns", "grid_select_ns"],
+                &RELAX_CROSSOVER,
+            ),
+        ] {
+            let rows = bench
+                .get(section)
+                .and_then(Value::as_array)
+                .unwrap_or_else(|| panic!("{section} records"));
+            let mut records = Vec::new();
+            for row in rows {
+                let (n, dim) = (field(row, "n"), field(row, "dim"));
+                let crossover = row.get("crossover_k").and_then(Value::as_usize);
+                let ks = usizes(row, "ks");
+                // The stated crossover is the one its own timings give.
+                let ns = |key| -> Vec<u128> {
+                    usizes(row, key).into_iter().map(|t| t as u128).collect()
                 };
+                assert_eq!(
+                    crossover,
+                    crossover_k(&ks, &ns(arms[0]), &ns(arms[1])),
+                    "{section} n={n} dim={dim}"
+                );
+                for k in ks {
+                    let want = match crossover {
+                        Some(c) if k >= c => AssignMode::Grid,
+                        _ => AssignMode::Dense,
+                    };
+                    let shape = ScanShape {
+                        kind,
+                        points: n,
+                        candidates: k,
+                        dim,
+                    };
+                    assert_eq!(auto_mode(shape), want, "{shape:?}");
+                }
+                records.push((n, dim, crossover));
+            }
+            assert_eq!(
+                records, table,
+                "{section}: table drifted from BENCH_flat.json"
+            );
+            // The point floor: below the smallest n at which the grid won,
+            // every scan stays dense.
+            let floor = records
+                .iter()
+                .filter(|r| r.2.is_some())
+                .map(|r| r.0)
+                .min()
+                .expect("the grid wins on some record");
+            for &(_, dim, _) in &records {
                 let shape = ScanShape {
-                    points: n,
-                    candidates: k,
+                    kind,
+                    points: floor - 1,
+                    candidates: usize::MAX,
                     dim,
                 };
-                assert_eq!(auto_mode(shape), want, "{shape:?}");
+                assert_eq!(auto_mode(shape), AssignMode::Dense, "{shape:?}");
             }
-            records.push((n, dim, crossover));
         }
-        assert_eq!(
-            records, AUTO_CROSSOVER,
-            "table drifted from BENCH_flat.json"
-        );
-        // The point floor: below the smallest n at which the grid won,
-        // every scan stays dense.
-        let floor = records
-            .iter()
-            .filter(|r| r.2.is_some())
-            .map(|r| r.0)
-            .min()
-            .expect("the grid wins on some record");
-        for &(_, dim, _) in &records {
-            let shape = ScanShape {
-                points: floor - 1,
-                candidates: usize::MAX,
-                dim,
-            };
-            assert_eq!(auto_mode(shape), AssignMode::Dense, "{shape:?}");
-        }
+    }
+
+    #[test]
+    fn crossover_needs_the_win_to_hold_at_every_larger_count() {
+        let ks = [4, 8, 16, 32];
+        assert_eq!(crossover_k(&ks, &[5, 5, 5, 5], &[9, 4, 3, 2]), Some(8));
+        // An early win that does not last is no crossover.
+        assert_eq!(crossover_k(&ks, &[5, 5, 5, 5], &[4, 6, 3, 2]), Some(16));
+        assert_eq!(crossover_k(&ks, &[5, 5, 5, 5], &[4, 4, 4, 5]), None);
+        assert_eq!(crossover_k(&ks, &[5, 5, 5, 5], &[1, 1, 1, 1]), Some(4));
     }
 
     #[test]

@@ -404,12 +404,11 @@ AVX2+FMA when the binary was built with the `simd` feature on a supporting
 CPU.
 
 --assign pins the assignment-scan arm: `dense` always runs the flat SIMD
-scans, `grid` routes the nearest-center scans (assignment, coreset weights)
-through the spatial-grid index (falling back to dense where the grid
-cannot index the space), and `auto` (the default) applies a bench-measured
-crossover.  Center selection always runs dense.  It overrides the
-KCENTER_ASSIGN environment variable; both arms give bit-identical
-results, so runs are bit-deterministic per (seed, precision, kernel,
+scans, `grid` routes relax/nearest scans through the spatial-grid index
+(falling back to dense where the grid cannot index the space), and `auto`
+(the default) applies a bench-measured crossover.  It overrides the
+KCENTER_ASSIGN environment variable; both arms select bit-identical
+centers, so results are bit-deterministic per (seed, precision, kernel,
 assign).
 
 --executor selects how the MapReduce rounds run the simulated machines:

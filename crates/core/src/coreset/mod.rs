@@ -836,6 +836,7 @@ fn weight_and_certify_round<Sp: MetricSpace + ?Sized>(
         .and_then(|&r| space.coord_row(r))
         .map_or(0, <[Sp::Cmp]>::len);
     let shape = grid::ScanShape {
+        kind: grid::ScanKind::Assign,
         points: ids.len(),
         candidates: reps.len(),
         dim,

@@ -244,6 +244,7 @@ pub fn assign<S: MetricSpace + ?Sized>(space: &S, centers: &[PointId]) -> Vec<us
     // the space allow it.
     let dim = space.coord_row(centers[0]).map_or(0, <[S::Cmp]>::len);
     let shape = grid::ScanShape {
+        kind: grid::ScanKind::Assign,
         points: space.len(),
         candidates: centers.len(),
         dim,

@@ -15,6 +15,7 @@
 use crate::error::KCenterError;
 use crate::evaluate::covering_radius;
 use crate::solution::KCenterSolution;
+use kcenter_metric::grid::{self, AssignChoice, AssignMode, GridRelaxer};
 use kcenter_metric::space::is_identity_subset;
 use kcenter_metric::{MetricSpace, PointId, Scalar};
 use serde::{Deserialize, Serialize};
@@ -166,14 +167,45 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
     // Detecting the full-space case once lets every iteration stream rows
     // without per-point id loads (and without re-checking per call).
     let identity = is_identity_subset(subset, space.len());
+    // Grid arm: bucket the subset once and serve every relax pass from the
+    // occupied-cell sweep, when the `--assign` pin or the measured relax
+    // crossover picks it.  The build itself refuses incompatible spaces
+    // (non-Euclidean surrogate, no coordinates, all-duplicate data), in
+    // which case the dense kernels below run.  Results are bit-identical
+    // either way (see `kcenter_metric::grid`).  The relax records time the
+    // sequential dense kernel, so under `auto` a parallel selection keeps
+    // the `par_*` kernels.
+    let mode = match grid::active_choice() {
+        AssignChoice::Fixed(mode) => mode,
+        AssignChoice::Auto if parallel => AssignMode::Dense,
+        AssignChoice::Auto => grid::auto_mode(grid::ScanShape {
+            kind: grid::ScanKind::Relax,
+            points: subset.len(),
+            candidates: k,
+            dim: space.coord_row(subset[0]).map_or(0, <[S::Cmp]>::len),
+        }),
+    };
+    let mut relaxer = if mode == AssignMode::Grid {
+        GridRelaxer::build(space, subset)
+    } else {
+        None
+    };
+    grid::note_scan(if relaxer.is_some() {
+        grid::AssignMode::Grid
+    } else {
+        grid::AssignMode::Dense
+    });
     let mut nearest: Vec<S::Cmp> = vec![<S::Cmp as Scalar>::INFINITY; subset.len()];
     let mut newest = first_center;
     while centers.len() < k {
-        let (far_pos, far_dist) = match (identity, parallel) {
-            (true, true) => space.par_relax_all_max(newest, &mut nearest),
-            (true, false) => space.relax_all_max(newest, &mut nearest),
-            (false, true) => space.par_relax_nearest_max(subset, newest, &mut nearest),
-            (false, false) => space.relax_nearest_max(subset, newest, &mut nearest),
+        let (far_pos, far_dist) = match relaxer.as_mut() {
+            Some(relaxer) => relaxer.relax_max(space, subset, newest, &mut nearest),
+            None => match (identity, parallel) {
+                (true, true) => space.par_relax_all_max(newest, &mut nearest),
+                (true, false) => space.relax_all_max(newest, &mut nearest),
+                (false, true) => space.par_relax_nearest_max(subset, newest, &mut nearest),
+                (false, false) => space.relax_nearest_max(subset, newest, &mut nearest),
+            },
         };
         // All remaining points coincide with existing centers: no point in
         // adding duplicates (the covering radius is already 0).

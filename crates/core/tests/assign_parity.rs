@@ -3,12 +3,10 @@
 //! The spatial-grid assignment arm (`kcenter_metric::grid`) promises to be
 //! *bit-identical* to the dense scan it replaces: same per-pair comparison
 //! values, same lowest-index tie-breaking, same `wide_cmp_*` certification.
-//! These tests pin that promise end to end by running the scans that have a
-//! grid arm — `evaluate::assign` after a solve, and both coreset builders'
-//! weights rounds — twice, once with the assignment arm forced to `dense`,
-//! once forced to `grid`, and demanding identical centers, radii, weights
-//! and assignment vectors.  (Solvers alone run identical code under both
-//! arms: the farthest-point relax loop is always dense.)
+//! These tests pin that promise end to end by running every solver and both
+//! coreset builders twice — once with the assignment arm forced to `dense`,
+//! once forced to `grid` — and demanding identical centers, radii, weights
+//! and assignment vectors.
 //!
 //! Coordinates are drawn from small integer lattices so every squared
 //! distance is exactly representable at both storage precisions and under
@@ -80,6 +78,52 @@ fn duplicate_cloud() -> impl Strategy<Value = (Vec<f64>, usize)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// GON: identical centers and certified radius under both arms, at both
+    /// storage precisions.
+    #[test]
+    fn gonzalez_parity((coords, dim) in lattice_cloud(), k in 1usize..=8) {
+        let f64_space = space_of::<f64>(&coords, dim);
+        let f32_space = space_of::<f32>(&coords, dim);
+        let (d, g) = both_arms(|| {
+            let a = GonzalezConfig::new(k).solve(&f64_space).unwrap();
+            let b = GonzalezConfig::new(k).solve(&f32_space).unwrap();
+            ((a.centers, a.radius), (b.centers, b.radius))
+        });
+        prop_assert_eq!(d, g);
+    }
+
+    /// MRG: the two-round MapReduce pipeline routes its per-machine GON
+    /// calls and final assignment through the same arms.
+    #[test]
+    fn mrg_parity((coords, dim) in lattice_cloud(), k in 1usize..=6, machines in 1usize..=5) {
+        let space = space_of::<f64>(&coords, dim);
+        let (d, g) = both_arms(|| {
+            let r = MrgConfig::new(k)
+                .with_machines(machines)
+                .with_unchecked_capacity()
+                .run(&space)
+                .unwrap();
+            (r.solution.centers, r.solution.radius)
+        });
+        prop_assert_eq!(d, g);
+    }
+
+    /// EIM: iterative sampling is seeded, so the only cross-arm variation
+    /// could come from the grid-capable scans — there must be none.
+    #[test]
+    fn eim_parity((coords, dim) in lattice_cloud(), k in 1usize..=5, seed in 0u64..1000) {
+        let space = space_of::<f64>(&coords, dim);
+        let (d, g) = both_arms(|| {
+            let r = EimConfig::new(k)
+                .with_seed(seed)
+                .with_machines(3)
+                .run(&space)
+                .unwrap();
+            (r.solution.centers, r.solution.radius)
+        });
+        prop_assert_eq!(d, g);
+    }
 
     /// Gonzalez coreset builder: representatives, weights and the certified
     /// construction radius all survive the arm swap bit-for-bit.
@@ -225,18 +269,26 @@ fn grid_arm_actually_engages() {
         coords.push((next() % 1000) as f64);
     }
     let space = space_of::<f64>(&coords, 2);
-    let sol = GonzalezConfig::new(8).solve(&space).unwrap();
     let _guard = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     grid::set_choice(AssignChoice::Fixed(AssignMode::Grid));
     grid::reset_scan_counts();
-    // The two scans that bucket: a per-point assignment and a coreset
-    // build's weights round.
+    // Each of the three scans that bucket, one at a time: a selection's
+    // relax loop, a per-point assignment, and a coreset weights round.
+    let sol = GonzalezConfig::new(8).solve(&space).unwrap();
+    let after_solve = grid::scan_counts();
     let _ = evaluate::assign(&space, &sol.centers);
-    let _ = GonzalezCoresetConfig::new(16).build(&space).unwrap();
-    let (grid_scans, dense_scans) = grid::scan_counts();
+    let after_assign = grid::scan_counts();
+    let coreset = GonzalezCoresetConfig::new(16).build(&space).unwrap();
     grid::set_choice(AssignChoice::Auto);
-    assert!(
-        grid_scans >= 2,
-        "expected the forced grid arm to engage (dense={dense_scans}, grid={grid_scans})"
+    assert_eq!(after_solve, (1, 0), "relax loop");
+    assert_eq!(after_assign, (2, 0), "assignment");
+    let weights_round: Vec<&str> = coreset
+        .stats()
+        .rounds_labelled("coreset round 3")
+        .map(|r| r.label.as_str())
+        .collect();
+    assert_eq!(
+        weights_round,
+        ["coreset round 3: weights + certification [grid]"]
     );
 }

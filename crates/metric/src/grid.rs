@@ -1,36 +1,41 @@
 //! Axis-aligned spatial grid bucketing for sub-quadratic assignment scans.
 //!
-//! Per-point assignment (`kcenter_core::evaluate::assign`) and the coreset
-//! weights round pay a dense `O(n · k)` comparison-space argmin over the
-//! candidates (centers or coreset representatives).  For the
-//! constant-dimensional Euclidean case this module buckets the candidate
-//! rows into an axis-aligned grid built over the [`crate::bbox`] layer, so
-//! each query visits only nearby cells instead of every candidate — the
+//! Every solver and the coreset weights round pay a dense `O(n · k)`
+//! comparison-space scan per assignment/relax step.  For the
+//! constant-dimensional Euclidean case this module buckets flat-store rows
+//! into an axis-aligned grid built over the [`crate::bbox`] layer, so the
+//! hot scans visit only *candidate* cells instead of every pair — the
 //! output-sensitive probing that Coy–Czumaj–Mishra's parallel k-center
-//! bounds are built on.  [`SpatialGrid::nearest_member`] and
-//! [`SpatialGrid::wide_nearest_bounded`] expand Chebyshev rings of cells
-//! around the query until the ring lower bound exceeds the best distance
-//! seen.
+//! bounds are built on.  Two accelerators are provided:
 //!
-//! The Gonzalez farthest-point relax loop is not bucketed: it always runs
-//! the dense fused kernels ([`MetricSpace::relax_nearest_max`] /
-//! `relax_all_max`).
+//! * [`GridRelaxer`] backs the fused Gonzalez relaxation
+//!   ([`MetricSpace::relax_nearest_max`] / `relax_all_max`): the member
+//!   rows are bucketed once, and each relax pass sweeps the occupied cells
+//!   in ascending cell order, skipping any cell whose bounding-box distance
+//!   to the new center proves that no `nearest[]` slot in it can change.
+//!   It pays once the selection picks enough centers for the radius to
+//!   shrink below the cell spread (the `relax_crossover` records).
+//! * [`SpatialGrid::nearest_member`] and
+//!   [`SpatialGrid::wide_nearest_bounded`] back the nearest-candidate
+//!   argmin scans (the coreset weights round, per-point assignment) by
+//!   expanding Chebyshev rings of cells around the query until the ring
+//!   lower bound exceeds the best distance seen.
 //!
 //! # Cell-width choice
 //!
 //! The classical analysis buckets at cell width `~r/√d` so that a cell's
-//! diagonal is at most the query radius `r`.  That radius differs from
-//! query to query, so the grid instead picks a *fixed* resolution from the
-//! member count: with `m` members and a target occupancy `OCC`, each
-//! dimension of positive extent gets
-//! `res = max(1, floor((m / OCC)^(1/d_eff)))` cells, i.e. about `m / OCC`
-//! cells total and `OCC` members per cell on uniform data.  The
+//! diagonal is at most the current radius `r`.  `r` changes every Gonzalez
+//! round, though, and rebucketing per round would erase the win.  Instead
+//! the grid picks a *fixed* resolution from the member count: with `m`
+//! members and a target occupancy `OCC`, each dimension of positive extent
+//! gets `res = max(1, floor((m / OCC)^(1/d_eff)))` cells, i.e. about
+//! `m / OCC` cells total and `OCC` members per cell on uniform data.  The
 //! radius-dependence moves into the *pruning* instead of the bucketing:
 //! every cell stores the tight bounding box of its members, and a scan
 //! skips the cell when the squared box distance (a lower bound on every
 //! member's squared distance) proves the scan outcome cannot change.  That
 //! is exactly the `r/√d` test, evaluated per cell per query against the
-//! best distance so far rather than baked into the cell width.
+//! current radius rather than baked into the cell width.
 //!
 //! Dimensions of zero extent (duplicate-heavy data) get a single cell and
 //! do not count toward `d_eff`, so a cell width can never be zero; if
@@ -44,24 +49,33 @@
 //! assign)`:
 //!
 //! * Cells are enumerated in fixed ascending cell order; within a cell,
-//!   rows are scanned in ascending member order, and the ring argmin keeps
-//!   the lowest candidate index on ties, so the winner never depends on
-//!   which cells were skipped.
+//!   rows are scanned in ascending member order.  The relax sweep folds
+//!   per-cell records with a "greater value, or equal value at a lower
+//!   position" rule, which reproduces the dense lowest-index argmax
+//!   regardless of which cells were skipped; the ring argmin keeps the
+//!   lowest candidate index on ties for the same reason.
 //! * Pruning never changes a value: a cell is skipped only when a
 //!   conservative rounding-slack margin (`(d + 8) · 4 · u` for storage
 //!   unit roundoff `u`) proves every member comparison in it is a no-op.
 //!   Comparison-space distances themselves come from the same per-pair
-//!   [`MetricSpace::cmp_distance`] path as the dense argmin, under every
-//!   kernel backend, and the `wide_cmp_*` f64 certification scans stay
-//!   ground truth.
+//!   [`MetricSpace::cmp_distance`] path as the dense argmin, and the
+//!   `wide_cmp_*` f64 certification scans stay ground truth.
+//! * The per-pair comparison values match the dense fused relax kernels
+//!   bit-for-bit under the `scalar` and `portable` backends (identical
+//!   summation order); the AVX2 fused-rows kernels use a different
+//!   reduction tree, so under `avx2` the relax arms agree exactly only on
+//!   inputs whose squared distances are exactly representable (e.g.
+//!   integer lattices) — same caveat as the kernel A/B in
+//!   [`crate::kernel::simd`].
 //!
 //! # Dispatch
 //!
 //! Mirroring the kernel table, the active arm is selected once per process
 //! from the `--assign` flag / [`ASSIGN_ENV`] (`auto` | `dense` | `grid`)
-//! via [`set_choice`] / [`active_choice`].  The choice governs the
-//! assignment scans only; `auto` applies the measured dense-scan crossover
-//! table [`AUTO_CROSSOVER`] (see [`auto_mode`]) — brute force wins when the
+//! via [`set_choice`] / [`active_choice`].  `auto` applies the measured
+//! dense-vs-grid crossover of the scan's [`ScanKind`] — the
+//! [`ASSIGN_CROSSOVER`] and [`RELAX_CROSSOVER`] tables copied from
+//! `BENCH_flat.json` (see [`auto_mode`]); brute force wins when the
 //! candidate count or point count is small.  Call sites report which arm
 //! actually ran through the [`note_scan`] / [`scan_counts`] telemetry.
 
@@ -81,9 +95,13 @@ pub const ASSIGN_ENV: &str = "KCENTER_ASSIGN";
 /// buffers are stack-pinned to this length).
 pub const MAX_GRID_DIM: usize = 32;
 
-/// Target members per cell for the candidate grids behind the
-/// nearest-member argmin (centers / coreset reps): small cells give the
-/// ring search tight bounds.
+/// Target members per cell for the relax grids (built once over the whole
+/// subset, swept many times).
+pub const RELAX_OCCUPANCY: usize = 8;
+
+/// Target members per cell for the small candidate grids behind the
+/// nearest-member argmin (centers / coreset reps): smaller cells give the
+/// ring search tighter bounds.
 pub const NEAREST_OCCUPANCY: usize = 2;
 
 /// An assignment-scan implementation the dispatcher can select.
@@ -237,13 +255,26 @@ pub fn set_choice(choice: AssignChoice) {
     ACTIVE.store(choice_to_u8(choice), Ordering::Relaxed);
 }
 
+/// The two scans that have a grid arm; each has its own crossover table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanKind {
+    /// A nearest-candidate assignment scan ([`SpatialGrid::nearest_member`]
+    /// vs the dense argmin).
+    Assign,
+    /// A Gonzalez selection's relax loop ([`GridRelaxer`] vs the dense
+    /// fused relax kernels).
+    Relax,
+}
+
 /// The shape of one assignment scan, for the crossover decision.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanShape {
-    /// How many points get assigned (the queries).
+    /// Which scan this is.
+    pub kind: ScanKind,
+    /// How many points get scanned (queries / relax slots).
     pub points: usize,
-    /// How many candidates each point is compared against (`k` centers or
-    /// coreset representatives).
+    /// How many candidates each point is compared against (`k` centers,
+    /// coreset reps, or Gonzalez rounds for the relax grid).
     pub candidates: usize,
     /// Coordinate dimension (0 when the space has no coordinate rows).
     pub dim: usize,
@@ -251,38 +282,68 @@ pub struct ScanShape {
 
 /// The `assign_crossover` records of `BENCH_flat.json` as
 /// `(n, dim, crossover_k)`: on the clustered `n`-point workload in `dim`
-/// dimensions, the grid assignment scan beat the dense one from
-/// `crossover_k` candidates on (`None`: at no probed candidate count).
-/// Sorted by `n`, then `dim`.  A `kcenter-bench` test fails when this table
-/// and the committed records disagree.
-pub const AUTO_CROSSOVER: [(usize, usize, Option<usize>); 8] = [
+/// dimensions, the grid assignment scan beat the dense one at `crossover_k`
+/// candidates and at every larger probed count (`None`: not at the largest
+/// probed count).  Sorted by `n`, then `dim`.  A `kcenter-bench` test fails
+/// when this table and the committed records disagree.
+pub const ASSIGN_CROSSOVER: [(usize, usize, Option<usize>); 15] = [
     (1 << 12, 2, Some(24)),
-    (1 << 12, 4, None),
-    (1 << 12, 8, None),
+    (1 << 12, 3, Some(32)),
+    (1 << 12, 4, Some(64)),
+    (1 << 12, 8, Some(1024)),
     (1 << 12, 16, None),
-    (1 << 18, 2, Some(24)),
-    (1 << 18, 4, None),
-    (1 << 18, 8, None),
+    (1 << 15, 2, Some(24)),
+    (1 << 15, 3, Some(32)),
+    (1 << 15, 4, Some(64)),
+    (1 << 15, 8, Some(1024)),
+    (1 << 15, 16, None),
+    (1 << 18, 2, Some(16)),
+    (1 << 18, 3, Some(32)),
+    (1 << 18, 4, Some(64)),
+    (1 << 18, 8, Some(1024)),
     (1 << 18, 16, None),
 ];
 
-/// What `auto` resolves to for a scan of this shape, read from
-/// [`AUTO_CROSSOVER`].
+/// The `relax_crossover` records of `BENCH_flat.json`, in the layout of
+/// [`ASSIGN_CROSSOVER`]: a `k`-center Gonzalez selection over the `n`-point
+/// workload ran faster on the grid relax arm (bucketing charged) than on
+/// the sequential dense fused kernel from `crossover_k` centers on.
+pub const RELAX_CROSSOVER: [(usize, usize, Option<usize>); 15] = [
+    (1 << 12, 2, Some(24)),
+    (1 << 12, 3, Some(24)),
+    (1 << 12, 4, Some(192)),
+    (1 << 12, 8, Some(256)),
+    (1 << 12, 16, None),
+    (1 << 15, 2, Some(48)),
+    (1 << 15, 3, Some(48)),
+    (1 << 15, 4, Some(192)),
+    (1 << 15, 8, Some(192)),
+    (1 << 15, 16, None),
+    (1 << 18, 2, Some(96)),
+    (1 << 18, 3, Some(128)),
+    (1 << 18, 4, Some(192)),
+    (1 << 18, 8, Some(768)),
+    (1 << 18, 16, None),
+];
+
+/// What `auto` resolves to for a scan of this shape, read from the
+/// crossover table of its [`ScanKind`].
 ///
 /// A scan uses the records of the largest probed `n` at or below its point
 /// count and, among those, the record of the next probed dimension at or
 /// above its own.  Scans smaller than every probed `n`, or of higher
 /// dimension than every probed one, stay dense; so the point floor is the
-/// smallest probed `n` at which the grid wins at all.
+/// smallest probed `n` at which the grid wins at all.  Beyond the largest
+/// probed count a scan keeps the verdict of that count.
 pub fn auto_mode(shape: ScanShape) -> AssignMode {
-    let Some(&(n, _, _)) = AUTO_CROSSOVER
-        .iter()
-        .rev()
-        .find(|&&(n, _, _)| n <= shape.points)
-    else {
+    let table: &[(usize, usize, Option<usize>)] = match shape.kind {
+        ScanKind::Assign => &ASSIGN_CROSSOVER,
+        ScanKind::Relax => &RELAX_CROSSOVER,
+    };
+    let Some(&(n, _, _)) = table.iter().rev().find(|&&(n, _, _)| n <= shape.points) else {
         return AssignMode::Dense;
     };
-    let record = AUTO_CROSSOVER
+    let record = table
         .iter()
         .find(|&&(rn, dim, _)| rn == n && dim >= shape.dim);
     match record {
@@ -306,8 +367,8 @@ pub fn select_mode(shape: ScanShape) -> AssignMode {
 static GRID_SCANS: AtomicU64 = AtomicU64::new(0);
 static DENSE_SCANS: AtomicU64 = AtomicU64::new(0);
 
-/// Records that one assignment scan (a weights round or a per-point
-/// assignment pass) ran on `mode`'s arm.  The CLI prints these
+/// Records that one assignment scan (a full relax loop, weights round, or
+/// per-point assignment pass) ran on `mode`'s arm.  The CLI prints these
 /// next to the round accounting so A/B runs show which arm actually
 /// executed.
 pub fn note_scan(mode: AssignMode) {
@@ -336,8 +397,8 @@ pub fn reset_scan_counts() {
 /// space, with per-cell tight bounding boxes for distance lower bounds.
 ///
 /// Members are addressed by their *position* in the member list handed to
-/// [`SpatialGrid::build`] (matching the position-based contract of the
-/// argmin scans).  All box geometry is kept in `f64`, widened
+/// [`SpatialGrid::build`] (matching the position-based contracts of the
+/// relax/argmin scans).  All box geometry is kept in `f64`, widened
 /// exactly from the storage rows.
 pub struct SpatialGrid {
     dim: usize,
@@ -697,6 +758,104 @@ fn cmp_slack<S: Scalar>(dim: usize) -> f64 {
     (dim as f64 + 8.0) * 4.0 * S::UNIT_ROUNDOFF
 }
 
+/// Grid accelerator for the fused Gonzalez relaxation: buckets the subset
+/// once, then serves [`GridRelaxer::relax_max`] passes that sweep occupied
+/// cells in ascending order, skipping cells the new center provably cannot
+/// touch.
+///
+/// Each occupied cell caches `(position, value)` of the lowest-position
+/// maximum `nearest[]` entry among its members; a skipped cell's record
+/// stays valid because the skip condition proves no slot in it changed.
+/// Folding the records with a "greater value, or equal value at a lower
+/// position" rule reproduces the dense lowest-index argmax bit-for-bit.
+pub struct GridRelaxer<S: Scalar> {
+    grid: SpatialGrid,
+    /// Per occupied cell, ascending: `(cell, best position, best value)`,
+    /// the lowest-position argmax of `nearest[]` over the cell's members.
+    /// Starts at `(cell, first member, +inf)` — every slot is `+inf` before
+    /// the first relax pass.
+    cells: Vec<(u32, u32, S)>,
+}
+
+impl<S: Scalar> GridRelaxer<S> {
+    /// Buckets `members` (the relax subset, positions `0..members.len()`)
+    /// of `space` at [`RELAX_OCCUPANCY`]; `None` exactly when
+    /// [`SpatialGrid::build`] refuses the space.
+    pub fn build<Sp: MetricSpace<Cmp = S> + ?Sized>(
+        space: &Sp,
+        members: &[PointId],
+    ) -> Option<GridRelaxer<S>> {
+        let grid = SpatialGrid::build(space, members, RELAX_OCCUPANCY)?;
+        let cells = (0..grid.cells())
+            .filter(|&c| grid.starts[c] < grid.starts[c + 1])
+            .map(|c| (c as u32, grid.bucket[grid.starts[c] as usize], S::INFINITY))
+            .collect();
+        Some(GridRelaxer { grid, cells })
+    }
+
+    /// One fused Gonzalez iteration, bit-identical to
+    /// [`MetricSpace::relax_nearest_max`] (lower `nearest[pos]` to the
+    /// distance to `center`, return the lowest-position maximum entry)
+    /// whenever the per-pair comparison values match the dense kernel's —
+    /// see the module docs for the backend caveat.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members`/`nearest` do not match the list the relaxer was
+    /// built over.
+    pub fn relax_max<Sp: MetricSpace<Cmp = S> + ?Sized>(
+        &mut self,
+        space: &Sp,
+        members: &[PointId],
+        center: PointId,
+        nearest: &mut [S],
+    ) -> (usize, S) {
+        assert_eq!(members.len(), self.grid.len, "grid/member list mismatch");
+        assert_eq!(
+            members.len(),
+            nearest.len(),
+            "subset/nearest length mismatch"
+        );
+        let grid = &self.grid;
+        let center_row = space.coord_row(center).expect("grid-compatible space");
+        for (cell, best_pos, best) in &mut self.cells {
+            let cell = *cell as usize;
+            // No member of this cell can get closer than the box bound; if
+            // even that (with comparison-rounding slack) cannot undercut
+            // the cell's current maximum slot, no slot in the cell changes
+            // and the cached record stays exact.
+            if grid.lb_dist2(cell, center_row) * (1.0 - grid.cmp_slack) >= best.to_f64() {
+                continue;
+            }
+            let mut rec = (u32::MAX, S::NEG_INFINITY);
+            let span = grid.starts[cell] as usize..grid.starts[cell + 1] as usize;
+            for &pos in &grid.bucket[span] {
+                let p = pos as usize;
+                let d = space.cmp_distance(members[p], center);
+                let slot = &mut nearest[p];
+                if d < *slot {
+                    *slot = d;
+                }
+                if *slot > rec.1 {
+                    rec = (pos, *slot);
+                }
+            }
+            (*best_pos, *best) = rec;
+        }
+        let mut far = (usize::MAX, S::NEG_INFINITY);
+        for &(_, p, v) in &self.cells {
+            if v > far.1 || (v == far.1 && (p as usize) < far.0) {
+                far = (p as usize, v);
+            }
+        }
+        if far.0 == usize::MAX {
+            (0, S::NEG_INFINITY)
+        } else {
+            far
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -763,63 +922,61 @@ mod tests {
     #[test]
     fn auto_mode_prefers_dense_for_small_shapes() {
         // Tiny scans and coordinate-free spaces stay dense.
-        for shape in [
-            ScanShape {
-                points: 100,
-                candidates: 1000,
+        for kind in [ScanKind::Assign, ScanKind::Relax] {
+            for (points, candidates, dim) in [
+                (100, 1000, 2),
+                (1 << 20, 2, 2),
+                (1 << 20, 1000, 0),
+                (1 << 20, 1000, 64),
+            ] {
+                let shape = ScanShape {
+                    kind,
+                    points,
+                    candidates,
+                    dim,
+                };
+                assert_eq!(auto_mode(shape), AssignMode::Dense, "{shape:?}");
+            }
+            let shape = ScanShape {
+                kind,
+                points: 1 << 20,
+                candidates: 1 << 12,
                 dim: 2,
-            },
-            ScanShape {
-                points: 1 << 20,
-                candidates: 2,
-                dim: 2,
-            },
-            ScanShape {
-                points: 1 << 20,
-                candidates: 1000,
-                dim: 0,
-            },
-            ScanShape {
-                points: 1 << 20,
-                candidates: 1000,
-                dim: 64,
-            },
-        ] {
-            assert_eq!(auto_mode(shape), AssignMode::Dense, "{shape:?}");
+            };
+            assert_eq!(auto_mode(shape), AssignMode::Grid, "{shape:?}");
         }
-        assert_eq!(
-            auto_mode(ScanShape {
-                points: 1 << 20,
-                candidates: 64,
-                dim: 2,
-            }),
-            AssignMode::Grid
-        );
     }
 
     #[test]
     fn auto_mode_reads_the_next_probed_dimension_up() {
-        // Every dimension above the previous probed one reads this record.
-        let mut below = 0;
-        for &(n, dim, crossover) in &AUTO_CROSSOVER {
-            if dim <= below {
-                below = 0; // the rows of the next probed `n` start over
-            }
-            for d in below + 1..=dim {
-                for candidates in 1..=64 {
-                    let want = match crossover {
-                        Some(k) if candidates >= k => AssignMode::Grid,
-                        _ => AssignMode::Dense,
-                    };
-                    let shape = ScanShape {
-                        points: n,
-                        candidates,
-                        dim: d,
-                    };
-                    assert_eq!(auto_mode(shape), want, "{shape:?}");
+        for (kind, table) in [
+            (ScanKind::Assign, &ASSIGN_CROSSOVER),
+            (ScanKind::Relax, &RELAX_CROSSOVER),
+        ] {
+            // Every dimension above the previous probed one reads this
+            // record.
+            let mut below = 0;
+            for &(n, dim, crossover) in table {
+                if dim <= below {
+                    below = 0; // the rows of the next probed `n` start over
                 }
+                for d in below + 1..=dim {
+                    for candidates in (1..=64).chain([1 << 10, 1 << 14]) {
+                        let want = match crossover {
+                            Some(k) if candidates >= k => AssignMode::Grid,
+                            _ => AssignMode::Dense,
+                        };
+                        let shape = ScanShape {
+                            kind,
+                            points: n,
+                            candidates,
+                            dim: d,
+                        };
+                        assert_eq!(auto_mode(shape), want, "{shape:?}");
+                    }
+                }
+                below = dim;
             }
-            below = dim;
         }
     }
 
@@ -920,6 +1077,65 @@ mod tests {
             // Generous threshold: never understates.
             let bounded = grid.wide_nearest_bounded(&space, &members, q, f64::INFINITY);
             assert!(bounded >= exact, "query {q}");
+        }
+    }
+
+    #[test]
+    fn relax_trajectory_matches_dense_over_many_centers() {
+        let flat = lattice_flat::<f64>(512, 2, 42);
+        let space = VecSpace::from_flat(flat);
+        let members: Vec<PointId> = (0..512).collect();
+        let mut relaxer = GridRelaxer::build(&space, &members).unwrap();
+        let mut grid_nearest = vec![f64::INFINITY; members.len()];
+        let mut dense_nearest = vec![f64::INFINITY; members.len()];
+        let mut center = 17;
+        for round in 0..24 {
+            let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
+            let d = space.relax_nearest_max(&members, center, &mut dense_nearest);
+            assert_eq!(g, d, "round {round}");
+            assert_eq!(grid_nearest, dense_nearest, "round {round}");
+            center = members[g.0];
+        }
+    }
+
+    #[test]
+    fn relax_trajectory_matches_dense_at_f32_with_duplicates() {
+        let mut flat = lattice_flat::<f32>(400, 3, 9);
+        // Duplicate a block of rows to force exact ties in the argmax.
+        for i in 0..40 {
+            let row: Vec<f32> = flat.row(i).to_vec();
+            flat.push_row(&row);
+        }
+        let space: VecSpace<Euclidean, f32> = VecSpace::from_flat(flat);
+        let members: Vec<PointId> = (0..440).collect();
+        let mut relaxer = GridRelaxer::build(&space, &members).unwrap();
+        let mut grid_nearest = vec![f32::INFINITY; members.len()];
+        let mut dense_nearest = vec![f32::INFINITY; members.len()];
+        let mut center = 3;
+        for round in 0..16 {
+            let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
+            let d = space.relax_nearest_max(&members, center, &mut dense_nearest);
+            assert_eq!(g, d, "round {round}");
+            assert_eq!(grid_nearest, dense_nearest, "round {round}");
+            center = members[g.0];
+        }
+    }
+
+    #[test]
+    fn relax_handles_non_identity_subsets() {
+        let flat = lattice_flat::<f64>(600, 4, 77);
+        let space = VecSpace::from_flat(flat);
+        let members: Vec<PointId> = (0..600).step_by(2).collect();
+        let mut relaxer = GridRelaxer::build(&space, &members).unwrap();
+        let mut grid_nearest = vec![f64::INFINITY; members.len()];
+        let mut dense_nearest = vec![f64::INFINITY; members.len()];
+        let mut center = members[5];
+        for round in 0..12 {
+            let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
+            let d = space.relax_nearest_max(&members, center, &mut dense_nearest);
+            assert_eq!(g, d, "round {round}");
+            assert_eq!(grid_nearest, dense_nearest, "round {round}");
+            center = members[g.0];
         }
     }
 

@@ -121,7 +121,7 @@ pub use distance::{
     Chebyshev, Distance, Euclidean, Hamming, Manhattan, Minkowski, SquaredEuclidean,
 };
 pub use flat::FlatPoints;
-pub use grid::{AssignChoice, AssignMode, AssignSelectError, SpatialGrid, ASSIGN_ENV};
+pub use grid::{AssignChoice, AssignMode, AssignSelectError, GridRelaxer, SpatialGrid, ASSIGN_ENV};
 pub use kernel::simd::{KernelBackend, KernelChoice, KernelSelectError, KERNEL_ENV};
 pub use lower_bound::{pairwise_lower_bound, scaled_diameter_lower_bound};
 pub use matrix::DistanceMatrix;

@@ -1,19 +1,18 @@
-//! The spatial-grid assignment arm: same labels, fewer distance pairs.
+//! The spatial-grid assignment arm: same centers, fewer distance pairs.
 //!
-//! Assigning every point to its nearest center (and the coreset weights
-//! round, which does the same against representatives) is a dense `O(n·k)`
-//! scan.  The `kcenter_metric::grid` module buckets the centers into an
-//! axis-aligned grid and answers each point from the nearby cells,
-//! visiting only candidates that can still win.  The arm is bit-identical
-//! to the dense scan — same comparison values, same lowest-index
-//! tie-breaking — so the determinism tuple just grows to
-//! `(seed, precision, kernel, assign)`.  Center selection itself (the
-//! Gonzalez relax loop) always runs the dense kernels, so it is identical
-//! on both arms and solved once here.
+//! Every solver in the workspace spends its time in one of two scans —
+//! "relax each point's nearest-center distance against the newest center"
+//! (Gonzalez selection) and "find each point's nearest center" (assignment
+//! and the coreset weights round).  Both are `O(n·k)` dense scans; the
+//! `kcenter_metric::grid` module buckets the flat rows into an axis-aligned
+//! grid and serves the same scans from the occupied cells, visiting only
+//! candidates that can still win.  The arm is bit-identical to the dense
+//! scans — same comparison values, same lowest-index tie-breaking — so the
+//! determinism tuple just grows to `(seed, precision, kernel, assign)`.
 //!
-//! This example solves a clustered instance, then pins each arm in turn
-//! (the library equivalent of the CLI's `--assign` / the `KCENTER_ASSIGN`
-//! variable) and times the assignment, showing identical labels and the
+//! This example pins each arm in turn (the library equivalent of the CLI's
+//! `--assign` / the `KCENTER_ASSIGN` variable), solves the same clustered
+//! instance, and shows: identical centers and certified radius, and the
 //! scan telemetry proving which arm actually ran.  Run with:
 //!
 //! ```text
@@ -35,14 +34,8 @@ fn main() {
     let space = &dataset.space;
     let k = 50;
     println!("workload: {} (seed 42), k = {k}", spec.describe());
-    let solution = GonzalezConfig::new(k).solve(space).expect("gonzalez solve");
-    println!(
-        "radius {:.6}, first centers {:?}",
-        solution.radius,
-        &solution.centers[..4.min(solution.centers.len())],
-    );
 
-    let mut labels = Vec::new();
+    let mut outcomes = Vec::new();
     for arm in [
         AssignChoice::Fixed(AssignMode::Dense),
         AssignChoice::Fixed(AssignMode::Grid),
@@ -50,18 +43,26 @@ fn main() {
         grid::set_choice(arm);
         grid::reset_scan_counts();
         let start = Instant::now();
-        labels.push(assign(space, &solution.centers));
+        let solution = GonzalezConfig::new(k).solve(space).expect("gonzalez solve");
+        let labels = assign(space, &solution.centers);
         let wall = start.elapsed();
         let (grid_scans, dense_scans) = grid::scan_counts();
         println!(
-            "{arm:>5}: assignment in {:.1}ms ({grid_scans} grid / {dense_scans} dense scans)",
+            "{arm:>5}: radius {:.6}, first centers {:?}, selection + assignment \
+             in {:.1}ms ({grid_scans} grid / {dense_scans} dense scans)",
+            solution.radius,
+            &solution.centers[..4.min(solution.centers.len())],
             wall.as_secs_f64() * 1e3,
         );
+        outcomes.push((solution.centers, solution.radius, labels));
     }
     grid::set_choice(AssignChoice::Auto);
 
-    // The promise the parity proptests pin down: the grid arm is an
-    // execution strategy, not an approximation.
-    assert_eq!(labels[0], labels[1], "labels must be bit-identical");
+    // The promise the parity proptests pin down across every solver: the
+    // grid arm is an execution strategy, not an approximation.
+    let (dense, grid_arm) = (&outcomes[0], &outcomes[1]);
+    assert_eq!(dense.0, grid_arm.0, "centers must be bit-identical");
+    assert_eq!(dense.1, grid_arm.1, "certified radii must be bit-identical");
+    assert_eq!(dense.2, grid_arm.2, "labels must be bit-identical");
     println!("dense and grid arms agree bit-for-bit; `auto` picks per scan shape");
 }

@@ -146,29 +146,34 @@ fn grid_auto_falls_back_to_dense_in_high_dimension() {
     // pure decision function behind `select_mode`; asserting on it keeps
     // this test immune to the process-global scan telemetry that parallel
     // tests in this binary are updating.)
-    use kcenter::metric::grid::{auto_mode, AssignMode, ScanShape};
-    for dim in [64, 128] {
-        for (points, candidates) in [(30_000, 25), (1 << 20, 512)] {
-            assert_eq!(
-                auto_mode(ScanShape {
-                    points,
-                    candidates,
-                    dim
-                }),
-                AssignMode::Dense,
-                "d={dim} must stay dense (points={points}, candidates={candidates})"
-            );
+    use kcenter::metric::grid::{auto_mode, AssignMode, ScanKind, ScanShape};
+    for kind in [ScanKind::Assign, ScanKind::Relax] {
+        for dim in [64, 128] {
+            for (points, candidates) in [(30_000, 25), (1 << 20, 512)] {
+                assert_eq!(
+                    auto_mode(ScanShape {
+                        kind,
+                        points,
+                        candidates,
+                        dim
+                    }),
+                    AssignMode::Dense,
+                    "d={dim} must stay dense (points={points}, candidates={candidates})"
+                );
+            }
         }
+        // Contrast: a large scan in a bucketing-friendly dimension goes
+        // grid.
+        assert_eq!(
+            auto_mode(ScanShape {
+                kind,
+                points: 1 << 20,
+                candidates: 1 << 10,
+                dim: 2
+            }),
+            AssignMode::Grid
+        );
     }
-    // Contrast: the same scan in a bucketing-friendly dimension goes grid.
-    assert_eq!(
-        auto_mode(ScanShape {
-            points: 30_000,
-            candidates: 25,
-            dim: 2
-        }),
-        AssignMode::Grid
-    );
     // End to end, the high-dimensional workload solves under auto dispatch.
     let flat = GauGenerator::with_params(4_096, 8, 64, 100.0, 0.002).generate_flat_at::<f64>(12);
     let space: VecSpace = VecSpace::from_flat(flat);
