@@ -7,7 +7,7 @@ use crate::args::{
 use kcenter_bench::scenario::{center_digest, CellResult, ScenarioReport};
 use kcenter_core::evaluate::{assign, cluster_sizes};
 use kcenter_core::prelude::*;
-use kcenter_data::csv::{load_points, save_points, CsvOptions};
+use kcenter_data::csv::{load_flat, save_points, CsvError, CsvOptions};
 use kcenter_mapreduce::{
     install_thread_budget, threads_from_env, Cluster, ClusterConfig, DegradedRun, Executor,
     ExecutorChoice, FaultConfig, FaultPlan, FaultPolicy, JobStats,
@@ -15,8 +15,8 @@ use kcenter_mapreduce::{
 use kcenter_metric::grid;
 use kcenter_metric::kernel::simd;
 use kcenter_metric::{
-    AssignChoice, BoundingBox, Euclidean, FlatPoints, KernelBackend, KernelChoice, MetricSpace,
-    PointId, Precision, Scalar, VecSpace,
+    AssignChoice, BoundingBox, Euclidean, KernelBackend, KernelChoice, MetricSpace, PointId,
+    Precision, Scalar, VecSpace,
 };
 use kcenter_serve::{IngestConfig, IngestError, Ingestor, SnapshotCell, StreamConfig};
 use std::fmt;
@@ -111,24 +111,24 @@ fn load_space<S: Scalar>(
         skip_trailing_columns: skip_columns,
         ..Default::default()
     };
-    let points = load_points(Path::new(path), &options)?;
-    // The flat store rejects coordinates beyond the storage scalar's safe
-    // magnitude (squared distances would overflow) with a panic on the
-    // `from_points` path; surface a named error to the CLI user instead.
-    for p in &points {
-        if let Some(&c) = p.coords().iter().find(|c| c.abs() > S::MAX_ABS_COORD) {
-            return Err(CommandError::Algorithm(KCenterError::InvalidParameter {
+    let flat = load_flat::<S>(path, &options).map_err(|e| match e {
+        // The flat store cannot hold coordinates beyond the storage
+        // scalar's safe magnitude (squared distances would overflow); name
+        // the flag that fixes it.
+        CsvError::OutOfRange { value, .. } => {
+            CommandError::Algorithm(KCenterError::InvalidParameter {
                 name: "precision",
                 message: format!(
-                    "coordinate {c} exceeds the {} storage limit {:e}; \
+                    "coordinate {value} exceeds the {} storage limit {:e}; \
                      rerun with --precision f64",
                     S::NAME,
                     S::MAX_ABS_COORD
                 ),
-            }));
+            })
         }
-    }
-    Ok(VecSpace::from_flat(FlatPoints::from_points(&points)))
+        e => CommandError::Csv(e),
+    })?;
+    Ok(VecSpace::from_flat(flat))
 }
 
 /// Resolves and installs the kernel backend for this run: the `--kernel`
@@ -1140,6 +1140,24 @@ mod tests {
             })
         ));
         assert!(err.to_string().contains("f64"));
+        // The limit itself is storable; just past it the value still rounds
+        // to an f32 below 1e15, so the check must run before narrowing.
+        std::fs::write(&csv, "1e15,0.0\n0.0,1.0\n").unwrap();
+        run_cli(&format!("solve gon --input {csv} --k 1 --precision f32")).unwrap();
+        assert!(f64::from(1.00000001e15f64 as f32) <= 1e15);
+        std::fs::write(&csv, "0.0,1.0\n1.00000001e15,0.0\n").unwrap();
+        let err = run_cli(&format!("solve gon --input {csv} --k 1 --precision f32")).unwrap_err();
+        assert!(matches!(
+            err,
+            CommandError::Algorithm(KCenterError::InvalidParameter {
+                name: "precision",
+                ..
+            })
+        ));
+        assert!(err.to_string().contains(
+            "coordinate 1000000010000000 exceeds the f32 storage limit 1e15; \
+             rerun with --precision f64"
+        ));
         std::fs::remove_file(&csv).ok();
     }
 

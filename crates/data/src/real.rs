@@ -13,8 +13,8 @@
 //! We do not ship UCI files, so this module provides deterministic seeded
 //! *surrogates* with the same schema and the same qualitative geometry (see
 //! `DESIGN.md` §5 for the substitution argument).  They can be swapped for
-//! the genuine files through [`crate::csv::load_points`] without touching
-//! any algorithm code.
+//! the genuine files through [`crate::csv::load_flat`] without touching any
+//! algorithm code.
 
 use crate::rng::{derive_seed, normal, power_law, seeded, weighted_choice};
 use crate::synthetic::generate_chunked;
