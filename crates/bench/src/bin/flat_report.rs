@@ -386,7 +386,7 @@ fn main() {
     );
     json.push_str("  \"baseline_fresh\": \"Vec<Point>, per-point heap Vecs allocated sequentially (allocator best case), sqrt per pair, two passes\",\n");
     json.push_str("  \"baseline_aged\": \"Vec<Point>, allocation order shuffled (parallel-generator / aged-heap layout), sqrt per pair, two passes\",\n");
-    json.push_str("  \"candidate\": \"FlatPoints SoA rows, fused squared-distance kernel (relax_all_max), f64 and f32 storage; *_simd columns rerun the same scan under the dispatched width-pinned kernel backend\",\n");
+    json.push_str("  \"candidate\": \"FlatPoints SoA rows, fused squared-distance kernel (relax_max), f64 and f32 storage; *_simd columns rerun the same scan under the dispatched width-pinned kernel backend\",\n");
     let _ = writeln!(
         json,
         "  \"metric\": \"best-of-{REPEATS} interleaved wall nanoseconds per full n-point scan, {SCANS} consecutive scans per timed block ({WARMUP} warm-up rounds)\","

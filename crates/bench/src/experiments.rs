@@ -24,7 +24,6 @@
 use crate::measure::{run_averaged, Algorithm, MeasureConfig, Measurement};
 use kcenter_core::cost_model;
 use kcenter_data::DatasetSpec;
-use serde::{Deserialize, Serialize};
 
 /// The values of `k` used by the paper's tables (Tables 2–7).
 pub const TABLE_KS: [usize; 6] = [2, 5, 10, 25, 50, 100];
@@ -40,7 +39,7 @@ pub const PHIS: [f64; 4] = [1.0, 4.0, 6.0, 8.0];
 pub const FIGURE4_NS: [usize; 5] = [10_000, 50_000, 100_000, 500_000, 1_000_000];
 
 /// What an experiment measures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentKind {
     /// Print the theoretical comparison (Table 1).
     Theory,
@@ -80,7 +79,7 @@ pub enum ExperimentKind {
 }
 
 /// One experiment of the paper's evaluation section.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Experiment {
     /// Identifier used on the `repro` command line (e.g. `"table2"`).
     pub id: &'static str,
@@ -91,7 +90,7 @@ pub struct Experiment {
 }
 
 /// A single row of an experiment result (one k / n / φ configuration).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultRow {
     /// The sweep coordinate (`k`, `n`, or `φ` rendered as text).
     pub coordinate: String,
@@ -100,7 +99,7 @@ pub struct ResultRow {
 }
 
 /// The outcome of running one experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     /// The experiment id.
     pub id: String,
@@ -118,7 +117,7 @@ pub struct ExperimentResult {
 }
 
 /// Execution options for the experiment runner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOptions {
     /// Workload scale factor (1.0 reproduces the paper's sizes).
     pub scale: f64,

@@ -9,7 +9,7 @@
 //! * **old**: `Vec<Point>` (one heap allocation per point), Euclidean
 //!   distance with a `sqrt` per point-center pair, separate relax and
 //!   argmax passes — a faithful replica of the pre-flat implementation;
-//! * **flat**: the fused `relax_nearest_max` pass over [`FlatPoints`] rows
+//! * **flat**: the fused `relax_max` pass over [`FlatPoints`] rows
 //!   in squared space — exactly what `select_centers` now runs — plus the
 //!   chunked-parallel variant, at **both storage precisions** (`f64` and
 //!   `f32`; the scan is DRAM-bound at n = 1M, so the halved bytes of the
@@ -99,7 +99,7 @@ pub fn flat_iteration<S: Scalar>(
     center: usize,
     nearest: &mut [S],
 ) -> (usize, S) {
-    space.relax_all_max(center, nearest)
+    space.relax_max(None, center, nearest, false)
 }
 
 /// One Gonzalez iteration on the flat layout, chunked-parallel variant.
@@ -108,7 +108,7 @@ pub fn flat_par_iteration<S: Scalar>(
     center: usize,
     nearest: &mut [S],
 ) -> (usize, S) {
-    space.par_relax_all_max(center, nearest)
+    space.relax_max(None, center, nearest, true)
 }
 
 /// [`flat_iteration`] under an explicit kernel backend — the A/B harness
@@ -127,7 +127,7 @@ pub fn flat_iteration_under<S: Scalar>(
     nearest: &mut [S],
 ) -> (usize, S) {
     simd::set_active(backend).expect("requested kernel backend is available");
-    space.relax_all_max(center, nearest)
+    space.relax_max(None, center, nearest, false)
 }
 
 /// Deterministic clustered workload for the grid-vs-dense assignment
@@ -173,7 +173,7 @@ pub fn gonzalez_centers<S: Scalar>(space: &VecSpace<Euclidean, S>, k: usize) -> 
     let mut next = 0usize;
     for _ in 0..k {
         centers.push(next);
-        next = space.relax_all_max(next, &mut nearest).0;
+        next = space.relax_max(None, next, &mut nearest, false).0;
     }
     centers
 }
@@ -422,23 +422,31 @@ mod tests {
 
     #[test]
     fn fused_iteration_matches_separate_relax_and_argmax() {
+        // The oracle: `kernel::relax_nearest` then `kernel::argmax`, two
+        // plain passes.  Integer coordinates keep every squared distance
+        // exact, so the fused pass must match it under every kernel backend.
         let g = UnifGenerator::with_dim_and_side(3_000, 2, 50.0);
-        let space = VecSpace::from_flat(g.generate_flat(9));
-        let subset: Vec<usize> = (0..space.len()).collect();
-        let mut fused = vec![f64::INFINITY; subset.len()];
-        let mut separate = fused.clone();
-        for center in [0usize, 77, 1_500] {
-            let got = flat_iteration(&space, center, &mut fused);
-            space.relax_nearest(&subset, center, &mut separate);
-            let want = kernel::argmax(&separate).unwrap();
-            assert_eq!(got, want);
+        let flat = FlatPoints::from_coords(
+            g.generate_flat(9)
+                .coords()
+                .iter()
+                .map(|c| c.round())
+                .collect(),
+            2,
+        )
+        .expect("consistent dims");
+        let space = VecSpace::from_flat(flat.clone());
+        let all: Vec<usize> = (0..space.len()).collect();
+        let subset: Vec<usize> = all.iter().copied().rev().step_by(2).collect();
+        for (scan, ids) in [(None, &all), (Some(subset.as_slice()), &subset)] {
+            let mut fused = vec![f64::INFINITY; ids.len()];
+            let mut oracle = fused.clone();
+            for center in [0usize, 77, 1_500] {
+                let got = space.relax_max(scan, center, &mut fused, false);
+                kernel::relax_nearest(&flat, ids, center, &mut oracle);
+                assert_eq!(Some(got), kernel::argmax(&oracle), "center {center}");
+                assert_eq!(fused, oracle, "center {center}");
+            }
         }
-        assert_eq!(fused, separate);
-        // The subset-based fused path agrees with the identity fast path.
-        let mut via_subset = vec![f64::INFINITY; subset.len()];
-        for center in [0usize, 77, 1_500] {
-            space.relax_nearest_max(&subset, center, &mut via_subset);
-        }
-        assert_eq!(fused, via_subset);
     }
 }

@@ -2,11 +2,10 @@
 
 use kcenter_core::prelude::*;
 use kcenter_metric::{MetricSpace, VecSpace};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The algorithm families compared throughout the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Algorithm {
     /// Sequential Gonzalez baseline (2-approximation).
     Gon,
@@ -38,7 +37,7 @@ impl Algorithm {
 }
 
 /// One measurement: an algorithm run on a concrete instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Algorithm label (e.g. `"MRG"`).
     pub algorithm: String,
@@ -62,7 +61,7 @@ pub struct Measurement {
 }
 
 /// Shared knobs for a measurement run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasureConfig {
     /// Number of simulated machines (the paper uses 50).
     pub machines: usize,

@@ -239,8 +239,8 @@ impl Value {
 }
 
 // ---------------------------------------------------------------------------
-// JSON parsing (reports and JSON specs) — hand-rolled: the vendored serde
-// is a no-op marker stand-in and there is no serde_json in the tree.
+// JSON parsing (reports and JSON specs) — hand-rolled: the workspace has no
+// serialisation dependency.
 // ---------------------------------------------------------------------------
 
 struct JsonParser<'a> {

@@ -96,10 +96,9 @@ use kcenter_mapreduce::{
 use kcenter_metric::distance::Distance;
 use kcenter_metric::grid::{self, SpatialGrid};
 use kcenter_metric::{Euclidean, FlatPoints, MetricSpace, PointId, Scalar, VecSpace};
-use serde::{Deserialize, Serialize};
 
 /// Which construction produced a coreset (recorded as provenance metadata).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoresetBuilder {
     /// Farthest-point traversal to `t` representatives (possibly built as
     /// per-reducer local coresets merged in a second round).
@@ -135,7 +134,7 @@ impl CoresetBuilder {
 /// certificate is always explicitly a statement about
 /// `covered_source_len` surviving points, never silently about the full
 /// input.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoresetCoverage {
     /// Number of source points the construction radius certifies.
     pub covered_source_len: usize,
@@ -428,7 +427,7 @@ impl<D: Distance, S: Scalar> std::fmt::Debug for WeightedCoreset<D, S> {
 
 /// A k-center solution selected on a [`WeightedCoreset`], carrying its
 /// quality certificate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoresetSolution {
     /// The number of centers that was requested.
     pub k: usize,
@@ -486,7 +485,7 @@ impl CoresetSolution {
 /// certification round in both cases.  All rounds are labelled with the
 /// `"coreset"` prefix so [`JobStats::num_rounds_labelled`] can prove the
 /// build happened exactly once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GonzalezCoresetConfig {
     /// Number of representatives `t` to keep (the certificate's `r_t`
     /// shrinks as `t` grows).
@@ -495,10 +494,6 @@ pub struct GonzalezCoresetConfig {
     pub machines: usize,
     /// First-center policy of the farthest-point traversals.
     pub first_center: FirstCenter,
-    /// Whether the single-machine traversal may use the rayon-parallel
-    /// inner scan (multi-machine builds already parallelise across
-    /// reducers).
-    pub parallel_scan: bool,
     /// Fault injection applied to the build's MapReduce rounds (`None`
     /// runs fault-free).  With degrade mode enabled, shards that exhaust
     /// their attempts are dropped and the coreset comes back **partial**
@@ -517,7 +512,6 @@ impl GonzalezCoresetConfig {
             t,
             machines: 1,
             first_center: FirstCenter::default(),
-            parallel_scan: false,
             faults: None,
             executor: Executor::Simulated,
         }
@@ -533,12 +527,6 @@ impl GonzalezCoresetConfig {
     /// Sets the first-center policy.
     pub fn with_first_center(mut self, first: FirstCenter) -> Self {
         self.first_center = first;
-        self
-    }
-
-    /// Enables the rayon-parallel inner scan for single-machine builds.
-    pub fn with_parallel_scan(mut self, parallel: bool) -> Self {
-        self.parallel_scan = parallel;
         self
     }
 
@@ -593,7 +581,6 @@ impl GonzalezCoresetConfig {
         let degrade = cluster.degrade_enabled();
         let mut dropped: Vec<DroppedShard> = Vec::new();
         let mut lost: Vec<PointId> = Vec::new();
-        let scan = self.parallel_scan && self.machines == 1;
         let t = self.t;
         let first = self.first_center;
 
@@ -608,7 +595,7 @@ impl GonzalezCoresetConfig {
             parts.len()
         );
         let round1_reduce =
-            |_: usize, chunk: &[PointId]| gonzalez::select_centers(space, chunk, t, first, scan);
+            |_: usize, chunk: &[PointId]| gonzalez::select_centers(space, chunk, t, first, false);
         let locals: Vec<Vec<PointId>> = if degrade {
             let out = cluster.run_round_degradable(&label, &parts, round1_reduce, Vec::len)?;
             for shard in &out.dropped {
@@ -638,7 +625,7 @@ impl GonzalezCoresetConfig {
         let reps = cluster.run_single(
             "coreset round 2: merge local coresets",
             union,
-            |u| gonzalez::select_centers(space, u, t, first, scan),
+            |u| gonzalez::select_centers(space, u, t, first, false),
             Vec::len,
         )?;
 
@@ -831,10 +818,7 @@ fn weight_and_certify_round<Sp: MetricSpace + ?Sized>(
     // exact-above-`wide_max` contract, and the assignment pair for the
     // weights histogram is never pruned — so weights, radius, and even the
     // pruned-pairs counter are arm-independent.
-    let dim = reps
-        .first()
-        .and_then(|&r| space.coord_row(r))
-        .map_or(0, <[Sp::Cmp]>::len);
+    let dim = reps.first().map_or(0, |&r| space.coord_row(r).len());
     let shape = grid::ScanShape {
         kind: grid::ScanKind::Assign,
         points: ids.len(),

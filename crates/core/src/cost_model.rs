@@ -12,10 +12,8 @@
 //! derives in Section 5 (e.g. "we expect EIM to be slower than MRG by a
 //! factor of `n^ε (1 − n^(−ε))^(−2) log n`").
 
-use serde::{Deserialize, Serialize};
-
 /// How many MapReduce rounds an algorithm needs, as reported in Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RoundCount {
     /// Not applicable (sequential algorithm).
     NotApplicable,
@@ -36,7 +34,7 @@ impl std::fmt::Display for RoundCount {
 }
 
 /// One row of Table 1, instantiated for concrete `n`, `k`, `m`, `ε`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlgorithmProfile {
     /// Algorithm name as used in the paper.
     pub name: &'static str,

@@ -45,7 +45,6 @@ use kcenter_mapreduce::{
 use kcenter_metric::{MetricSpace, PointId, Scalar};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the EIM sampling algorithm.
 ///
@@ -60,7 +59,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(result.fell_back_to_sequential);
 /// assert_eq!(result.solution.centers.len(), 10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EimConfig {
     /// Number of centers to select.
     pub k: usize,
@@ -559,7 +558,7 @@ fn mix_seed(base: u64, stream: u64) -> u64 {
 }
 
 /// The outcome of an EIM run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EimResult {
     /// The selected centers and their covering radius over the full space.
     pub solution: KCenterSolution,

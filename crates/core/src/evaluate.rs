@@ -242,7 +242,7 @@ pub fn assign<S: MetricSpace + ?Sized>(space: &S, centers: &[PointId]) -> Vec<us
     // centers and probes cell rings per point — bit-identical to the dense
     // loop (see `kcenter_metric::grid`) — when the `--assign` dispatch and
     // the space allow it.
-    let dim = space.coord_row(centers[0]).map_or(0, <[S::Cmp]>::len);
+    let dim = space.coord_row(centers[0]).len();
     let shape = grid::ScanShape {
         kind: grid::ScanKind::Assign,
         points: space.len(),

@@ -18,10 +18,9 @@ use crate::solution::KCenterSolution;
 use kcenter_metric::grid::{self, AssignChoice, AssignMode, GridRelaxer};
 use kcenter_metric::space::is_identity_subset;
 use kcenter_metric::{MetricSpace, PointId, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// How GON chooses its (arbitrary) first center.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FirstCenter {
     /// Use the point at this position within the subset being clustered
     /// (position 0 by default — the paper's implementation style).
@@ -68,7 +67,7 @@ impl FirstCenter {
 /// assert_eq!(solution.centers.len(), 2);
 /// assert!(solution.radius <= 1.0 + 1e-9); // one center per obvious pair
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GonzalezConfig {
     /// Number of centers to select.
     pub k: usize,
@@ -160,21 +159,24 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
     // the scan bandwidth.  Farthest-point selection only needs the ordering,
     // so no `sqrt` is ever taken here and no `f64` refinement is needed —
     // the certified covering radius is recomputed in `f64` afterwards.
-    // Each iteration is ONE fused pass (`relax_nearest_max`): relax every
-    // point's nearest-center entry against the newest center and track the
+    // Each iteration is ONE fused pass (`relax_max`): relax every point's
+    // nearest-center entry against the newest center and track the
     // farthest survivor in the same walk over the flat rows.
     let parallel = parallel_scan && subset.len() >= PARALLEL_SCAN_THRESHOLD;
     // Detecting the full-space case once lets every iteration stream rows
     // without per-point id loads (and without re-checking per call).
-    let identity = is_identity_subset(subset, space.len());
+    let scan = if is_identity_subset(subset, space.len()) {
+        None
+    } else {
+        Some(subset)
+    };
     // Grid arm: bucket the subset once and serve every relax pass from the
     // occupied-cell sweep, when the `--assign` pin or the measured relax
     // crossover picks it.  The build itself refuses incompatible spaces
-    // (non-Euclidean surrogate, no coordinates, all-duplicate data), in
-    // which case the dense kernels below run.  Results are bit-identical
-    // either way (see `kcenter_metric::grid`).  The relax records time the
-    // sequential dense kernel, so under `auto` a parallel selection keeps
-    // the `par_*` kernels.
+    // (non-Euclidean surrogate, all-duplicate data), in which case the
+    // dense kernels below run.  Results are bit-identical either way (see
+    // `kcenter_metric::grid`).  The relax records time the sequential dense
+    // kernel, so under `auto` a parallel selection keeps the dense scan.
     let mode = match grid::active_choice() {
         AssignChoice::Fixed(mode) => mode,
         AssignChoice::Auto if parallel => AssignMode::Dense,
@@ -182,7 +184,7 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
             kind: grid::ScanKind::Relax,
             points: subset.len(),
             candidates: k,
-            dim: space.coord_row(subset[0]).map_or(0, <[S::Cmp]>::len),
+            dim: space.coord_row(subset[0]).len(),
         }),
     };
     let mut relaxer = if mode == AssignMode::Grid {
@@ -200,12 +202,7 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
     while centers.len() < k {
         let (far_pos, far_dist) = match relaxer.as_mut() {
             Some(relaxer) => relaxer.relax_max(space, subset, newest, &mut nearest),
-            None => match (identity, parallel) {
-                (true, true) => space.par_relax_all_max(newest, &mut nearest),
-                (true, false) => space.relax_all_max(newest, &mut nearest),
-                (false, true) => space.par_relax_nearest_max(subset, newest, &mut nearest),
-                (false, false) => space.relax_nearest_max(subset, newest, &mut nearest),
-            },
+            None => space.relax_max(scan, newest, &mut nearest, parallel),
         };
         // All remaining points coincide with existing centers: no point in
         // adding duplicates (the covering radius is already 0).
@@ -431,9 +428,10 @@ mod tests {
 
     #[test]
     fn parallel_scan_matches_sequential_scan() {
-        // A deterministic pseudo-random cloud large enough to engage the
-        // parallel path.
-        let pts: Vec<Point> = (0..9000)
+        // A deterministic pseudo-random cloud above `kernel::PAR_CUTOFF`,
+        // so the parallel relax scan really forks.
+        let n = kcenter_metric::kernel::PAR_CUTOFF + 7_000;
+        let pts: Vec<Point> = (0..n)
             .map(|i| {
                 let x = ((i as u64).wrapping_mul(2654435761) % 10_000) as f64 / 10.0;
                 let y = ((i as u64).wrapping_mul(40503) % 10_000) as f64 / 10.0;

@@ -18,10 +18,9 @@ use crate::error::KCenterError;
 use crate::evaluate::covering_radius;
 use crate::solution::KCenterSolution;
 use kcenter_metric::{MetricSpace, PointId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Hochbaum–Shmoys solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HochbaumShmoysConfig {
     /// Number of centers to select.
     pub k: usize,

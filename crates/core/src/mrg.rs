@@ -22,7 +22,6 @@ use kcenter_mapreduce::{
     MapReduceError,
 };
 use kcenter_metric::{MetricSpace, PointId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the MRG algorithm.
 ///
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(result.approximation_factor, 4.0);    // Lemma 2
 /// assert_eq!(result.solution.centers.len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MrgConfig {
     /// Number of centers to select.
     pub k: usize,
@@ -297,7 +296,7 @@ impl MrgConfig {
 }
 
 /// The outcome of an MRG run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MrgResult {
     /// The selected centers and their covering radius over the full space.
     pub solution: KCenterSolution,

@@ -1,12 +1,11 @@
 //! The common solution type returned by every k-center algorithm.
 
 use kcenter_metric::PointId;
-use serde::{Deserialize, Serialize};
 
 /// A k-center solution: the chosen centers and the covering radius they
 /// achieve on the point set they were evaluated against (the paper's
 /// "solution value").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KCenterSolution {
     /// The number of centers that was requested.
     pub k: usize,

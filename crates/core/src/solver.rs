@@ -10,10 +10,9 @@
 use crate::gonzalez::{self, FirstCenter};
 use crate::hochbaum_shmoys;
 use kcenter_metric::{MetricSpace, PointId};
-use serde::{Deserialize, Serialize};
 
 /// Which sequential k-center algorithm the parallel schemes use internally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SequentialSolver {
     /// Gonzalez's greedy farthest-point algorithm (the paper's choice).
     #[default]

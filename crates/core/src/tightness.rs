@@ -28,10 +28,9 @@ use kcenter_metric::{Euclidean, FlatPoints, Point, Scalar, VecSpace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an MRG tightness probe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TightnessProbe {
     /// Number of centers.
     pub k: usize,
@@ -194,7 +193,7 @@ impl TightnessProbe {
 }
 
 /// The outcome of a tightness probe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TightnessReport {
     /// Number of randomised trials performed.
     pub trials: usize,

@@ -21,7 +21,6 @@ use crate::synthetic::generate_chunked;
 use crate::PointGenerator;
 use kcenter_metric::{FlatPoints, Scalar};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of rows in the UCI Poker Hand training set.
 pub const POKER_HAND_TRAINING_ROWS: usize = 25_010;
@@ -36,7 +35,7 @@ pub const KDD_CUP_10PCT_ROWS: usize = 494_021;
 /// with no inherent cluster structure and a bounded diameter — is fully
 /// determined by the schema, so random deals reproduce the qualitative
 /// behaviour of Table 5 in the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PokerHandSim {
     n: usize,
 }
@@ -92,7 +91,7 @@ impl PointGenerator for PokerHandSim {
 }
 
 /// Traffic-class profile used by the KDD Cup surrogate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct TrafficClass {
     /// Relative share of the rows belonging to this class.
     weight: f64,
@@ -113,7 +112,7 @@ struct TrafficClass {
 /// extreme imbalance is what drives the qualitative behaviour of Figure 1
 /// (objective collapsing once k exceeds the number of dominant classes, and
 /// the sampling algorithm struggling relative to the synthetic data sets).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KddCupSim {
     n: usize,
     dim: usize,

@@ -12,10 +12,9 @@ use crate::synthetic::{
 };
 use crate::PointGenerator;
 use kcenter_metric::{Euclidean, FlatPoints, Point, Scalar, VecSpace};
-use serde::{Deserialize, Serialize};
 
 /// A declarative description of one of the paper's workloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DatasetSpec {
     /// UNIF: `n` points uniform in a two-dimensional square.
     Unif {

@@ -22,7 +22,6 @@ use crate::{CoordSink, PointGenerator};
 use kcenter_metric::{FlatPoints, Point, Scalar};
 use rand::Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Points generated per parallel chunk by the synthetic families; each
 /// chunk owns a derived RNG stream, so results are independent of the
@@ -67,7 +66,7 @@ where
 }
 
 /// Uniform points in a `dim`-dimensional axis-aligned cube.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnifGenerator {
     n: usize,
     dim: usize,
@@ -126,7 +125,7 @@ impl PointGenerator for UnifGenerator {
 }
 
 /// Shared machinery for the clustered generators (GAU and UNB).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ClusteredConfig {
     n: usize,
     k_prime: usize,
@@ -192,7 +191,7 @@ impl ClusteredConfig {
 /// k = k′ = 25) imply that σ is small relative to the inter-center spacing.
 /// The defaults here — a cube of side 100 with σ = 0.2 — reproduce both
 /// that spacing/σ ratio and the absolute magnitudes of the paper's tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GauGenerator {
     config: ClusteredConfig,
 }
@@ -255,7 +254,7 @@ impl PointGenerator for GauGenerator {
 
 /// UNB: unbalanced Gaussian clusters — about half of the points fall in one
 /// cluster, the rest are spread uniformly over the remaining `k' - 1`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnbGenerator {
     config: ClusteredConfig,
     heavy_fraction: f64,
@@ -343,7 +342,7 @@ impl PointGenerator for UnbGenerator {
 /// The constructor rejects configurations whose farthest center would
 /// approach [`Scalar::MAX_ABS_COORD`] for the `f32` store, so the family is
 /// generatable at every storage precision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpGenerator {
     n: usize,
     k_prime: usize,
@@ -453,7 +452,7 @@ impl PointGenerator for ExpGenerator {
 /// every storage precision represents exactly: duplicates are bit-identical
 /// at `f32` and `f64` alike, so the solvers' documented lowest-index
 /// tie-breaking is actually exercised rather than masked by rounding noise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DupGenerator {
     n: usize,
     distinct: usize,
@@ -561,7 +560,7 @@ impl PointGenerator for DupGenerator {
 /// alternating sign), so each planted point is farther from every cluster
 /// than any inlier and dropping the `z = outliers` farthest points provably
 /// shrinks the covering radius.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlantedOutlierGenerator {
     config: ClusteredConfig,
     outliers: usize,

@@ -1,7 +1,5 @@
 //! Cluster configuration: number of machines and per-machine capacity.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the simulated MapReduce cluster.
 ///
 /// The paper fixes the number of machines to `m = 50` for every experiment
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// the two-round MRG case requires `n/m ≤ c` and `k·m ≤ c` (Lemma 2), and
 /// the multi-round analysis (Lemma 3 / Inequality (1)) kicks in when
 /// `k·m > c`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Number of simulated machines (the paper's `m`).
     pub machines: usize,

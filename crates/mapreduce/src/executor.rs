@@ -20,7 +20,6 @@
 //! (`simulated_time`, charged backoff, straggler inflation) is identical
 //! by construction, while `wall_time` measures whatever really elapsed.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Environment variable selecting the executor
@@ -35,7 +34,7 @@ pub const EXECUTOR_ENV: &str = "KCENTER_EXECUTOR";
 pub const THREADS_ENV: &str = "KCENTER_THREADS";
 
 /// How a cluster executes the machines of a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
     /// The paper's mode: machines run sequentially on the calling thread;
     /// parallelism exists only in the per-round accounting.

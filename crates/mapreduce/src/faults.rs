@@ -46,12 +46,11 @@
 //!   never silently claimed over the full input.
 
 use crate::executor::Executor;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
 /// What goes wrong with one reducer execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The attempt crashes: its output is lost, its processing time is
     /// still charged (the machine worked, then died).
@@ -83,7 +82,7 @@ impl fmt::Display for FaultKind {
 /// `round` (0-based index within the cluster's job), attempt `attempt`
 /// (0-based; retries and speculative copies consume successive indices)
 /// suffers `kind`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledFault {
     /// 0-based round index within the cluster's job (the `RoundStats::round`
     /// the execution will be recorded under).
@@ -97,7 +96,7 @@ pub struct ScheduledFault {
 }
 
 /// Per-attempt fault probabilities of a seeded plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRates {
     /// Probability that an attempt crashes.
     pub crash: f64,
@@ -129,7 +128,7 @@ impl Default for FaultRates {
 /// across threads and consulted in any order.  Both forms serialise to the
 /// text format of [`FaultPlan::to_text`] / [`FaultPlan::parse_text`] for
 /// `--fault-plan` files.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultPlan {
     /// An explicit schedule: exactly the listed `(round, machine, attempt)`
     /// executions fault, everything else succeeds.
@@ -377,7 +376,7 @@ fn unit_variate(seed: u64, round: usize, machine: usize, attempt: usize) -> f64 
 }
 
 /// Simulated backoff charged between attempts of a failed partition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Backoff {
     /// Delay charged before the first retry.
     pub base: Duration,
@@ -421,7 +420,7 @@ impl Default for Backoff {
 /// `threshold ×` the round median (over machines that completed), a
 /// speculative copy is launched and the first finisher wins, with the
 /// original winning ties.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Speculation {
     /// Multiple of the round-median charged time beyond which a reducer is
     /// considered a straggler (must exceed 1 to be useful).
@@ -435,7 +434,7 @@ impl Default for Speculation {
 }
 
 /// How the cluster reacts to faults: attempt budget, backoff, speculation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPolicy {
     /// Maximum executions a partition gets per round (≥ 1); a partition
     /// that fails `max_attempts` times is dead for the round.
@@ -470,7 +469,7 @@ impl FaultPolicy {
 /// Everything the cluster needs to simulate failures: the plan (what goes
 /// wrong), the policy (how to react), and whether exhausted partitions may
 /// be dropped (degrade mode) instead of failing the round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// The injected-fault schedule.
     pub plan: FaultPlan,
@@ -509,7 +508,7 @@ impl FaultConfig {
 
 /// Why a reducer attempt (or a whole partition) failed.  This is the
 /// `source()` of `MapReduceError::RoundFailed`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultCause {
     /// The reducer crashed (injected [`FaultKind::Crash`]).
     Crashed,
@@ -535,7 +534,7 @@ impl fmt::Display for FaultCause {
 impl std::error::Error for FaultCause {}
 
 /// One event recorded by the fault-handling machinery during a round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// An attempt crashed.
     Crashed {
@@ -649,7 +648,7 @@ impl fmt::Display for FaultEvent {
 /// The fault events of one round, in deterministic order (attempt waves,
 /// machines ascending within each wave; speculation events after the waves;
 /// shard drops last).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultLog {
     events: Vec<FaultEvent>,
 }
@@ -723,7 +722,7 @@ impl FaultLog {
 
 /// A partition that exhausted its attempt budget and was dropped by degrade
 /// mode — the provenance record a partial certificate carries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DroppedShard {
     /// Round index (within the cluster's job) in which the shard died.
     pub round: usize,
@@ -754,7 +753,7 @@ impl fmt::Display for DroppedShard {
 /// points the reported certificate actually covers, and which shards were
 /// lost.  `covered_points < total_points` means every reported radius is a
 /// statement about the surviving subset only.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradedRun {
     /// Number of source points the certificate covers.
     pub covered_points: usize,
@@ -776,7 +775,7 @@ impl DegradedRun {
 
 /// Fault-accounting totals over a whole job (all rounds' logs summed) —
 /// what the CLI prints next to the round accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Total reducer executions, including retries and speculative copies.
     pub attempts: usize,

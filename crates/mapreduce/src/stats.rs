@@ -8,11 +8,10 @@
 
 use crate::executor::Executor;
 use crate::faults::{FaultLog, FaultSummary};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Accounting for a single MapReduce round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundStats {
     /// 0-based index of the round within its job.
     pub round: usize,
@@ -69,7 +68,7 @@ impl RoundStats {
 }
 
 /// Accounting for a complete multi-round job.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobStats {
     rounds: Vec<RoundStats>,
 }

@@ -39,7 +39,6 @@
 use crate::kernel::{self, dist2_auto, dist2_wide, dist2_wide_auto};
 use crate::point::Point;
 use crate::scalar::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// A distance function over coordinate rows.
 ///
@@ -113,8 +112,8 @@ pub trait Distance: Send + Sync {
     /// (`kernel::simd`): the same `f64`-accumulated quantity, but an SIMD
     /// backend may sum it in its own pinned order, so values are
     /// bit-deterministic per `(precision, kernel)` rather than per
-    /// precision alone.  Batch *reporting* paths (`distances_from`, the
-    /// distance-matrix build, the lower-bound scans) ride this; the
+    /// precision alone.  The batch *reporting* path behind the lower-bound
+    /// scans (`MetricSpace::wide_cmp_distances_from`) rides this; the
     /// `wide_cmp_*` certification scans keep using
     /// [`Distance::wide_surrogate`].  Defaults to the undispatched value.
     #[inline]
@@ -210,7 +209,7 @@ pub trait Distance: Send + Sync {
 }
 
 /// The Euclidean (`L2`) metric — the distance used throughout the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Euclidean;
 
 impl Distance for Euclidean {
@@ -296,7 +295,7 @@ impl Distance for Euclidean {
 /// Squared Euclidean distance.  Cheaper than [`Euclidean`] (no square root)
 /// and order-equivalent to it, but **not** a metric: the triangle inequality
 /// fails, so it must not be used with the approximation algorithms.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SquaredEuclidean;
 
 impl Distance for SquaredEuclidean {
@@ -320,7 +319,7 @@ impl Distance for SquaredEuclidean {
 }
 
 /// The Manhattan (`L1`) metric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Manhattan;
 
 impl Distance for Manhattan {
@@ -350,7 +349,7 @@ impl Distance for Manhattan {
 }
 
 /// The Chebyshev (`L∞`) metric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Chebyshev;
 
 impl Distance for Chebyshev {
@@ -380,7 +379,7 @@ impl Distance for Chebyshev {
 }
 
 /// The Minkowski (`Lp`) metric for a configurable exponent `p >= 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Minkowski {
     p: f64,
 }
@@ -463,7 +462,7 @@ impl Distance for Minkowski {
 /// Hamming / overlap distance: the number of coordinates in which the two
 /// points differ.  The natural metric for categorical attributes such as the
 /// suits and ranks of the Poker Hand data set.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Hamming;
 
 impl Distance for Hamming {

@@ -51,7 +51,6 @@
 
 use crate::point::{Point, PointError};
 use crate::scalar::Scalar;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether a coordinate is storable: finite and within the scalar's safe
@@ -69,7 +68,7 @@ fn coord_ok<S: Scalar>(c: S) -> bool {
 /// within [`Scalar::MAX_ABS_COORD`], and `dim > 0` whenever `len > 0` (an
 /// empty store may carry `dim == 0`, which means "dimension not yet
 /// known").
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct FlatPoints<S: Scalar = f64> {
     coords: Vec<S>,
     dim: usize,

@@ -9,10 +9,10 @@
 //! bounds are built on.  Two accelerators are provided:
 //!
 //! * [`GridRelaxer`] backs the fused Gonzalez relaxation
-//!   ([`MetricSpace::relax_nearest_max`] / `relax_all_max`): the member
-//!   rows are bucketed once, and each relax pass sweeps the occupied cells
-//!   in ascending cell order, skipping any cell whose bounding-box distance
-//!   to the new center proves that no `nearest[]` slot in it can change.
+//!   ([`MetricSpace::relax_max`]): the member rows are bucketed once, and
+//!   each relax pass sweeps the occupied cells in ascending cell order,
+//!   skipping any cell whose bounding-box distance to the new center
+//!   proves that no `nearest[]` slot in it can change.
 //!   It pays once the selection picks enough centers for the radius to
 //!   shrink below the cell spread (the `relax_crossover` records).
 //! * [`SpatialGrid::nearest_member`] and
@@ -276,7 +276,7 @@ pub struct ScanShape {
     /// How many candidates each point is compared against (`k` centers,
     /// coreset reps, or Gonzalez rounds for the relax grid).
     pub candidates: usize,
-    /// Coordinate dimension (0 when the space has no coordinate rows).
+    /// Coordinate dimension of the scanned rows.
     pub dim: usize,
 }
 
@@ -429,8 +429,8 @@ impl SpatialGrid {
     /// `members.len() / occupancy` cells.
     ///
     /// Returns `None` — callers fall back to the dense scan — when the
-    /// space exposes no coordinate rows or its surrogate is not squared
-    /// Euclidean ([`MetricSpace::grid_compatible`]), when the member list
+    /// space's surrogate is not squared Euclidean
+    /// ([`MetricSpace::grid_compatible`]), when the member list
     /// is empty or larger than `u32` positions, when the dimension is 0 or
     /// above [`MAX_GRID_DIM`], or when every dimension has zero extent
     /// (all members identical — the degenerate case where a cell width
@@ -443,7 +443,7 @@ impl SpatialGrid {
         if !space.grid_compatible() || members.is_empty() || members.len() > u32::MAX as usize {
             return None;
         }
-        let dim = space.coord_row(members[0])?.len();
+        let dim = space.coord_row(members[0]).len();
         if dim == 0 || dim > MAX_GRID_DIM {
             return None;
         }
@@ -452,7 +452,7 @@ impl SpatialGrid {
         let mut lo = vec![f64::INFINITY; dim];
         let mut hi = vec![f64::NEG_INFINITY; dim];
         for &m in members {
-            let row = space.coord_row(m)?;
+            let row = space.coord_row(m);
             for (i, &c) in row.iter().enumerate() {
                 let c = c.to_f64();
                 if c < lo[i] {
@@ -511,7 +511,7 @@ impl SpatialGrid {
         // ascending within each cell.
         let mut counts = vec![0u32; cells];
         for &m in members {
-            counts[grid.cell_of(space.coord_row(m)?)] += 1;
+            counts[grid.cell_of(space.coord_row(m))] += 1;
         }
         let mut acc = 0u32;
         for (c, &count) in counts.iter().enumerate() {
@@ -521,7 +521,7 @@ impl SpatialGrid {
         grid.starts[cells] = acc;
         let mut cursor: Vec<u32> = grid.starts[..cells].to_vec();
         for (pos, &m) in members.iter().enumerate() {
-            let row = space.coord_row(m)?;
+            let row = space.coord_row(m);
             let cell = grid.cell_of(row);
             grid.bucket[cursor[cell] as usize] = pos as u32;
             cursor[cell] += 1;
@@ -673,7 +673,7 @@ impl SpatialGrid {
         query: PointId,
     ) -> (usize, Sp::Cmp) {
         debug_assert_eq!(members.len(), self.len, "grid/member list mismatch");
-        let row = space.coord_row(query).expect("grid-compatible space");
+        let row = space.coord_row(query);
         let mut q = [0usize; MAX_GRID_DIM];
         self.coords_of(row, &mut q);
         let mut best = (0usize, <Sp::Cmp as Scalar>::INFINITY);
@@ -716,7 +716,7 @@ impl SpatialGrid {
         stop_below: f64,
     ) -> f64 {
         debug_assert_eq!(members.len(), self.len, "grid/member list mismatch");
-        let row = space.coord_row(query).expect("grid-compatible space");
+        let row = space.coord_row(query);
         let mut q = [0usize; MAX_GRID_DIM];
         self.coords_of(row, &mut q);
         let mut best = f64::INFINITY;
@@ -794,7 +794,7 @@ impl<S: Scalar> GridRelaxer<S> {
     }
 
     /// One fused Gonzalez iteration, bit-identical to
-    /// [`MetricSpace::relax_nearest_max`] (lower `nearest[pos]` to the
+    /// [`MetricSpace::relax_max`] over `members` (lower `nearest[pos]` to the
     /// distance to `center`, return the lowest-position maximum entry)
     /// whenever the per-pair comparison values match the dense kernel's —
     /// see the module docs for the backend caveat.
@@ -817,7 +817,7 @@ impl<S: Scalar> GridRelaxer<S> {
             "subset/nearest length mismatch"
         );
         let grid = &self.grid;
-        let center_row = space.coord_row(center).expect("grid-compatible space");
+        let center_row = space.coord_row(center);
         for (cell, best_pos, best) in &mut self.cells {
             let cell = *cell as usize;
             // No member of this cell can get closer than the box bound; if
@@ -861,8 +861,7 @@ mod tests {
     use super::*;
     use crate::distance::{Euclidean, Manhattan};
     use crate::flat::FlatPoints;
-    use crate::matrix::DistanceMatrix;
-    use crate::space::{MatrixSpace, VecSpace};
+    use crate::space::VecSpace;
 
     /// Deterministic integer-lattice coordinates: squared distances stay
     /// exactly representable at f32, so grid/dense parity is exact under
@@ -921,7 +920,7 @@ mod tests {
 
     #[test]
     fn auto_mode_prefers_dense_for_small_shapes() {
-        // Tiny scans and coordinate-free spaces stay dense.
+        // Tiny scans and zero-dimensional shapes stay dense.
         for kind in [ScanKind::Assign, ScanKind::Relax] {
             for (points, candidates, dim) in [
                 (100, 1000, 2),
@@ -1003,11 +1002,6 @@ mod tests {
         let flat = FlatPoints::from_coords(vec![0.0, 0.0, 5.0, 1.0], 2).unwrap();
         let manhattan = VecSpace::from_flat_with_distance(flat, Manhattan);
         assert!(SpatialGrid::build(&manhattan, &[0, 1], NEAREST_OCCUPANCY).is_none());
-        // Matrix spaces expose no coordinate rows.
-        let mut m = DistanceMatrix::<f64>::zeros(2);
-        m.set(0, 1, 1.0);
-        let ms = MatrixSpace::new(m);
-        assert!(SpatialGrid::build(&ms, &[0, 1], NEAREST_OCCUPANCY).is_none());
     }
 
     #[test]
@@ -1091,7 +1085,7 @@ mod tests {
         let mut center = 17;
         for round in 0..24 {
             let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
-            let d = space.relax_nearest_max(&members, center, &mut dense_nearest);
+            let d = space.relax_max(Some(&members), center, &mut dense_nearest, false);
             assert_eq!(g, d, "round {round}");
             assert_eq!(grid_nearest, dense_nearest, "round {round}");
             center = members[g.0];
@@ -1114,7 +1108,7 @@ mod tests {
         let mut center = 3;
         for round in 0..16 {
             let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
-            let d = space.relax_nearest_max(&members, center, &mut dense_nearest);
+            let d = space.relax_max(Some(&members), center, &mut dense_nearest, false);
             assert_eq!(g, d, "round {round}");
             assert_eq!(grid_nearest, dense_nearest, "round {round}");
             center = members[g.0];
@@ -1132,7 +1126,7 @@ mod tests {
         let mut center = members[5];
         for round in 0..12 {
             let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
-            let d = space.relax_nearest_max(&members, center, &mut dense_nearest);
+            let d = space.relax_max(Some(&members), center, &mut dense_nearest, false);
             assert_eq!(g, d, "round {round}");
             assert_eq!(grid_nearest, dense_nearest, "round {round}");
             center = members[g.0];

@@ -6,13 +6,17 @@
 //! * [`dist2`] — squared Euclidean distance between two rows, unrolled into
 //!   four independent accumulators so the FP adds pipeline (a single
 //!   accumulator serialises on the add latency);
-//! * [`relax_nearest`] — the fused Gonzalez step: given one new center,
-//!   lower every point's "distance to nearest chosen center" in one linear
+//! * [`relax_max_rows_coords`] / [`relax_max_ids_coords`] — the fused
+//!   Gonzalez step: given one new center, lower every point's "distance to
+//!   nearest chosen center" and track the farthest survivor in one linear
 //!   walk, with **no** square roots (comparisons happen in squared space;
 //!   callers take one `sqrt` per final winner, not one per pair);
-//! * [`par_relax_nearest`] / [`par_argmax`] — chunked rayon variants with a
-//!   sequential cutoff so small partitions (MRG reducers, EIM samples) don't
-//!   pay scheduler overhead.
+//! * [`relax_nearest`] and [`argmax`] — the same step as two plain passes,
+//!   kept as the reference the fused kernels are tested against.
+//!
+//! [`crate::MetricSpace::relax_max`] chunks the fused kernels over rayon
+//! above [`PAR_CUTOFF`] points, so small partitions (MRG reducers, EIM
+//! samples) don't pay scheduler overhead.
 //!
 //! # Scalar genericity and the two accumulation modes
 //!
@@ -50,8 +54,8 @@
 //!
 //! # Determinism
 //!
-//! The parallel variants compute exactly the same per-element values as the
-//! sequential ones (chunking only partitions the index space), so their
+//! The parallel relax scan computes exactly the same per-element values as
+//! the sequential one (chunking only partitions the index space), so its
 //! results are bit-for-bit identical per `(seed, precision, kernel)` triple
 //! — a property the `flat_kernels` integration test pins down (the third
 //! coordinate is the dispatched [`simd::KernelBackend`]; each backend fixes
@@ -66,18 +70,16 @@ pub mod simd;
 use crate::flat::FlatPoints;
 use crate::scalar::Scalar;
 use crate::PointId;
-use rayon::prelude::*;
 use simd::KernelBackend;
 
-/// Chunk length for the parallel kernels: big enough to amortise a spawn,
-/// small enough to balance across cores on million-point inputs.  Shared
-/// with the `MetricSpace`/`VecSpace` parallel scans so there is one tuning
-/// knob.
+/// Chunk length of the parallel relax scan
+/// ([`crate::MetricSpace::relax_max`]): big enough to amortise a spawn,
+/// small enough to balance across cores on million-point inputs.
 pub const PAR_CHUNK: usize = 1 << 14;
 
-/// Below this many points the `par_*` kernels run sequentially: forking a
-/// scan over a few thousand rows costs more than the scan itself.  At
-/// least two [`PAR_CHUNK`]s, so the parallel branch always has more than
+/// Below this many points the parallel relax scan runs sequentially:
+/// forking a scan over a few thousand rows costs more than the scan itself.
+/// At least two [`PAR_CHUNK`]s, so the parallel branch always has more than
 /// one chunk to hand out.
 pub const PAR_CUTOFF: usize = 2 * PAR_CHUNK;
 
@@ -165,10 +167,11 @@ pub fn dist2_auto<S: Scalar>(a: &[S], b: &[S]) -> S {
 }
 
 /// [`dist2_wide`] through the dispatched kernel backend (`f64` lanes fed
-/// from the `S` rows).  Batch *reporting* helpers (`distances_from`, the
-/// distance-matrix build, the lower-bound scans) ride this; the `wide_cmp_*`
-/// certification scans deliberately keep calling the scalar [`dist2_wide`]
-/// so certified quality numbers never depend on the dispatched backend.
+/// from the `S` rows).  The batch *reporting* helper behind the lower-bound
+/// scans (`MetricSpace::wide_cmp_distances_from`) rides this; the
+/// `wide_cmp_*` certification scans deliberately keep calling the scalar
+/// [`dist2_wide`] so certified quality numbers never depend on the
+/// dispatched backend.
 #[inline]
 pub fn dist2_wide_auto<S: Scalar>(a: &[S], b: &[S]) -> f64 {
     match S::simd_dist2_wide(simd::active(), a, b) {
@@ -242,34 +245,6 @@ pub fn relax_nearest<S: Scalar>(
     }
 }
 
-/// Chunked rayon variant of [`relax_nearest`] with a sequential cutoff.
-///
-/// Bit-for-bit identical to the sequential kernel: chunking partitions the
-/// index space without changing any per-element computation.
-pub fn par_relax_nearest<S: Scalar>(
-    flat: &FlatPoints<S>,
-    subset: &[PointId],
-    center: PointId,
-    nearest: &mut [S],
-) {
-    debug_assert_eq!(subset.len(), nearest.len());
-    if subset.len() < PAR_CUTOFF {
-        return relax_nearest(flat, subset, center, nearest);
-    }
-    let center_row = flat.row(center);
-    nearest
-        .par_chunks_mut(PAR_CHUNK)
-        .zip(subset.par_chunks(PAR_CHUNK))
-        .for_each(|(near_chunk, sub_chunk)| {
-            for (slot, &p) in near_chunk.iter_mut().zip(sub_chunk) {
-                let d = dist2(flat.row(p), center_row);
-                if d < *slot {
-                    *slot = d;
-                }
-            }
-        });
-}
-
 /// Fused relax + argmax over a raw row-major coordinate block, dispatching
 /// to a dimension-specialised inner loop: with the row length known at
 /// compile time the distance unrolls fully, bounds checks vanish, and the
@@ -279,8 +254,8 @@ pub fn par_relax_nearest<S: Scalar>(
 /// returns the position and value of the maximum updated entry (ties toward
 /// the smaller index) — one Gonzalez iteration in a single memory pass.
 /// This is the kernel behind `Distance::relax_rows_max` for the Euclidean
-/// metric; the `MetricSpace` scans in `space.rs` chunk over it for their
-/// parallel variants.
+/// metric; [`crate::MetricSpace::relax_max`] chunks over it when it runs
+/// in parallel.
 pub fn relax_max_rows_coords<S: Scalar>(
     coords: &[S],
     dim: usize,
@@ -473,12 +448,12 @@ fn dist2_arrays<S: Scalar, const D: usize>(a: &[S; D], b: &[S; D]) -> S {
 ///
 /// **Tie-breaking contract:** when several entries share the maximum value,
 /// the *lowest index* wins — the scan only replaces the incumbent on a
-/// strictly greater value.  [`par_argmax`] upholds the same rule (per-chunk
-/// winners combine in index order, earlier chunk wins ties), so the two
-/// never diverge.  This matters at `f32`, where coarser rounding makes
-/// exact ties far more common than at `f64`; without the rule, parallel and
-/// sequential Gonzalez runs could pick different (equally far) points and
-/// diverge from there.
+/// strictly greater value.  The fused kernels and the parallel relax scan
+/// uphold the same rule (per-chunk winners combine in index order, earlier
+/// chunk wins ties), so they never diverge.  This matters at `f32`, where
+/// coarser rounding makes exact ties far more common than at `f64`; without
+/// the rule, parallel and sequential Gonzalez runs could pick different
+/// (equally far) points and diverge from there.
 ///
 /// Returns `None` on an empty slice.
 pub fn argmax<S: Scalar>(values: &[S]) -> Option<(usize, S)> {
@@ -490,22 +465,6 @@ pub fn argmax<S: Scalar>(values: &[S]) -> Option<(usize, S)> {
         }
     }
     best
-}
-
-/// Chunked rayon variant of [`argmax`] with a sequential cutoff; identical
-/// result *including tie-breaking*: each chunk reports its lowest-index
-/// maximum, and the reduction keeps the earlier chunk's winner unless a
-/// later one is strictly greater, so the global winner is the lowest index
-/// achieving the maximum — exactly the sequential rule.
-pub fn par_argmax<S: Scalar>(values: &[S]) -> Option<(usize, S)> {
-    if values.len() < PAR_CUTOFF {
-        return argmax(values);
-    }
-    values
-        .par_chunks(PAR_CHUNK)
-        .enumerate()
-        .filter_map(|(chunk_idx, chunk)| argmax(chunk).map(|(i, v)| (chunk_idx * PAR_CHUNK + i, v)))
-        .reduce_with(|a, b| if b.1 > a.1 { b } else { a })
 }
 
 #[cfg(test)]
@@ -635,45 +594,10 @@ mod tests {
     }
 
     #[test]
-    fn par_relax_is_bit_identical_to_sequential() {
-        let flat = cloud(40_000, 3);
-        let subset: Vec<usize> = (0..40_000).collect();
-        let mut seq = vec![f64::INFINITY; subset.len()];
-        let mut par = seq.clone();
-        for center in [5usize, 1_234, 39_999] {
-            relax_nearest(&flat, &subset, center, &mut seq);
-            par_relax_nearest(&flat, &subset, center, &mut par);
-        }
-        assert_eq!(seq, par);
-    }
-
-    #[test]
     fn argmax_breaks_ties_toward_smaller_index() {
         assert_eq!(argmax::<f64>(&[]), None);
         assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), Some((1, 3.0)));
         // All-equal input: position 0 wins.
         assert_eq!(argmax(&[5.0f32; 17]), Some((0, 5.0f32)));
-    }
-
-    #[test]
-    fn par_argmax_matches_sequential() {
-        let values: Vec<f64> = (0..50_000)
-            .map(|i| ((i as u64).wrapping_mul(2_654_435_761) % 100_000) as f64)
-            .collect();
-        assert_eq!(par_argmax(&values), argmax(&values));
-    }
-
-    #[test]
-    fn par_argmax_breaks_ties_toward_smallest_index_above_cutoff() {
-        // Every entry ties: both variants must report index 0.  Then plant
-        // duplicated maxima in several chunks: the first occurrence wins.
-        let n = PAR_CUTOFF + 4 * PAR_CHUNK;
-        let mut values = vec![1.0f32; n];
-        assert_eq!(par_argmax(&values), Some((0, 1.0f32)));
-        assert_eq!(par_argmax(&values), argmax(&values));
-        values[3 * PAR_CHUNK + 7] = 9.0;
-        values[5 * PAR_CHUNK + 1] = 9.0;
-        assert_eq!(par_argmax(&values), Some((3 * PAR_CHUNK + 7, 9.0f32)));
-        assert_eq!(par_argmax(&values), argmax(&values));
     }
 }

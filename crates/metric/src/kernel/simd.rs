@@ -76,10 +76,10 @@
 //! computed the comparison-space scans.  Whenever two dispatch arms select
 //! the same centers — always, on instances without sub-ulp ties — their
 //! certified radii are bit-identical, which is what the dispatch parity
-//! tests pin down.  Batch *reporting* helpers (`distances_from`, the
-//! [`crate::DistanceMatrix`] build, the lower-bound scans) do ride the
+//! tests pin down.  The batch *reporting* helper behind the lower-bound
+//! scans ([`crate::MetricSpace::wide_cmp_distances_from`]) does ride the
 //! dispatched lanes via the `wide`-accumulating SIMD kernels
-//! ([`crate::kernel::dist2_wide_auto`]), and are documented as
+//! ([`crate::kernel::dist2_wide_auto`]), and is documented as
 //! deterministic per `(precision, kernel)`.
 
 use std::fmt;

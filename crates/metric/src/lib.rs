@@ -23,22 +23,18 @@
 //!   *surrogate* forms (squared Euclidean, un-rooted Minkowski) for
 //!   comparison-only scans and `f64`-accumulated *wide* forms for
 //!   certification.
-//! * [`kernel`] — the fused scan kernels (`dist2`, `relax_nearest`,
-//!   `argmax`) plus chunked rayon variants with a sequential cutoff, and
-//!   [`kernel::simd`] — width-pinned AVX2+FMA / portable-lane backends
-//!   behind a runtime dispatch table (`KCENTER_KERNEL`, the `simd` cargo
-//!   feature; see *Kernel dispatch* below).
+//! * [`kernel`] — the fused scan kernels (`dist2`, the dimension-specialised
+//!   relax-and-argmax loops, `argmax`), and [`kernel::simd`] —
+//!   width-pinned AVX2+FMA / portable-lane backends behind a runtime
+//!   dispatch table (`KCENTER_KERNEL`, the `simd` cargo feature; see
+//!   *Kernel dispatch* below).
 //! * [`MetricSpace`] — the trait the clustering algorithms are written
-//!   against, with a concrete on-demand [`VecSpace`] (generic over the
-//!   storage scalar) and a fully materialised [`MatrixSpace`].
-//! * [`DistanceMatrix`] — an explicit symmetric matrix representation (the
-//!   "matrix representation of a graph" the paper mentions and argues
-//!   against shipping between machines).
+//!   against, and [`VecSpace`], its on-demand implementation (generic over
+//!   the storage scalar).  [`MetricSpace::relax_max`] is the Gonzalez
+//!   relax step, sequential or chunked over rayon.
 //! * [`BoundingBox`] and diameter estimation utilities.
 //! * [`lower_bound`] — simple instance lower bounds used to sanity-check
 //!   approximation factors in tests.
-//!
-//! All heavy scans expose rayon-parallel variants.
 //!
 //! # Storage layout
 //!
@@ -111,7 +107,6 @@ pub mod flat;
 pub mod grid;
 pub mod kernel;
 pub mod lower_bound;
-pub mod matrix;
 pub mod point;
 pub mod scalar;
 pub mod space;
@@ -124,10 +119,9 @@ pub use flat::FlatPoints;
 pub use grid::{AssignChoice, AssignMode, AssignSelectError, GridRelaxer, SpatialGrid, ASSIGN_ENV};
 pub use kernel::simd::{KernelBackend, KernelChoice, KernelSelectError, KERNEL_ENV};
 pub use lower_bound::{pairwise_lower_bound, scaled_diameter_lower_bound};
-pub use matrix::DistanceMatrix;
 pub use point::Point;
 pub use scalar::{Precision, Scalar};
-pub use space::{MatrixSpace, MetricSpace, VecSpace};
+pub use space::{MetricSpace, VecSpace};
 
 /// Index of a point inside a data set / metric space.
 ///

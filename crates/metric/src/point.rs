@@ -5,7 +5,6 @@
 //! dimensional network-traffic records, so we keep the dimension dynamic
 //! rather than baking it into the type.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
@@ -14,7 +13,7 @@ use std::ops::Index;
 /// Construction validates that every coordinate is finite; `NaN` or infinite
 /// coordinates would silently break the metric axioms (and therefore the
 /// approximation guarantees), so they are rejected eagerly.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Point {
     coords: Vec<f64>,
 }

@@ -185,7 +185,7 @@ impl_scalar!(f64, "f64", 1.110_223_024_625_156_5e-16, 1e150, 2); // 2^-53
 /// A runtime storage-precision choice, used by the CLI's `--precision` flag
 /// and the bench harness to dispatch into the monomorphised `f32` / `f64`
 /// stacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Single-precision storage: half the scan bandwidth, certified
     /// quality numbers still computed in `f64` from the rounded rows.

@@ -1,27 +1,25 @@
 //! Metric spaces: a point collection plus a distance.
 //!
 //! The clustering algorithms address points by [`PointId`] and only ever ask
-//! the space for distances between indexed points.  Two concrete spaces are
-//! provided:
-//!
-//! * [`VecSpace`] computes distances on demand from coordinates held in a
-//!   contiguous [`FlatPoints`] store — the representation the paper uses for
-//!   its experiments, because shipping a full `n × n` matrix between
-//!   simulated machines would be wasteful.  It is generic over the storage
-//!   [`Scalar`] (`VecSpace<Euclidean, f32>` halves the scan bandwidth).
-//! * [`MatrixSpace`] pre-computes the full symmetric [`DistanceMatrix`] —
-//!   only viable for small `n` but convenient for exact tests and for graphs
-//!   given directly by edge weights.
+//! the space for distances between indexed points.  [`VecSpace`] is the one
+//! concrete space: it computes distances on demand from coordinates held in
+//! a contiguous [`FlatPoints`] store — the representation the paper uses
+//! for its experiments, because shipping a full `n × n` matrix between
+//! simulated machines would be wasteful (Section 7.3).  It is generic over
+//! the storage [`Scalar`] (`VecSpace<Euclidean, f32>` halves the scan
+//! bandwidth).  The solvers take one `S: MetricSpace` parameter instead of
+//! naming `VecSpace`'s two.
 //!
 //! # Comparison space and certification space
 //!
 //! The hot scans (farthest-point selection, nearest-center relaxation) only
 //! compare distances, so the trait exposes them in *comparison space*:
 //! [`MetricSpace::cmp_distance`] returns an order-equivalent surrogate of
-//! type [`MetricSpace::Cmp`] — the storage scalar for [`VecSpace`], so an
-//! `f32` space runs these scans entirely in `f32` (squared Euclidean, no
-//! `sqrt` per pair) — and [`MetricSpace::cmp_to_distance`] converts a final
-//! winner back to a real distance.
+//! type [`MetricSpace::Cmp`] — the storage scalar, so an `f32` space runs
+//! these scans entirely in `f32` (squared Euclidean, no `sqrt` per pair) —
+//! and [`MetricSpace::cmp_to_distance`] converts a final winner back to a
+//! real distance.  [`MetricSpace::relax_max`] is the one Gonzalez relax
+//! step, over the whole space or a subset, sequential or chunked-parallel.
 //!
 //! Evaluation is different: a covering radius is a *reported* number, so
 //! the verifiers use the `wide_cmp_*` family instead, which is also
@@ -33,18 +31,17 @@
 use crate::distance::{Distance, Euclidean};
 use crate::flat::FlatPoints;
 use crate::kernel;
-use crate::matrix::DistanceMatrix;
 use crate::point::Point;
 use crate::scalar::Scalar;
 use crate::PointId;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// A finite metric space addressable by point index.
+/// A finite metric space addressable by point index, backed by coordinate
+/// rows.
 pub trait MetricSpace: Send + Sync {
-    /// The comparison-space scalar: the type the selection scans run in.
-    /// [`VecSpace`] sets this to its storage scalar; spaces with no reduced
-    /// storage mode use `f64`.
+    /// The comparison-space scalar: the type the selection scans run in
+    /// (the storage scalar of [`VecSpace`]).
     type Cmp: Scalar;
 
     /// Number of points in the space.
@@ -69,62 +66,38 @@ pub trait MetricSpace: Send + Sync {
     /// Whether the underlying distance satisfies the metric axioms.
     fn is_metric(&self) -> bool;
 
-    /// Storage-precision name (`"f32"` / `"f64"` for coordinate-backed
-    /// spaces); experiment reports record it next to the seed.
+    /// Storage-precision name (`"f32"` / `"f64"`); experiment reports
+    /// record it next to the seed.
     fn precision_name(&self) -> &'static str {
         <Self::Cmp as Scalar>::NAME
     }
 
-    /// The coordinate row of point `id` in the comparison scalar, when the
-    /// space is backed by coordinates ([`VecSpace`] overrides this with
-    /// its flat-store row).  The spatial grid (`crate::grid`) builds its
-    /// geometry from these rows; spaces returning `None` always take the
-    /// dense scans.
-    fn coord_row(&self, id: PointId) -> Option<&[Self::Cmp]> {
-        let _ = id;
-        None
-    }
+    /// The coordinate row of point `id` in the comparison scalar.  The
+    /// spatial grid (`crate::grid`) builds its geometry from these rows.
+    fn coord_row(&self, id: PointId) -> &[Self::Cmp];
 
     /// Whether the spatial grid's axis-aligned box distance is a valid
-    /// lower bound for this space's comparison surrogates — i.e. the space
-    /// has coordinate rows and a squared-Euclidean surrogate
-    /// ([`crate::distance::Distance::supports_grid`]).  Defaults to
-    /// `false` (dense scans only).
-    fn grid_compatible(&self) -> bool {
-        false
-    }
-
-    /// For each point in `targets`, its distance to point `from`.
-    ///
-    /// Coordinate-backed spaces override this to ride the dispatched kernel
-    /// backend (`kernel::simd`), so batch reporting — the distance-matrix
-    /// build in particular — is deterministic per `(precision, kernel)`.
-    fn distances_from(&self, from: PointId, targets: &[PointId]) -> Vec<f64> {
-        targets.iter().map(|&t| self.distance(from, t)).collect()
-    }
+    /// lower bound for this space's comparison surrogates, i.e. the
+    /// surrogate is squared Euclidean
+    /// ([`crate::distance::Distance::supports_grid`]).
+    fn grid_compatible(&self) -> bool;
 
     /// For each point in `targets`, its certification-space
     /// ([`MetricSpace::wide_cmp_distance`]) value to point `from`.
     ///
-    /// Like [`MetricSpace::distances_from`] this is a batch *reporting*
-    /// helper and may ride the dispatched kernel backend on
-    /// coordinate-backed spaces (the lower-bound scans use it); the
-    /// `wide_cmp_*` max/min certification scans do not go through it.
-    fn wide_cmp_distances_from(&self, from: PointId, targets: &[PointId]) -> Vec<f64> {
-        targets
-            .iter()
-            .map(|&t| self.wide_cmp_distance(from, t))
-            .collect()
-    }
+    /// This is a batch *reporting* helper that rides the dispatched kernel
+    /// backend (the lower-bound scans use it); the `wide_cmp_*` max/min
+    /// certification scans do not go through it.
+    fn wide_cmp_distances_from(&self, from: PointId, targets: &[PointId]) -> Vec<f64>;
 
     /// Minimum distance from point `from` to any point in `to`.
     ///
     /// Returns `f64::INFINITY` when `to` is empty (no center yet covers the
     /// point), mirroring the convention used by Gonzalez-style algorithms.
     fn distance_to_set(&self, from: PointId, to: &[PointId]) -> f64 {
-        to.iter()
-            .map(|&t| self.distance(from, t))
-            .fold(f64::INFINITY, f64::min)
+        // Scan in certification (f64-wide surrogate) space, convert the
+        // winner once — exact at any storage precision, one sqrt total.
+        self.wide_cmp_to_distance(self.wide_cmp_distance_to_set(from, to))
     }
 
     /// Like [`MetricSpace::distance_to_set`], but stops scanning `to` as
@@ -136,108 +109,45 @@ pub trait MetricSpace: Send + Sync {
     /// the early exit skips most of the center list once a nearby center has
     /// been seen.
     fn distance_to_set_bounded(&self, from: PointId, to: &[PointId], stop_below: f64) -> f64 {
-        let mut best = f64::INFINITY;
-        for &t in to {
-            let d = self.distance(from, t);
-            if d < best {
-                best = d;
-                if best <= stop_below {
-                    break;
-                }
-            }
-        }
-        best
+        // Distances are non-negative, so a negative threshold can never be
+        // reached — and mapping it through e.g. `d*d` would flip its sign.
+        let wide_stop = if stop_below < 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            self.distance_to_wide_cmp(stop_below)
+        };
+        let wide = self.wide_cmp_distance_to_set_bounded(from, to, wide_stop);
+        self.wide_cmp_to_distance(wide)
     }
 
     /// Comparison-space distance between two points: order-equivalent to
-    /// [`MetricSpace::distance`] but possibly cheaper (squared Euclidean at
-    /// storage precision for the default [`VecSpace`]).  Defaults to the
-    /// distance rounded into [`MetricSpace::Cmp`].
-    #[inline]
-    fn cmp_distance(&self, a: PointId, b: PointId) -> Self::Cmp {
-        Self::Cmp::from_f64(self.distance(a, b))
-    }
+    /// [`MetricSpace::distance`] but cheaper (squared Euclidean at storage
+    /// precision).
+    fn cmp_distance(&self, a: PointId, b: PointId) -> Self::Cmp;
 
     /// Converts a comparison-space value back to a real distance.
-    #[inline]
-    fn cmp_to_distance(&self, c: Self::Cmp) -> f64 {
-        c.to_f64()
-    }
+    fn cmp_to_distance(&self, c: Self::Cmp) -> f64;
 
     /// Converts a real distance into comparison space (the inverse of
     /// [`MetricSpace::cmp_to_distance`] on non-negative values, up to `Cmp`
     /// rounding).
-    #[inline]
-    fn distance_to_cmp(&self, d: f64) -> Self::Cmp {
-        Self::Cmp::from_f64(d)
-    }
-
-    /// Comparison-space [`MetricSpace::distance_to_set`].
-    fn cmp_distance_to_set(&self, from: PointId, to: &[PointId]) -> Self::Cmp {
-        let mut best = Self::Cmp::INFINITY;
-        for &t in to {
-            let d = self.cmp_distance(from, t);
-            if d < best {
-                best = d;
-            }
-        }
-        best
-    }
-
-    /// Comparison-space [`MetricSpace::distance_to_set_bounded`].
-    fn cmp_distance_to_set_bounded(
-        &self,
-        from: PointId,
-        to: &[PointId],
-        stop_below: Self::Cmp,
-    ) -> Self::Cmp {
-        let mut best = Self::Cmp::INFINITY;
-        for &t in to {
-            let d = self.cmp_distance(from, t);
-            if d < best {
-                best = d;
-                if best <= stop_below {
-                    break;
-                }
-            }
-        }
-        best
-    }
+    fn distance_to_cmp(&self, d: f64) -> Self::Cmp;
 
     /// Certification-space distance: order-equivalent to the distance (like
     /// `cmp_distance`) but always an `f64` accumulated from the stored rows.
     /// The covering-radius and coverage verifiers scan on this so that
     /// reported quality numbers are exact at any storage precision.
-    /// Defaults to the distance itself.
-    #[inline]
-    fn wide_cmp_distance(&self, a: PointId, b: PointId) -> f64 {
-        self.distance(a, b)
-    }
+    fn wide_cmp_distance(&self, a: PointId, b: PointId) -> f64;
 
     /// Converts a certification-space value back to a real distance.
-    #[inline]
-    fn wide_cmp_to_distance(&self, w: f64) -> f64 {
-        w
-    }
+    fn wide_cmp_to_distance(&self, w: f64) -> f64;
 
     /// Converts a real distance into certification space (the inverse of
     /// [`MetricSpace::wide_cmp_to_distance`] on non-negative values).
-    #[inline]
-    fn distance_to_wide_cmp(&self, d: f64) -> f64 {
-        d
-    }
+    fn distance_to_wide_cmp(&self, d: f64) -> f64;
 
     /// Certification-space [`MetricSpace::distance_to_set`].
-    fn wide_cmp_distance_to_set(&self, from: PointId, to: &[PointId]) -> f64 {
-        let mut best = f64::INFINITY;
-        for &t in to {
-            let d = self.wide_cmp_distance(from, t);
-            if d < best {
-                best = d;
-            }
-        }
-        best
-    }
+    fn wide_cmp_distance_to_set(&self, from: PointId, to: &[PointId]) -> f64;
 
     /// Certification-space [`MetricSpace::distance_to_set_bounded`].
     fn wide_cmp_distance_to_set_bounded(
@@ -245,172 +155,33 @@ pub trait MetricSpace: Send + Sync {
         from: PointId,
         to: &[PointId],
         stop_below: f64,
-    ) -> f64 {
-        let mut best = f64::INFINITY;
-        for &t in to {
-            let d = self.wide_cmp_distance(from, t);
-            if d < best {
-                best = d;
-                if best <= stop_below {
-                    break;
-                }
-            }
-        }
-        best
-    }
+    ) -> f64;
 
-    /// The fused Gonzalez relaxation in comparison space: lowers
-    /// `nearest[i]` to `min(nearest[i], cmp_distance(subset[i], center))`
-    /// for every `i` in one pass.
+    /// One fused Gonzalez iteration in comparison space: lowers
+    /// `nearest[i]` to `min(nearest[i], cmp_distance(p_i, center))` and
+    /// returns the position (into `nearest`) and value of the maximum
+    /// updated entry, ties toward the smaller position; `(0, -inf)` when
+    /// `nearest` is empty.
+    ///
+    /// `p_i` is point `i` when `subset` is `None` (the whole space, streamed
+    /// row by row with no index indirection) and `subset[i]` otherwise; an
+    /// identity subset `0..len` takes the whole-space path.  With
+    /// `parallel`, scans of at least [`kernel::PAR_CUTOFF`] points fork
+    /// into [`kernel::PAR_CHUNK`]-point chunks whose winners combine in
+    /// index order, so the result is bit-identical to the sequential scan.
+    /// The MapReduce reducers pass `false`: their machines already run in
+    /// parallel, and their sequential time is the simulated cost.
     ///
     /// # Panics
     ///
-    /// Panics if `subset` and `nearest` have different lengths.
-    fn relax_nearest(&self, subset: &[PointId], center: PointId, nearest: &mut [Self::Cmp]) {
-        assert_eq!(
-            subset.len(),
-            nearest.len(),
-            "subset/nearest length mismatch"
-        );
-        for (slot, &p) in nearest.iter_mut().zip(subset) {
-            let d = self.cmp_distance(p, center);
-            if d < *slot {
-                *slot = d;
-            }
-        }
-    }
-
-    /// Chunked parallel variant of [`MetricSpace::relax_nearest`] with a
-    /// sequential cutoff; identical results (chunking only partitions the
-    /// index space).
-    fn par_relax_nearest(&self, subset: &[PointId], center: PointId, nearest: &mut [Self::Cmp]) {
-        assert_eq!(
-            subset.len(),
-            nearest.len(),
-            "subset/nearest length mismatch"
-        );
-        if subset.len() < kernel::PAR_CUTOFF {
-            return self.relax_nearest(subset, center, nearest);
-        }
-        nearest
-            .par_chunks_mut(kernel::PAR_CHUNK)
-            .zip(subset.par_chunks(kernel::PAR_CHUNK))
-            .for_each(|(near_chunk, sub_chunk)| {
-                for (slot, &p) in near_chunk.iter_mut().zip(sub_chunk) {
-                    let d = self.cmp_distance(p, center);
-                    if d < *slot {
-                        *slot = d;
-                    }
-                }
-            });
-    }
-
-    /// The fused Gonzalez iteration: [`MetricSpace::relax_nearest`] plus
-    /// the farthest-point argmax in one pass.  Returns the position (into
-    /// `subset`) and comparison-space value of the maximum updated entry,
-    /// ties toward the smaller position; `(0, -inf)` on an empty subset.
-    fn relax_nearest_max(
+    /// Panics if `nearest` is not as long as the subset (or the space).
+    fn relax_max(
         &self,
-        subset: &[PointId],
+        subset: Option<&[PointId]>,
         center: PointId,
         nearest: &mut [Self::Cmp],
-    ) -> (usize, Self::Cmp) {
-        assert_eq!(
-            subset.len(),
-            nearest.len(),
-            "subset/nearest length mismatch"
-        );
-        let mut best = (0usize, Self::Cmp::NEG_INFINITY);
-        for (i, (slot, &p)) in nearest.iter_mut().zip(subset).enumerate() {
-            let d = self.cmp_distance(p, center);
-            if d < *slot {
-                *slot = d;
-            }
-            if *slot > best.1 {
-                best = (i, *slot);
-            }
-        }
-        best
-    }
-
-    /// Chunked parallel variant of [`MetricSpace::relax_nearest_max`] with
-    /// a sequential cutoff; bit-identical results (per-chunk winners
-    /// combine in index order, first maximum wins).
-    fn par_relax_nearest_max(
-        &self,
-        subset: &[PointId],
-        center: PointId,
-        nearest: &mut [Self::Cmp],
-    ) -> (usize, Self::Cmp) {
-        assert_eq!(
-            subset.len(),
-            nearest.len(),
-            "subset/nearest length mismatch"
-        );
-        if subset.len() < kernel::PAR_CUTOFF {
-            return self.relax_nearest_max(subset, center, nearest);
-        }
-        const CHUNK: usize = kernel::PAR_CHUNK;
-        nearest
-            .par_chunks_mut(CHUNK)
-            .zip(subset.par_chunks(CHUNK))
-            .enumerate()
-            .map(|(chunk_idx, (near_chunk, sub_chunk))| {
-                let (pos, v) = self.relax_nearest_max(sub_chunk, center, near_chunk);
-                (chunk_idx * CHUNK + pos, v)
-            })
-            .reduce_with(|a, b| if b.1 > a.1 { b } else { a })
-            .unwrap_or((0, Self::Cmp::NEG_INFINITY))
-    }
-
-    /// [`MetricSpace::relax_nearest_max`] over the whole space (the
-    /// identity subset): `nearest[i]` pairs with point `i` directly, so
-    /// implementations can stream rows without any index indirection.
-    /// Callers that know their subset is `0..len` (the full-space solvers)
-    /// use this to skip both the id loads and the identity re-check.
-    fn relax_all_max(&self, center: PointId, nearest: &mut [Self::Cmp]) -> (usize, Self::Cmp) {
-        assert_eq!(self.len(), nearest.len(), "space/nearest length mismatch");
-        let mut best = (0usize, Self::Cmp::NEG_INFINITY);
-        for (i, slot) in nearest.iter_mut().enumerate() {
-            let d = self.cmp_distance(i, center);
-            if d < *slot {
-                *slot = d;
-            }
-            if *slot > best.1 {
-                best = (i, *slot);
-            }
-        }
-        best
-    }
-
-    /// Chunked parallel variant of [`MetricSpace::relax_all_max`] with a
-    /// sequential cutoff; bit-identical results.
-    fn par_relax_all_max(&self, center: PointId, nearest: &mut [Self::Cmp]) -> (usize, Self::Cmp) {
-        assert_eq!(self.len(), nearest.len(), "space/nearest length mismatch");
-        if self.len() < kernel::PAR_CUTOFF {
-            return self.relax_all_max(center, nearest);
-        }
-        const CHUNK: usize = kernel::PAR_CHUNK;
-        nearest
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .map(|(chunk_idx, near_chunk)| {
-                let offset = chunk_idx * CHUNK;
-                let mut best = (0usize, Self::Cmp::NEG_INFINITY);
-                for (i, slot) in near_chunk.iter_mut().enumerate() {
-                    let d = self.cmp_distance(offset + i, center);
-                    if d < *slot {
-                        *slot = d;
-                    }
-                    if *slot > best.1 {
-                        best = (offset + i, *slot);
-                    }
-                }
-                best
-            })
-            .reduce_with(|a, b| if b.1 > a.1 { b } else { a })
-            .unwrap_or((0, Self::Cmp::NEG_INFINITY))
-    }
+        parallel: bool,
+    ) -> (usize, Self::Cmp);
 }
 
 /// Whether `subset` is exactly the identity `0..n` — the full-space case
@@ -492,33 +263,6 @@ impl<D: Distance, S: Scalar> VecSpace<D, S> {
     pub fn point_distance(&self, a: &Point, b: &Point) -> f64 {
         self.dist.distance(a, b)
     }
-
-    /// Parallel computation of `distance_to_set` for every point index in
-    /// `from`, using rayon.  This is the hot inner scan of Gonzalez's
-    /// algorithm when run on large partitions.
-    pub fn par_distances_to_set(&self, from: &[PointId], to: &[PointId]) -> Vec<f64> {
-        if from.len() < kernel::PAR_CUTOFF {
-            return from.iter().map(|&f| self.distance_to_set(f, to)).collect();
-        }
-        from.par_iter()
-            .map(|&f| self.distance_to_set(f, to))
-            .collect()
-    }
-
-    /// Materialises the full distance matrix of this space at `f64`.
-    ///
-    /// Intended for small instances (tests, brute-force OPT); memory is
-    /// `O(n^2)`.
-    pub fn to_matrix(&self) -> DistanceMatrix {
-        self.to_matrix_at::<f64>()
-    }
-
-    /// Materialises the full distance matrix at an explicit storage
-    /// precision (`to_matrix_at::<f32>()` halves the packed triangle's
-    /// bytes; each entry is rounded once at storage).
-    pub fn to_matrix_at<T: Scalar>(&self) -> DistanceMatrix<T> {
-        DistanceMatrix::from_space(self)
-    }
 }
 
 impl<D: Distance, S: Scalar> std::fmt::Debug for VecSpace<D, S> {
@@ -587,27 +331,12 @@ impl<D: Distance, S: Scalar> MetricSpace for VecSpace<D, S> {
     }
 
     #[inline]
-    fn coord_row(&self, id: PointId) -> Option<&[S]> {
-        Some(self.points.row(id))
+    fn coord_row(&self, id: PointId) -> &[S] {
+        self.points.row(id)
     }
 
     fn grid_compatible(&self) -> bool {
         self.dist.supports_grid()
-    }
-
-    fn distances_from(&self, from: PointId, targets: &[PointId]) -> Vec<f64> {
-        // Batch reporting rides the dispatched (possibly width-pinned)
-        // wide kernels: exact f64 accumulation from the stored rows, in
-        // the active backend's pinned summation order.
-        let row = self.points.row(from);
-        targets
-            .iter()
-            .map(|&t| {
-                self.dist.wide_surrogate_to_distance(
-                    self.dist.wide_surrogate_auto(row, self.points.row(t)),
-                )
-            })
-            .collect()
     }
 
     fn wide_cmp_distances_from(&self, from: PointId, targets: &[PointId]) -> Vec<f64> {
@@ -616,24 +345,6 @@ impl<D: Distance, S: Scalar> MetricSpace for VecSpace<D, S> {
             .iter()
             .map(|&t| self.dist.wide_surrogate_auto(row, self.points.row(t)))
             .collect()
-    }
-
-    fn distance_to_set(&self, from: PointId, to: &[PointId]) -> f64 {
-        // Scan in certification (f64-wide surrogate) space, convert the
-        // winner once — exact at any storage precision, one sqrt total.
-        self.wide_cmp_to_distance(self.wide_cmp_distance_to_set(from, to))
-    }
-
-    fn distance_to_set_bounded(&self, from: PointId, to: &[PointId], stop_below: f64) -> f64 {
-        // Distances are non-negative, so a negative threshold can never be
-        // reached — and mapping it through e.g. `d*d` would flip its sign.
-        let wide_stop = if stop_below < 0.0 {
-            f64::NEG_INFINITY
-        } else {
-            self.distance_to_wide_cmp(stop_below)
-        };
-        let wide = self.wide_cmp_distance_to_set_bounded(from, to, wide_stop);
-        self.wide_cmp_to_distance(wide)
     }
 
     #[inline]
@@ -649,33 +360,6 @@ impl<D: Distance, S: Scalar> MetricSpace for VecSpace<D, S> {
     #[inline]
     fn distance_to_cmp(&self, d: f64) -> S {
         self.dist.distance_to_surrogate(d)
-    }
-
-    fn cmp_distance_to_set(&self, from: PointId, to: &[PointId]) -> S {
-        let row = self.points.row(from);
-        let mut best = S::INFINITY;
-        for &t in to {
-            let d = self.dist.surrogate(row, self.points.row(t));
-            if d < best {
-                best = d;
-            }
-        }
-        best
-    }
-
-    fn cmp_distance_to_set_bounded(&self, from: PointId, to: &[PointId], stop_below: S) -> S {
-        let row = self.points.row(from);
-        let mut best = S::INFINITY;
-        for &t in to {
-            let d = self.dist.surrogate(row, self.points.row(t));
-            if d < best {
-                best = d;
-                if best <= stop_below {
-                    break;
-                }
-            }
-        }
-        best
     }
 
     #[inline]
@@ -726,202 +410,46 @@ impl<D: Distance, S: Scalar> MetricSpace for VecSpace<D, S> {
         best
     }
 
-    fn relax_nearest(&self, subset: &[PointId], center: PointId, nearest: &mut [S]) {
+    fn relax_max(
+        &self,
+        subset: Option<&[PointId]>,
+        center: PointId,
+        nearest: &mut [S],
+        parallel: bool,
+    ) -> (usize, S) {
+        let flat = &*self.points;
+        let subset = subset.filter(|ids| !is_identity_subset(ids, flat.len()));
         assert_eq!(
-            subset.len(),
+            subset.map_or(flat.len(), <[PointId]>::len),
             nearest.len(),
             "subset/nearest length mismatch"
         );
-        let center_row = self.points.row(center);
-        for (slot, &p) in nearest.iter_mut().zip(subset) {
-            let d = self.dist.surrogate(self.points.row(p), center_row);
-            if d < *slot {
-                *slot = d;
+        let (coords, dim) = (flat.coords(), flat.dim());
+        let center_row = flat.row(center);
+        // Relaxes the `near.len()` slots starting at position `offset`.
+        let scan = |offset: usize, near: &mut [S]| match subset {
+            None => {
+                let rows = &coords[offset * dim..(offset + near.len()) * dim];
+                self.dist.relax_rows_max(rows, dim, center_row, near)
             }
-        }
-    }
-
-    fn par_relax_nearest(&self, subset: &[PointId], center: PointId, nearest: &mut [S]) {
-        assert_eq!(
-            subset.len(),
-            nearest.len(),
-            "subset/nearest length mismatch"
-        );
-        if subset.len() < kernel::PAR_CUTOFF {
-            return self.relax_nearest(subset, center, nearest);
-        }
-        let center_row = self.points.row(center);
-        nearest
-            .par_chunks_mut(kernel::PAR_CHUNK)
-            .zip(subset.par_chunks(kernel::PAR_CHUNK))
-            .for_each(|(near_chunk, sub_chunk)| {
-                for (slot, &p) in near_chunk.iter_mut().zip(sub_chunk) {
-                    let d = self.dist.surrogate(self.points.row(p), center_row);
-                    if d < *slot {
-                        *slot = d;
-                    }
-                }
-            });
-    }
-
-    fn relax_nearest_max(
-        &self,
-        subset: &[PointId],
-        center: PointId,
-        nearest: &mut [S],
-    ) -> (usize, S) {
-        assert_eq!(
-            subset.len(),
-            nearest.len(),
-            "subset/nearest length mismatch"
-        );
-        let flat = &*self.points;
-        let center_row = flat.row(center);
-        if is_identity_subset(subset, flat.len()) {
-            self.dist
-                .relax_rows_max(flat.coords(), flat.dim(), center_row, nearest)
-        } else {
-            self.dist
-                .relax_ids_max(flat.coords(), flat.dim(), subset, center_row, nearest)
-        }
-    }
-
-    fn par_relax_nearest_max(
-        &self,
-        subset: &[PointId],
-        center: PointId,
-        nearest: &mut [S],
-    ) -> (usize, S) {
-        assert_eq!(
-            subset.len(),
-            nearest.len(),
-            "subset/nearest length mismatch"
-        );
-        if subset.len() < kernel::PAR_CUTOFF {
-            return self.relax_nearest_max(subset, center, nearest);
-        }
-        if is_identity_subset(subset, self.points.len()) {
-            return self.par_relax_all_max(center, nearest);
+            Some(ids) => {
+                let ids = &ids[offset..offset + near.len()];
+                self.dist.relax_ids_max(coords, dim, ids, center_row, near)
+            }
+        };
+        if !parallel || nearest.len() < kernel::PAR_CUTOFF {
+            return scan(0, nearest);
         }
         const CHUNK: usize = kernel::PAR_CHUNK;
-        let flat = &*self.points;
-        let dim = flat.dim();
-        let center_row = flat.row(center);
         nearest
             .par_chunks_mut(CHUNK)
-            .zip(subset.par_chunks(CHUNK))
             .enumerate()
-            .map(|(chunk_idx, (near_chunk, sub_chunk))| {
-                let (pos, v) =
-                    self.dist
-                        .relax_ids_max(flat.coords(), dim, sub_chunk, center_row, near_chunk);
+            .map(|(chunk_idx, near_chunk)| {
+                let (pos, v) = scan(chunk_idx * CHUNK, near_chunk);
                 (chunk_idx * CHUNK + pos, v)
             })
             .reduce_with(|a, b| if b.1 > a.1 { b } else { a })
             .unwrap_or((0, S::NEG_INFINITY))
-    }
-
-    fn relax_all_max(&self, center: PointId, nearest: &mut [S]) -> (usize, S) {
-        assert_eq!(
-            self.points.len(),
-            nearest.len(),
-            "space/nearest length mismatch"
-        );
-        let flat = &*self.points;
-        self.dist
-            .relax_rows_max(flat.coords(), flat.dim(), flat.row(center), nearest)
-    }
-
-    fn par_relax_all_max(&self, center: PointId, nearest: &mut [S]) -> (usize, S) {
-        assert_eq!(
-            self.points.len(),
-            nearest.len(),
-            "space/nearest length mismatch"
-        );
-        if self.points.len() < kernel::PAR_CUTOFF {
-            return self.relax_all_max(center, nearest);
-        }
-        const CHUNK: usize = kernel::PAR_CHUNK;
-        let flat = &*self.points;
-        let dim = flat.dim();
-        let center_row = flat.row(center);
-        // Row-streaming: hand each worker its contiguous coordinate block,
-        // no index indirection at all.
-        nearest
-            .par_chunks_mut(CHUNK)
-            .zip(flat.coords().par_chunks(CHUNK * dim))
-            .enumerate()
-            .map(|(chunk_idx, (near_chunk, coord_chunk))| {
-                let (pos, v) = self
-                    .dist
-                    .relax_rows_max(coord_chunk, dim, center_row, near_chunk);
-                (chunk_idx * CHUNK + pos, v)
-            })
-            .reduce_with(|a, b| if b.1 > a.1 { b } else { a })
-            .unwrap_or((0, S::NEG_INFINITY))
-    }
-}
-
-/// A metric space backed by a fully materialised [`DistanceMatrix`].
-///
-/// Useful when the input is given as a weighted complete graph rather than
-/// as coordinates, and for exact verification on small instances.  Generic
-/// over the matrix's storage [`Scalar`]: a `MatrixSpace<f32>` runs the
-/// comparison-space scans on the stored `f32` entries (half the triangle's
-/// bytes) while every reported distance widens exactly to `f64`.
-#[derive(Clone)]
-pub struct MatrixSpace<S: Scalar = f64> {
-    matrix: Arc<DistanceMatrix<S>>,
-    metric: bool,
-}
-
-impl<S: Scalar> MatrixSpace<S> {
-    /// Wraps a distance matrix, declaring whether it satisfies the metric
-    /// axioms (callers can check with [`DistanceMatrix::verify_metric`]).
-    ///
-    /// The triangle-inequality tolerance scales with the storage scalar's
-    /// roundoff: storing an entry perturbs it by at most
-    /// `UNIT_ROUNDOFF · |entry|`, so a genuinely metric instance can show a
-    /// violation of up to ~3 rounding units of the largest entry at `f32` —
-    /// far above the `1e-9` floor that suffices at `f64`.
-    pub fn new(matrix: DistanceMatrix<S>) -> Self {
-        let tol = 1e-9f64.max(8.0 * S::UNIT_ROUNDOFF * matrix.diameter());
-        let metric = matrix.verify_metric(tol).is_ok();
-        Self {
-            matrix: Arc::new(matrix),
-            metric,
-        }
-    }
-
-    /// The underlying matrix.
-    pub fn matrix(&self) -> &DistanceMatrix<S> {
-        &self.matrix
-    }
-}
-
-impl<S: Scalar> MetricSpace for MatrixSpace<S> {
-    type Cmp = S;
-
-    fn len(&self) -> usize {
-        self.matrix.len()
-    }
-
-    #[inline]
-    fn distance(&self, a: PointId, b: PointId) -> f64 {
-        self.matrix.get(a, b)
-    }
-
-    #[inline]
-    fn cmp_distance(&self, a: PointId, b: PointId) -> S {
-        self.matrix.cmp_get(a, b)
-    }
-
-    fn distance_name(&self) -> &'static str {
-        "precomputed-matrix"
-    }
-
-    fn is_metric(&self) -> bool {
-        self.metric
     }
 }
 
@@ -1021,7 +549,7 @@ mod tests {
         assert!((s.cmp_to_distance(cmp) - 2f64.sqrt()).abs() < 1e-12);
         assert!((s.distance_to_cmp(2f64.sqrt()) - 2.0).abs() < 1e-12);
         assert_eq!(
-            s.cmp_to_distance(s.cmp_distance_to_set(3, &[0, 1])),
+            s.cmp_to_distance(s.cmp_distance(3, 1)),
             s.distance_to_set(3, &[0, 1])
         );
     }
@@ -1043,37 +571,49 @@ mod tests {
     #[test]
     fn relax_nearest_matches_pairwise_minimum() {
         let s = VecSpace::new(square());
-        let subset = vec![0, 1, 2, 3];
         let mut nearest = vec![f64::INFINITY; 4];
-        s.relax_nearest(&subset, 0, &mut nearest);
-        s.relax_nearest(&subset, 3, &mut nearest);
+        s.relax_max(None, 0, &mut nearest, false);
+        let (pos, far) = s.relax_max(None, 3, &mut nearest, false);
         for (i, &v) in nearest.iter().enumerate() {
             let naive = s.cmp_distance(i, 0).min(s.cmp_distance(i, 3));
             assert_eq!(v, naive);
         }
-        let mut par = vec![f64::INFINITY; 4];
-        s.par_relax_nearest(&subset, 0, &mut par);
-        s.par_relax_nearest(&subset, 3, &mut par);
-        assert_eq!(nearest, par);
+        // Points 1 and 2 tie at squared distance 1: the lower position wins.
+        assert_eq!((pos, far), (1, 1.0));
+        // A subset pairs `nearest[i]` with `subset[i]`.
+        let mut sub = vec![f64::INFINITY; 2];
+        assert_eq!(s.relax_max(Some(&[3, 0]), 1, &mut sub, false), (0, 1.0));
+        assert_eq!(sub, [1.0, 1.0]);
     }
 
     #[test]
-    fn distances_from_matches_pointwise() {
-        let s = VecSpace::new(square());
-        let d = s.distances_from(0, &[1, 2, 3]);
-        assert_eq!(d.len(), 3);
-        assert!((d[0] - 1.0).abs() < 1e-12);
-        assert!((d[2] - 2f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn par_distances_to_set_matches_sequential() {
-        let s = VecSpace::new(square());
-        let from = vec![0, 1, 2, 3];
-        let to = vec![0];
-        let par = s.par_distances_to_set(&from, &to);
-        let seq: Vec<f64> = from.iter().map(|&f| s.distance_to_set(f, &to)).collect();
-        assert_eq!(par, seq);
+    fn parallel_relax_breaks_ties_toward_smallest_index_above_cutoff() {
+        // Every row coincides: every slot ties, so position 0 must win on
+        // both paths.  Then plant equal maxima in several chunks: the first
+        // occurrence wins, as in the sequential scan.
+        let n = kernel::PAR_CUTOFF + 4 * kernel::PAR_CHUNK;
+        let mut coords = vec![1.0f32; 2 * n];
+        let space: VecSpace<Euclidean, f32> =
+            VecSpace::from_flat(FlatPoints::from_coords(coords.clone(), 2).unwrap());
+        for parallel in [false, true] {
+            let mut nearest = vec![f32::INFINITY; n];
+            assert_eq!(space.relax_max(None, 0, &mut nearest, parallel), (0, 0.0));
+        }
+        let planted = [3 * kernel::PAR_CHUNK + 7, 5 * kernel::PAR_CHUNK + 1];
+        for &p in &planted {
+            coords[2 * p] = 4.0;
+        }
+        let space: VecSpace<Euclidean, f32> =
+            VecSpace::from_flat(FlatPoints::from_coords(coords, 2).unwrap());
+        let ids: Vec<PointId> = (1..n).collect();
+        for parallel in [false, true] {
+            let mut nearest = vec![f32::INFINITY; n];
+            let got = space.relax_max(None, 0, &mut nearest, parallel);
+            assert_eq!(got, (planted[0], 9.0), "parallel={parallel}");
+            let mut nearest = vec![f32::INFINITY; ids.len()];
+            let got = space.relax_max(Some(&ids), 0, &mut nearest, parallel);
+            assert_eq!(got, (planted[0] - 1, 9.0), "subset, parallel={parallel}");
+        }
     }
 
     #[test]
@@ -1081,63 +621,5 @@ mod tests {
         let s = VecSpace::new(square());
         let c = s.clone();
         assert!(Arc::ptr_eq(&s.points, &c.points));
-    }
-
-    #[test]
-    fn matrix_space_round_trips_vecspace_distances() {
-        let s = VecSpace::new(square());
-        let m = MatrixSpace::new(s.to_matrix());
-        assert_eq!(m.len(), 4);
-        assert!(m.is_metric());
-        assert_eq!(m.precision_name(), "f64");
-        for a in 0..4 {
-            for b in 0..4 {
-                assert!((m.distance(a, b) - s.distance(a, b)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn f32_matrix_space_compares_in_storage_and_reports_in_f64() {
-        let s = VecSpace::new(square());
-        let m = MatrixSpace::new(s.to_matrix_at::<f32>());
-        assert_eq!(m.precision_name(), "f32");
-        assert!(m.is_metric());
-        let c: f32 = m.cmp_distance(0, 3);
-        assert_eq!(c, 2f64.sqrt() as f32);
-        // Reported distances widen the stored entry exactly.
-        assert_eq!(m.distance(0, 3), (2f64.sqrt() as f32) as f64);
-        assert!((m.distance(0, 3) - s.distance(0, 3)).abs() < 1e-7);
-    }
-
-    #[test]
-    fn f32_matrix_space_tolerates_storage_rounding_of_metric_instances() {
-        // Collinear points whose f32-rounded distances violate the triangle
-        // inequality by ~7e-9 — storage rounding, not a real violation.  A
-        // fixed 1e-9 tolerance would misclassify this as non-metric.
-        let s = VecSpace::new(vec![
-            Point::xy(0.0, 0.0),
-            Point::xy(0.1, 0.0),
-            Point::xy(0.3, 0.0),
-        ]);
-        let m = MatrixSpace::new(s.to_matrix_at::<f32>());
-        assert!(m.is_metric(), "f32 rounding misread as a metric violation");
-        // A genuine violation is still caught at f32 storage.
-        let mut bad = DistanceMatrix::<f32>::zeros(3);
-        bad.set(0, 1, 1.0);
-        bad.set(1, 2, 1.0);
-        bad.set(0, 2, 10.0);
-        assert!(!MatrixSpace::new(bad).is_metric());
-    }
-
-    #[test]
-    fn matrix_space_detects_non_metric() {
-        // Distances violating the triangle inequality: d(0,2) > d(0,1)+d(1,2).
-        let mut m = DistanceMatrix::<f64>::zeros(3);
-        m.set(0, 1, 1.0);
-        m.set(1, 2, 1.0);
-        m.set(0, 2, 10.0);
-        let space = MatrixSpace::new(m);
-        assert!(!space.is_metric());
     }
 }

@@ -1,14 +1,14 @@
 //! Property tests pinning the flat-kernel rewrite to the scalar reference
 //! implementations: the SoA kernels must agree with naive per-point
 //! distance code to 1e-12 on random points (all metrics, dimensions 1–64),
-//! and every `par_*` variant must match its sequential twin bit-for-bit.
+//! and the parallel relax scan must match the sequential one bit-for-bit.
 
 use kcenter_metric::kernel::{
-    argmax, dist2, nearest2, nearest2_bounded, par_argmax, par_relax_nearest, relax_nearest,
+    argmax, dist2, nearest2, nearest2_bounded, relax_nearest, PAR_CUTOFF,
 };
 use kcenter_metric::{
     Chebyshev, Distance, Euclidean, FlatPoints, Hamming, Manhattan, MetricSpace, Minkowski, Point,
-    SquaredEuclidean, VecSpace,
+    Scalar, SquaredEuclidean, VecSpace,
 };
 use proptest::prelude::*;
 
@@ -177,7 +177,11 @@ proptest! {
         let space = VecSpace::from_flat(flat);
         let centers: Vec<usize> = (0..space.len()).step_by(4).collect();
         for p in 0..space.len() {
-            let via_cmp = space.cmp_to_distance(space.cmp_distance_to_set(p, &centers));
+            let nearest_cmp = centers
+                .iter()
+                .map(|&c| space.cmp_distance(p, c))
+                .fold(f64::INFINITY, f64::min);
+            let via_cmp = space.cmp_to_distance(nearest_cmp);
             let direct = centers
                 .iter()
                 .map(|&c| space.distance(p, c))
@@ -191,8 +195,10 @@ proptest! {
 }
 
 /// Deterministic large clouds for the bit-for-bit parallel/sequential
-/// comparisons (the `par_*` kernels only fork above their cutoff, so these
-/// need to be big).
+/// comparisons (the parallel relax scan only forks above its cutoff, so
+/// these need to be big).  Coordinates are integers in `[-500, 500]`: at
+/// dimension 16 or less every squared distance and partial sum stays below
+/// 2^24, so the values are exact at `f32` and under every kernel backend.
 fn big_cloud(n: usize, dim: usize, seed: u64) -> FlatPoints {
     let coords: Vec<f64> = (0..n * dim)
         .map(|i| {
@@ -200,53 +206,48 @@ fn big_cloud(n: usize, dim: usize, seed: u64) -> FlatPoints {
                 .wrapping_add(seed)
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
-            ((v >> 30) % 100_000) as f64 / 50.0 - 1_000.0
+            ((v >> 33) % 1_001) as f64 - 500.0
         })
         .collect();
     FlatPoints::from_coords(coords, dim).unwrap()
 }
 
+/// Runs a short Gonzalez trajectory over the whole space (`None`) and over a
+/// proper subset above the cutoff: the parallel and sequential relax scans
+/// must agree bit for bit, and both must equal the two-pass
+/// `relax_nearest` + `argmax` oracle.
+fn relax_paths_agree<S: Scalar>(flat: FlatPoints<S>) {
+    let n = flat.len();
+    let space = VecSpace::from_flat(flat.clone());
+    let all: Vec<usize> = (0..n).collect();
+    let subset: Vec<usize> = (0..n).rev().filter(|i| i % 10 != 3).collect();
+    assert!(subset.len() > PAR_CUTOFF);
+    for (scan, ids) in [(None, &all), (Some(subset.as_slice()), &subset)] {
+        let mut seq = vec![S::INFINITY; ids.len()];
+        let mut par = seq.clone();
+        let mut oracle = seq.clone();
+        let mut center = 0;
+        for round in 0..4 {
+            let got = space.relax_max(scan, center, &mut seq, false);
+            let got_par = space.relax_max(scan, center, &mut par, true);
+            relax_nearest(&flat, ids, center, &mut oracle);
+            let label = format!("{} n={n} subset={} round {round}", S::NAME, scan.is_some());
+            assert_eq!(got, got_par, "{label}");
+            assert!(seq == par, "{label}: nearest arrays differ");
+            assert_eq!(Some(got), argmax(&oracle), "{label}");
+            assert!(seq == oracle, "{label}: nearest differs from the oracle");
+            center = ids[got.0];
+        }
+    }
+}
+
 #[test]
 fn par_relax_matches_sequential_bit_for_bit_above_cutoff() {
-    for (n, dim) in [(40_000usize, 2usize), (36_000, 16)] {
+    for (n, dim) in [(40_000usize, 3usize), (40_000, 16)] {
         let flat = big_cloud(n, dim, 7);
-        let space = VecSpace::from_flat(flat);
-        let subset: Vec<usize> = (0..n).collect();
-        let mut seq = vec![f64::INFINITY; n];
-        let mut par = vec![f64::INFINITY; n];
-        for center in [0usize, n / 2, n - 1] {
-            space.relax_nearest(&subset, center, &mut seq);
-            space.par_relax_nearest(&subset, center, &mut par);
-        }
-        assert_eq!(seq, par, "n={n} dim={dim}");
+        relax_paths_agree(flat.to_precision::<f32>());
+        relax_paths_agree(flat);
     }
-}
-
-#[test]
-fn par_kernel_helpers_match_sequential_bit_for_bit() {
-    let flat = big_cloud(40_000, 4, 3);
-    let subset: Vec<usize> = (0..flat.len()).collect();
-    let mut seq = vec![f64::INFINITY; subset.len()];
-    let mut par = seq.clone();
-    for center in [11usize, 29_000] {
-        relax_nearest(&flat, &subset, center, &mut seq);
-        par_relax_nearest(&flat, &subset, center, &mut par);
-    }
-    assert_eq!(seq, par);
-    assert_eq!(argmax(&seq), par_argmax(&par));
-}
-
-#[test]
-fn par_distances_to_set_matches_sequential_bit_for_bit() {
-    let space = VecSpace::from_flat(big_cloud(40_000, 3, 11));
-    let from: Vec<usize> = (0..space.len()).collect();
-    let to: Vec<usize> = (0..space.len()).step_by(1_000).collect();
-    let par = space.par_distances_to_set(&from, &to);
-    let seq: Vec<f64> = from
-        .iter()
-        .map(|&f| space.distance_to_set(f, &to))
-        .collect();
-    assert_eq!(par, seq);
 }
 
 // ---------------------------------------------------------------------------
