@@ -1,5 +1,5 @@
 //! GON baseline: runtime is Θ(k·n), plus the sequential-vs-parallel inner
-//! scan ablation called out in DESIGN.md §8.
+//! scan ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcenter_core::prelude::*;

@@ -1,6 +1,6 @@
 //! MRG: two-round runtime vs the sequential baseline, the forced
 //! multi-round ablation, and the GON vs Hochbaum–Shmoys sub-procedure
-//! ablation (DESIGN.md §8).
+//! ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcenter_core::prelude::*;

@@ -16,6 +16,7 @@ use crate::error::KCenterError;
 use crate::evaluate::covering_radius;
 use crate::solution::KCenterSolution;
 use kcenter_metric::grid::{self, AssignChoice, AssignMode, GridRelaxer};
+use kcenter_metric::kernel;
 use kcenter_metric::space::is_identity_subset;
 use kcenter_metric::{MetricSpace, PointId, Scalar};
 
@@ -74,8 +75,12 @@ pub struct GonzalezConfig {
     /// First-center policy.
     pub first_center: FirstCenter,
     /// Whether the inner farthest-point scan may use rayon.  The sequential
-    /// baseline GON in the paper is single-threaded; enabling this gives the
-    /// "parallel inner loop" ablation discussed in `DESIGN.md` §8.
+    /// baseline GON in the paper is single-threaded.  With this set, a
+    /// selection over at least [`kcenter_metric::kernel::PAR_CUTOFF`] points
+    /// relaxes in parallel chunks on the dense arm (bit-identical to the
+    /// sequential scan); a smaller selection runs sequentially, and under
+    /// `--assign auto` picks its arm from the measured relax crossover like
+    /// any sequential selection.
     pub parallel_scan: bool,
 }
 
@@ -162,7 +167,9 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
     // Each iteration is ONE fused pass (`relax_max`): relax every point's
     // nearest-center entry against the newest center and track the
     // farthest survivor in the same walk over the flat rows.
-    let parallel = parallel_scan && subset.len() >= PARALLEL_SCAN_THRESHOLD;
+    // The relax scan forks only from `PAR_CUTOFF` points on, so a smaller
+    // selection is sequential whatever the caller asked for.
+    let parallel = parallel_scan && subset.len() >= kernel::PAR_CUTOFF;
     // Detecting the full-space case once lets every iteration stream rows
     // without per-point id loads (and without re-checking per call).
     let scan = if is_identity_subset(subset, space.len()) {
@@ -254,9 +261,6 @@ pub fn select_centers_weighted<S: MetricSpace + ?Sized>(
         .collect();
     select_centers(space, &support, k, first, parallel_scan)
 }
-
-/// Minimum subset size before the parallel scan is worth the rayon overhead.
-const PARALLEL_SCAN_THRESHOLD: usize = 1 << 13;
 
 #[cfg(test)]
 mod tests {
@@ -430,7 +434,7 @@ mod tests {
     fn parallel_scan_matches_sequential_scan() {
         // A deterministic pseudo-random cloud above `kernel::PAR_CUTOFF`,
         // so the parallel relax scan really forks.
-        let n = kcenter_metric::kernel::PAR_CUTOFF + 7_000;
+        let n = kernel::PAR_CUTOFF + 7_000;
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 let x = ((i as u64).wrapping_mul(2654435761) % 10_000) as f64 / 10.0;

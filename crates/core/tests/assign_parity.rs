@@ -292,3 +292,53 @@ fn grid_arm_actually_engages() {
         ["coreset round 3: weights + certification [grid]"]
     );
 }
+
+/// A `parallel_scan` selection below the relax scan's fork cutoff
+/// (`kernel::PAR_CUTOFF`) runs sequentially, so under `auto` it takes the
+/// arm the measured relax crossover picks for its shape — here the grid —
+/// and still returns the dense-pinned centers.
+#[test]
+fn small_parallel_selection_follows_the_relax_crossover() {
+    const N: usize = 20_000;
+    const _: () = assert!(N < kcenter_metric::kernel::PAR_CUTOFF);
+    let mut state = 0x2545f4914f6cdd1du64;
+    let coords: Vec<f64> = (0..N * 3)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 1000) as f64
+        })
+        .collect();
+    let space = space_of::<f64>(&coords, 3);
+    let shape = |k| grid::ScanShape {
+        kind: grid::ScanKind::Relax,
+        points: N,
+        candidates: k,
+        dim: 3,
+    };
+    let k = [32usize, 64, 128, 256, 512]
+        .into_iter()
+        .find(|&k| grid::auto_mode(shape(k)) == AssignMode::Grid)
+        .expect("a d = 3 selection over 20,000 points has a grid side");
+    let solve = || {
+        let sol = GonzalezConfig::new(k)
+            .with_parallel_scan(true)
+            .solve(&space)
+            .unwrap();
+        (sol.centers, sol.radius)
+    };
+    let _guard = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    grid::set_choice(AssignChoice::Fixed(AssignMode::Dense));
+    let dense = solve();
+    grid::set_choice(AssignChoice::Auto);
+    grid::reset_scan_counts();
+    let auto = solve();
+    let counts = grid::scan_counts();
+    assert_eq!(
+        counts,
+        (1, 0),
+        "k = {k}: the selection must run on the grid arm"
+    );
+    assert_eq!(auto, dense, "k = {k}");
+}

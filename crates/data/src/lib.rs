@@ -13,7 +13,7 @@
 //!
 //! We do not ship the UCI files, so [`real::PokerHandSim`] and
 //! [`real::KddCupSim`] generate seeded surrogates with the same schema and
-//! the same qualitative geometry (documented in `DESIGN.md` §5).  Everything
+//! the same qualitative geometry (see the [`real`] module docs).  Everything
 //! is deterministic given a seed, so experiments are reproducible and the
 //! paper's "three graphs of each size and type" protocol can be followed by
 //! varying the seed.

@@ -11,8 +11,8 @@
 //!   `neptune`, `normal`) with heavy-tailed numeric features.
 //!
 //! We do not ship UCI files, so this module provides deterministic seeded
-//! *surrogates* with the same schema and the same qualitative geometry (see
-//! `DESIGN.md` §5 for the substitution argument).  They can be swapped for
+//! *surrogates* with the same schema and the same qualitative geometry.
+//! They can be swapped for
 //! the genuine files through [`crate::csv::load_flat`] without touching any
 //! algorithm code.
 

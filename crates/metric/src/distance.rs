@@ -141,8 +141,9 @@ pub trait Distance: Send + Sync {
     /// smaller index).
     ///
     /// Implementations with a cheap surrogate may provide a
-    /// dimension-specialised kernel ([`Euclidean`] does); the default is a
-    /// straightforward single pass.
+    /// dimension-specialised kernel ([`Euclidean`] does); the default runs
+    /// the blocked relax loop of [`crate::kernel`] over
+    /// [`Distance::surrogate`].
     fn relax_rows_max<S: Scalar>(
         &self,
         coords: &[S],
@@ -150,17 +151,7 @@ pub trait Distance: Send + Sync {
         center_row: &[S],
         nearest: &mut [S],
     ) -> (usize, S) {
-        let mut best = (0usize, S::NEG_INFINITY);
-        for (i, (row, slot)) in coords.chunks_exact(dim).zip(nearest.iter_mut()).enumerate() {
-            let d = self.surrogate(row, center_row);
-            if d < *slot {
-                *slot = d;
-            }
-            if *slot > best.1 {
-                best = (i, *slot);
-            }
-        }
-        best
+        kernel::relax_rows(coords, dim, nearest, |row| self.surrogate(row, center_row))
     }
 
     /// [`Distance::relax_rows_max`] over an explicit id subset: row
@@ -173,17 +164,9 @@ pub trait Distance: Send + Sync {
         center_row: &[S],
         nearest: &mut [S],
     ) -> (usize, S) {
-        let mut best = (0usize, S::NEG_INFINITY);
-        for (i, (&p, slot)) in subset.iter().zip(nearest.iter_mut()).enumerate() {
-            let d = self.surrogate(&coords[p * dim..p * dim + dim], center_row);
-            if d < *slot {
-                *slot = d;
-            }
-            if *slot > best.1 {
-                best = (i, *slot);
-            }
-        }
-        best
+        kernel::relax_ids(coords, dim, subset, nearest, |row| {
+            self.surrogate(row, center_row)
+        })
     }
 
     /// Whether this distance satisfies the triangle inequality.

@@ -297,7 +297,7 @@ pub const ASSIGN_CROSSOVER: [(usize, usize, Option<usize>); 15] = [
     (1 << 15, 4, Some(64)),
     (1 << 15, 8, Some(1024)),
     (1 << 15, 16, None),
-    (1 << 18, 2, Some(16)),
+    (1 << 18, 2, Some(24)),
     (1 << 18, 3, Some(32)),
     (1 << 18, 4, Some(64)),
     (1 << 18, 8, Some(1024)),
@@ -309,20 +309,20 @@ pub const ASSIGN_CROSSOVER: [(usize, usize, Option<usize>); 15] = [
 /// workload ran faster on the grid relax arm (bucketing charged) than on
 /// the sequential dense fused kernel from `crossover_k` centers on.
 pub const RELAX_CROSSOVER: [(usize, usize, Option<usize>); 15] = [
-    (1 << 12, 2, Some(24)),
-    (1 << 12, 3, Some(24)),
+    (1 << 12, 2, Some(96)),
+    (1 << 12, 3, Some(96)),
     (1 << 12, 4, Some(192)),
     (1 << 12, 8, Some(256)),
     (1 << 12, 16, None),
-    (1 << 15, 2, Some(48)),
-    (1 << 15, 3, Some(48)),
+    (1 << 15, 2, Some(128)),
+    (1 << 15, 3, Some(96)),
     (1 << 15, 4, Some(192)),
-    (1 << 15, 8, Some(192)),
+    (1 << 15, 8, Some(128)),
     (1 << 15, 16, None),
-    (1 << 18, 2, Some(96)),
-    (1 << 18, 3, Some(128)),
-    (1 << 18, 4, Some(192)),
-    (1 << 18, 8, Some(768)),
+    (1 << 18, 2, Some(192)),
+    (1 << 18, 3, Some(256)),
+    (1 << 18, 4, Some(256)),
+    (1 << 18, 8, Some(384)),
     (1 << 18, 16, None),
 ];
 

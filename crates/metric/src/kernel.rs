@@ -18,6 +18,26 @@
 //! above [`PAR_CUTOFF`] points, so small partitions (MRG reducers, EIM
 //! samples) don't pay scheduler overhead.
 //!
+//! # The blocked relax loop
+//!
+//! Every dense fused relax loop in this crate except the AVX2 kernels (the
+//! scalar kernels here, the portable lanes in [`simd`], and the default
+//! `Distance::relax_rows_max` / `relax_ids_max` other metrics inherit)
+//! runs on one private function, `relax_blocked`.  It walks `nearest` four
+//! slots at a time: four row distances, a branchless relax (the minimum is
+//! stored unconditionally), and an index-order scan with a strict `>` only
+//! when one of the four beats the running best; the last `n mod 4` slots
+//! relax one at a time.  The blocking removes the two data-dependent
+//! branches per row and lets four independent distance computations
+//! overlap.  It changes no arithmetic: each row's distance is computed on
+//! its own by the same per-row kernel as before ([`dist2`] or its
+//! const-dimension instantiation, or the backend's pairwise kernel), so
+//! `nearest` and the winner stay bit-identical to a row-at-a-time relax
+//! followed by [`argmax`], ties included.  The specialised dimensions
+//! (2, 3, 4, 8, 10, 16, 32, 38, 64) are listed once, for the scalar and
+//! portable paths and both the rows and subset shapes; other dimensions
+//! take the dynamic-length distance.
+//!
 //! # Scalar genericity and the two accumulation modes
 //!
 //! Every kernel is generic over [`Scalar`] (`f64` or `f32`) and
@@ -64,6 +84,28 @@
 //! backend: ties always resolve to the **lowest index** (see [`argmax`]),
 //! which matters more at `f32` where coarser rounding produces more exact
 //! ties.
+
+/// Runs `$fixed` with `$d` bound to `dim` as a `const usize` when `dim` is
+/// one of the dimension-specialised row lengths, and `$dynamic` otherwise.
+///
+/// The one list of specialised dimensions, shared by the scalar kernels
+/// here and the portable kernels in [`simd`], rows and subset shapes alike:
+/// the workspace's workload dimensions 2 (UNIF), 3 (GAU/UNB), 10 (Poker
+/// Hand), 16 (GAU-HD) and 38 (KDD Cup), plus common bench sizes.
+macro_rules! with_const_dim {
+    ($dim:expr, $d:ident => $fixed:expr, _ => $dynamic:expr) => {
+        with_const_dim!(@arms $dim, $d, $fixed, $dynamic; 2, 3, 4, 8, 10, 16, 32, 38, 64)
+    };
+    (@arms $dim:expr, $d:ident, $fixed:expr, $dynamic:expr; $($n:literal),*) => {
+        match $dim {
+            $($n => {
+                const $d: usize = $n;
+                $fixed
+            })*
+            _ => $dynamic,
+        }
+    };
+}
 
 pub mod simd;
 
@@ -256,6 +298,14 @@ pub fn relax_nearest<S: Scalar>(
 /// This is the kernel behind `Distance::relax_rows_max` for the Euclidean
 /// metric; [`crate::MetricSpace::relax_max`] chunks over it when it runs
 /// in parallel.
+///
+/// The scalar and portable paths walk `nearest` four slots at a time
+/// (module docs, "The blocked relax loop"): four row distances, a
+/// branchless relax, and an index-order argmax scan only when the block
+/// holds a new maximum.  Each row's distance is still computed on its own,
+/// in the same summation order as before the blocking, so `nearest` and
+/// the returned `(position, value)` are bit-identical to a row-at-a-time
+/// relax followed by [`argmax`].
 pub fn relax_max_rows_coords<S: Scalar>(
     coords: &[S],
     dim: usize,
@@ -280,17 +330,10 @@ pub fn relax_max_rows_coords_with<S: Scalar>(
     if let Some(best) = S::simd_relax_rows_max(backend, coords, dim, center_row, nearest) {
         return best;
     }
-    macro_rules! dispatch {
-        ($($d:literal),*) => {
-            match dim {
-                $($d => fused_rows::<S, $d>(coords, center_row, nearest),)*
-                _ => fused_rows_dyn(coords, dim, center_row, nearest),
-            }
-        };
-    }
-    // The workspace's workload dimensions: 2 (UNIF), 3 (GAU/UNB), 10
-    // (Poker Hand), 38 (KDD Cup), plus common bench sizes.
-    dispatch!(2, 3, 4, 8, 10, 16, 32, 38, 64)
+    with_const_dim!(dim, D => {
+        let center = fixed_row::<S, D>(center_row);
+        relax_rows(coords, D, nearest, |row| dist2_arrays(fixed_row(row), center))
+    }, _ => relax_rows(coords, dim, nearest, |row| dist2(row, center_row)))
 }
 
 /// [`relax_max_rows_coords`] over an explicit id subset (MRG reducer
@@ -321,99 +364,111 @@ pub fn relax_max_ids_coords_with<S: Scalar>(
     if let Some(best) = S::simd_relax_ids_max(backend, coords, dim, subset, center_row, nearest) {
         return best;
     }
-    macro_rules! dispatch {
-        ($($d:literal),*) => {
-            match dim {
-                $($d => fused_subset::<S, $d>(coords, subset, center_row, nearest),)*
-                _ => fused_subset_dyn(coords, dim, subset, center_row, nearest),
+    with_const_dim!(dim, D => {
+        let center = fixed_row::<S, D>(center_row);
+        relax_ids(coords, D, subset, nearest, |row| dist2_arrays(fixed_row(row), center))
+    }, _ => relax_ids(coords, dim, subset, nearest, |row| dist2(row, center_row)))
+}
+
+/// The blocked relax + argmax loop every dense fused kernel except the
+/// AVX2 ones runs on: `row_dist(i)` is the comparison-space distance of
+/// the row paired with `nearest[i]` to the new center.
+///
+/// Walks `nearest` four slots at a time.  A block computes its four row
+/// distances, relaxes them without branches (the minimum is stored
+/// unconditionally; on a tie the slot keeps its value, like a strict `<`
+/// update), and scans the block in index order with a strict `>` only when
+/// one of its values beats the running best — so ties still go to the
+/// lowest index.  The last `nearest.len() % 4` slots relax one at a time.
+/// Returns `(0, -inf)` when `nearest` is empty.
+#[inline(always)]
+fn relax_blocked<S: Scalar>(nearest: &mut [S], row_dist: impl Fn(usize) -> S) -> (usize, S) {
+    let mut best = (0usize, S::NEG_INFINITY);
+    let mut blocks = nearest.chunks_exact_mut(4);
+    let mut base = 0;
+    for block in &mut blocks {
+        let dists = [
+            row_dist(base),
+            row_dist(base + 1),
+            row_dist(base + 2),
+            row_dist(base + 3),
+        ];
+        let mut beats = false;
+        for (slot, d) in block.iter_mut().zip(dists) {
+            *slot = if d < *slot { d } else { *slot };
+            beats |= *slot > best.1;
+        }
+        if beats {
+            for (j, &v) in block.iter().enumerate() {
+                if v > best.1 {
+                    best = (base + j, v);
+                }
             }
-        };
+        }
+        base += 4;
     }
-    dispatch!(2, 3, 4, 8, 10, 16, 32, 38, 64)
-}
-
-/// The dimension-specialised fused inner loop over contiguous rows.
-fn fused_rows<S: Scalar, const D: usize>(
-    coords: &[S],
-    center: &[S],
-    nearest: &mut [S],
-) -> (usize, S) {
-    let center: &[S; D] = center.try_into().expect("center row length");
-    let mut best = (0usize, S::NEG_INFINITY);
-    for (i, (row, slot)) in coords.chunks_exact(D).zip(nearest.iter_mut()).enumerate() {
-        let row: &[S; D] = row.try_into().expect("row length");
-        let d = dist2_arrays(row, center);
+    for (j, slot) in blocks.into_remainder().iter_mut().enumerate() {
+        let d = row_dist(base + j);
         if d < *slot {
             *slot = d;
         }
         if *slot > best.1 {
-            best = (i, *slot);
+            best = (base + j, *slot);
         }
     }
     best
 }
 
-/// Dynamic-dimension fallback of [`fused_rows`].
-fn fused_rows_dyn<S: Scalar>(
+/// [`relax_blocked`] over contiguous `dim`-length rows of `coords`: row `i`
+/// pairs with `nearest[i]`, as far as both reach.  `dist` maps a row to its
+/// comparison-space distance from the new center.
+#[inline(always)]
+pub(crate) fn relax_rows<S: Scalar>(
     coords: &[S],
     dim: usize,
-    center: &[S],
     nearest: &mut [S],
+    dist: impl Fn(&[S]) -> S,
 ) -> (usize, S) {
-    let mut best = (0usize, S::NEG_INFINITY);
-    for (i, (row, slot)) in coords.chunks_exact(dim).zip(nearest.iter_mut()).enumerate() {
-        let d = dist2(row, center);
-        if d < *slot {
-            *slot = d;
-        }
-        if *slot > best.1 {
-            best = (i, *slot);
-        }
-    }
-    best
+    let n = nearest.len().min(coords.len() / dim);
+    // Forced: LLVM may otherwise call the row distance out of line, once
+    // per row, which cost the d = 3 kernel all of its gain when measured.
+    relax_blocked(
+        &mut nearest[..n],
+        #[inline(always)]
+        |i| dist(&coords[i * dim..i * dim + dim]),
+    )
 }
 
-/// The dimension-specialised fused inner loop over an id subset.
-fn fused_subset<S: Scalar, const D: usize>(
-    coords: &[S],
-    subset: &[PointId],
-    center: &[S],
-    nearest: &mut [S],
-) -> (usize, S) {
-    let center: &[S; D] = center.try_into().expect("center row length");
-    let mut best = (0usize, S::NEG_INFINITY);
-    for (i, (&p, slot)) in subset.iter().zip(nearest.iter_mut()).enumerate() {
-        let row: &[S; D] = coords[p * D..p * D + D].try_into().expect("row length");
-        let d = dist2_arrays(row, center);
-        if d < *slot {
-            *slot = d;
-        }
-        if *slot > best.1 {
-            best = (i, *slot);
-        }
-    }
-    best
-}
-
-/// Dynamic-dimension fallback of [`fused_subset`].
-fn fused_subset_dyn<S: Scalar>(
+/// [`relax_blocked`] over an id subset: row `subset[i]` pairs with
+/// `nearest[i]`, as far as both reach.
+#[inline(always)]
+pub(crate) fn relax_ids<S: Scalar>(
     coords: &[S],
     dim: usize,
     subset: &[PointId],
-    center: &[S],
     nearest: &mut [S],
+    dist: impl Fn(&[S]) -> S,
 ) -> (usize, S) {
-    let mut best = (0usize, S::NEG_INFINITY);
-    for (i, (&p, slot)) in subset.iter().zip(nearest.iter_mut()).enumerate() {
-        let d = dist2(&coords[p * dim..p * dim + dim], center);
-        if d < *slot {
-            *slot = d;
-        }
-        if *slot > best.1 {
-            best = (i, *slot);
-        }
-    }
-    best
+    let n = nearest.len().min(subset.len());
+    // Forced inline, as in `relax_rows`.
+    relax_blocked(
+        &mut nearest[..n],
+        #[inline(always)]
+        |i| {
+            let p = subset[i];
+            dist(&coords[p * dim..p * dim + dim])
+        },
+    )
+}
+
+/// `row` as a fixed-length array reference, for the const-`D` kernels.
+///
+/// # Panics
+///
+/// Panics if `row.len() != D`.
+#[inline(always)]
+fn fixed_row<S: Scalar, const D: usize>(row: &[S]) -> &[S; D] {
+    row.try_into().expect("row length")
 }
 
 /// Squared distance between two fixed-size rows: the statically known

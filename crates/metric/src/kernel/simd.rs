@@ -12,7 +12,10 @@
 //! * [`KernelBackend::Portable`] — a safe array-of-accumulators fallback
 //!   that compiles everywhere: 8 lanes at `f32`, 4 lanes at `f64` (one
 //!   32-byte vector register), which LLVM reliably vectorises at whatever
-//!   width the build target offers;
+//!   width the build target offers.  Its fused relax kernels are
+//!   dimension-specialised like the scalar ones: the listed dimensions run
+//!   a const-length instantiation of the same lane loop, halving tree and
+//!   tail, through the blocked relax loop of [`crate::kernel`];
 //! * [`KernelBackend::Avx2`] — `core::arch` AVX2+FMA intrinsics behind
 //!   `#[target_feature(enable = "avx2", enable = "fma")]`, compiled only
 //!   under the `simd` cargo feature on `x86_64` and selected only when
@@ -96,7 +99,8 @@ pub enum KernelBackend {
     /// The 4-accumulator scalar loops (auto-vectorised by LLVM, if at all).
     Scalar = 0,
     /// The portable width-pinned array-of-accumulators kernels (8 `f32` /
-    /// 4 `f64` lanes); compiles on every target.
+    /// 4 `f64` lanes), dimension-specialised in the fused relax kernels;
+    /// compiles on every target.
     Portable = 1,
     /// AVX2+FMA intrinsics; requires the `simd` cargo feature, an `x86_64`
     /// target, and runtime CPU support.
@@ -339,8 +343,11 @@ pub trait SimdScalar: Copy + Sized + Send + Sync + 'static {
 /// The portable width-pinned kernels: plain arrays of `W` accumulators that
 /// LLVM vectorises at whatever width the build target offers, with the same
 /// fixed lane assignment and halving-tree reduction as the AVX2 kernels
-/// (module docs) so each backend's summation order is pinned.
+/// (module docs) so each backend's summation order is pinned.  The fused
+/// relax kernels call the same `dist2` per row, on const-length
+/// rows at the specialised dimensions, so they keep its bits exactly.
 mod portable {
+    use crate::kernel::{fixed_row, relax_ids, relax_rows};
     use crate::scalar::Scalar;
 
     /// Fixed halving-tree reduction over the first `width = W` lanes:
@@ -360,8 +367,9 @@ mod portable {
 
     /// Squared distance with `W` lane accumulators (lane `l` sums
     /// coordinates `l, l+W, …`), scalar tail added after the lane
-    /// reduction.
-    #[inline]
+    /// reduction.  Always inlined, so a caller passing rows of a
+    /// compile-time length gets a fully unrolled instantiation.
+    #[inline(always)]
     pub fn dist2<S: Scalar, const W: usize>(a: &[S], b: &[S]) -> S {
         let n = a.len().min(b.len());
         let (a, b) = (&a[..n], &b[..n]);
@@ -407,27 +415,24 @@ mod portable {
         reduce_lanes(acc) + tail
     }
 
-    /// Fused relax + argmax over contiguous rows on the `W`-lane distance.
+    /// Fused relax + argmax over contiguous rows on the `W`-lane distance,
+    /// through the blocked relax loop.  Specialised dimensions run a
+    /// const-length instantiation of [`dist2`] (same lanes, tree and tail),
+    /// so the distance unrolls fully.
     pub fn relax_rows_max<S: Scalar, const W: usize>(
         coords: &[S],
         dim: usize,
         center: &[S],
         nearest: &mut [S],
     ) -> (usize, S) {
-        let mut best = (0usize, S::NEG_INFINITY);
-        for (i, (row, slot)) in coords.chunks_exact(dim).zip(nearest.iter_mut()).enumerate() {
-            let d = dist2::<S, W>(row, center);
-            if d < *slot {
-                *slot = d;
-            }
-            if *slot > best.1 {
-                best = (i, *slot);
-            }
-        }
-        best
+        with_const_dim!(dim, D => {
+            let center = fixed_row::<S, D>(center);
+            relax_rows(coords, D, nearest, |row| dist2::<S, W>(fixed_row::<S, D>(row), center))
+        }, _ => relax_rows(coords, dim, nearest, |row| dist2::<S, W>(row, center)))
     }
 
-    /// Fused relax + argmax over an id subset on the `W`-lane distance.
+    /// Fused relax + argmax over an id subset on the `W`-lane distance
+    /// (dimension-specialised like [`relax_rows_max`]).
     pub fn relax_ids_max<S: Scalar, const W: usize>(
         coords: &[S],
         dim: usize,
@@ -436,17 +441,12 @@ mod portable {
         nearest: &mut [S],
     ) -> (usize, S) {
         debug_assert_eq!(subset.len(), nearest.len());
-        let mut best = (0usize, S::NEG_INFINITY);
-        for (i, (&p, slot)) in subset.iter().zip(nearest.iter_mut()).enumerate() {
-            let d = dist2::<S, W>(&coords[p * dim..p * dim + dim], center);
-            if d < *slot {
-                *slot = d;
-            }
-            if *slot > best.1 {
-                best = (i, *slot);
-            }
-        }
-        best
+        with_const_dim!(dim, D => {
+            let center = fixed_row::<S, D>(center);
+            relax_ids(coords, D, subset, nearest, |row| {
+                dist2::<S, W>(fixed_row::<S, D>(row), center)
+            })
+        }, _ => relax_ids(coords, dim, subset, nearest, |row| dist2::<S, W>(row, center)))
     }
 }
 

@@ -377,3 +377,128 @@ mod backend_parity {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The blocked relax loop (four slots per block, per-row tail) must leave
+// every row's bits exactly where the single-row kernels put them.
+// ---------------------------------------------------------------------------
+
+mod blocked_relax {
+    use kcenter_metric::kernel::simd::{available_backends, KernelBackend, SimdScalar};
+    use kcenter_metric::kernel::{
+        argmax, dist2, relax_max_ids_coords_with, relax_max_rows_coords_with,
+    };
+    use kcenter_metric::Scalar;
+
+    /// The specialised dimensions, then unlisted ones that take the
+    /// dynamic-length loops.
+    const DIMS: [usize; 14] = [2, 3, 4, 8, 10, 16, 32, 38, 64, 1, 5, 7, 17, 33];
+
+    /// Continuous coordinates in `[-100, 100)`: sums of their squared
+    /// differences round differently in different summation orders.
+    fn coords(n: usize, dim: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..n * dim)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0
+            })
+            .collect()
+    }
+
+    /// The per-row oracle: one dispatched pairwise distance per row (the
+    /// scalar kernel where the backend declines), a strict-`<` relax, then
+    /// [`argmax`].
+    fn oracle<S: Scalar>(
+        backend: KernelBackend,
+        rows: &[&[S]],
+        center: &[S],
+        nearest: &mut [S],
+    ) -> (usize, S) {
+        for (slot, row) in nearest.iter_mut().zip(rows) {
+            let d = S::simd_dist2(backend, row, center).unwrap_or_else(|| dist2(row, center));
+            if d < *slot {
+                *slot = d;
+            }
+        }
+        argmax(nearest).unwrap_or((0, S::NEG_INFINITY))
+    }
+
+    /// `n` rows of `dim` continuous coordinates followed by two center
+    /// rows, with the rows `far` overwritten by identical copies of a row
+    /// farther from both centers than any other.
+    fn instance<S: Scalar>(n: usize, dim: usize, far: &[usize]) -> Vec<S> {
+        let mut base = coords(n + 2, dim, (n * 131 + dim) as u64);
+        let far_row: Vec<f64> = (0..dim).map(|j| 1_000.0 + j as f64 * 0.37).collect();
+        for &r in far {
+            base[r * dim..(r + 1) * dim].copy_from_slice(&far_row);
+        }
+        base.iter().map(|&c| S::from_f64(c)).collect()
+    }
+
+    /// Checks the rows and subset kernels of every available backend
+    /// against [`oracle`]: `nearest` is pre-relaxed against the first
+    /// center, so the second one updates some slots and not others.  With a
+    /// `tie`, the rows at those positions (of the kernel's own order) are
+    /// identical copies of the farthest row, and the lower position must
+    /// win.
+    fn check<S: Scalar>(n: usize, dim: usize, tie: Option<(usize, usize)>) {
+        // The subset visits the rows in reverse: position `i` is row
+        // `n - 1 - i`.
+        let subset: Vec<usize> = (0..n).rev().collect();
+        let tied: Vec<usize> = tie.map_or(Vec::new(), |(a, b)| vec![a, b]);
+        let tied_rows: Vec<usize> = tied.iter().map(|&i| subset[i]).collect();
+        let rows_data = instance::<S>(n, dim, &tied);
+        let subset_data = instance::<S>(n, dim, &tied_rows);
+        for backend in available_backends() {
+            let label = format!("{backend} {} dim {dim} n {n} tie {tie:?}", S::NAME);
+            for (shape, all) in [("rows", &rows_data), ("subset", &subset_data)] {
+                let (data, centers) = all.split_at(n * dim);
+                let (first, second) = centers.split_at(dim);
+                let mut rows: Vec<&[S]> = data.chunks_exact(dim).collect();
+                if shape == "subset" {
+                    rows = subset.iter().map(|&p| rows[p]).collect();
+                }
+                let mut pre = vec![S::INFINITY; n];
+                oracle(backend, &rows, first, &mut pre);
+                let mut want = pre.clone();
+                let want_best = oracle(backend, &rows, second, &mut want);
+                if let Some((a, _)) = tie {
+                    assert_eq!(want_best.0, a, "{shape} {label}: the oracle's winner");
+                }
+                let mut got = pre;
+                let got_best = if shape == "rows" {
+                    // The AVX2 rows kernel reduces four rows' lanes together,
+                    // in its own order, once a row fills a vector.
+                    if backend == KernelBackend::Avx2 && dim >= <S as SimdScalar>::LANES {
+                        continue;
+                    }
+                    relax_max_rows_coords_with(backend, data, dim, second, &mut got)
+                } else {
+                    relax_max_ids_coords_with(backend, data, dim, &subset, second, &mut got)
+                };
+                assert_eq!(got_best, want_best, "{shape} {label}");
+                assert!(got == want, "{shape} {label}: nearest differs");
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_keep_the_single_row_bits() {
+        for dim in DIMS {
+            for n in (0..=9).chain([37]) {
+                check::<f64>(n, dim, None);
+                check::<f32>(n, dim, None);
+                // A tie inside one block, and one across two blocks.
+                for (a, b) in [(1, 2), (2, 6)] {
+                    if b < n {
+                        check::<f64>(n, dim, Some((a, b)));
+                        check::<f32>(n, dim, Some((a, b)));
+                    }
+                }
+            }
+        }
+    }
+}
