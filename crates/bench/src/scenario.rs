@@ -75,15 +75,14 @@
 use kcenter_core::hash::Fnv;
 use kcenter_core::outliers::evaluate_with_outliers;
 use kcenter_core::prelude::*;
-use kcenter_data::DatasetSpec;
+use kcenter_data::{DatasetSpec, FamilyParams, SpecParam};
 use kcenter_mapreduce::{
     install_thread_budget, Executor, ExecutorChoice, FaultConfig, FaultPlan, FaultPolicy,
 };
-use kcenter_metric::grid::{self, AssignChoice, AssignMode};
+use kcenter_metric::grid::{self, AssignChoice};
 use kcenter_metric::kernel::simd;
 use kcenter_metric::{
-    Distance, Euclidean, KernelBackend, KernelChoice, Manhattan, PointId, Precision, Scalar,
-    VecSpace,
+    Distance, Euclidean, KernelChoice, Manhattan, PointId, Precision, Scalar, VecSpace,
 };
 use kcenter_serve::{IngestConfig, IngestError, Ingestor, KillPoint, KillStage, StreamConfig};
 use std::fmt;
@@ -719,6 +718,19 @@ impl FaultSpec {
     fn is_active(self) -> bool {
         !matches!(self, FaultSpec::None)
     }
+
+    /// The fault configuration of this arm under the spec's retry budget
+    /// (`None` when fault-free).
+    fn config(self, max_attempts: usize) -> Option<FaultConfig> {
+        match self {
+            FaultSpec::None => None,
+            FaultSpec::Seeded { seed, degrade } => Some(
+                FaultConfig::new(FaultPlan::seeded(seed))
+                    .with_policy(FaultPolicy::with_max_attempts(max_attempts))
+                    .with_degrade(degrade),
+            ),
+        }
+    }
 }
 
 /// A parsed scenario: shared run parameters, the grid axes, and the
@@ -825,8 +837,8 @@ impl IngestCellConfig {
             self.coreset_size,
             self.budget,
             self.precision.name(),
-            kernel_label(self.kernel),
-            assign_label(self.assign),
+            self.kernel.name(),
+            self.assign.name(),
             self.fault.label(),
         )
     }
@@ -857,31 +869,6 @@ pub struct CellConfig {
     pub fault: FaultSpec,
 }
 
-/// Canonical name of a kernel request.
-fn kernel_label(choice: KernelChoice) -> &'static str {
-    match choice {
-        KernelChoice::Auto => "auto",
-        KernelChoice::Fixed(b) => b.name(),
-    }
-}
-
-/// Canonical name of an assignment-arm request.
-fn assign_label(choice: AssignChoice) -> &'static str {
-    match choice {
-        AssignChoice::Auto => "auto",
-        AssignChoice::Fixed(AssignMode::Dense) => "dense",
-        AssignChoice::Fixed(AssignMode::Grid) => "grid",
-    }
-}
-
-/// Canonical name of an executor request.
-fn executor_label(choice: ExecutorChoice) -> &'static str {
-    match choice {
-        ExecutorChoice::Simulated => "simulated",
-        ExecutorChoice::Threads => "threads",
-    }
-}
-
 impl CellConfig {
     /// The cell's stable identity: every axis value, `/`-joined.  Reports
     /// are diffed by this key.
@@ -893,9 +880,9 @@ impl CellConfig {
             self.dataset.n(),
             self.solver.name(),
             self.precision.name(),
-            kernel_label(self.kernel),
-            assign_label(self.assign),
-            executor_label(self.executor),
+            self.kernel.name(),
+            self.assign.name(),
+            self.executor.name(),
             self.distance.name(),
             self.z,
             self.fault.label(),
@@ -1119,12 +1106,16 @@ fn opt_u64(doc: &Value, key: &str, default: u64) -> Result<u64, ScenarioError> {
 }
 
 fn opt_usize(doc: &Value, key: &str, default: usize) -> Result<usize, ScenarioError> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_usize()
-            .ok_or_else(|| invalid(key, "<non-integer>", "a non-negative integer")),
-    }
+    Ok(maybe_usize(doc, key)?.unwrap_or(default))
+}
+
+fn maybe_usize(doc: &Value, key: &str) -> Result<Option<usize>, ScenarioError> {
+    doc.get(key)
+        .map(|v| {
+            v.as_usize()
+                .ok_or_else(|| invalid(key, "<non-integer>", "a non-negative integer"))
+        })
+        .transpose()
 }
 
 fn opt_f64(doc: &Value, key: &str, default: f64) -> Result<f64, ScenarioError> {
@@ -1224,7 +1215,7 @@ fn parse_ingest_axes(value: &Value) -> Result<IngestAxes, ScenarioError> {
     })
 }
 
-/// Interprets one `[[dataset]]` table.
+/// Interprets one `[[dataset]]` table through the one family parser.
 fn parse_dataset(value: &Value) -> Result<DatasetSpec, ScenarioError> {
     let family = value
         .get("family")
@@ -1236,34 +1227,22 @@ fn parse_dataset(value: &Value) -> Result<DatasetSpec, ScenarioError> {
         .ok_or_else(|| missing("dataset.n"))?
         .as_usize()
         .ok_or_else(|| invalid("dataset.n", "<non-integer>", "a positive integer"))?;
-    let k_prime = opt_usize(value, "k_prime", 25)?;
-    match family.to_ascii_lowercase().as_str() {
-        "unif" => Ok(DatasetSpec::Unif { n }),
-        "gau" => Ok(DatasetSpec::Gau { n, k_prime }),
-        "unb" => Ok(DatasetSpec::Unb { n, k_prime }),
-        "poker" => Ok(DatasetSpec::PokerHand { n }),
-        "kdd" => Ok(DatasetSpec::KddCup { n }),
-        "exp" => Ok(DatasetSpec::Exp { n, k_prime }),
-        "dup" => Ok(DatasetSpec::Dup {
-            n,
-            distinct: opt_usize(value, "distinct", 16)?,
-        }),
-        "gau-hd" => Ok(DatasetSpec::HighDim {
-            n,
-            k_prime,
-            dim: opt_usize(value, "dim", 64)?,
-        }),
-        "gau+out" | "planted" => Ok(DatasetSpec::PlantedOutliers {
-            n,
-            k_prime,
-            outliers: opt_usize(value, "planted", (n / 100).max(1))?,
-        }),
-        other => Err(invalid(
-            "dataset.family",
-            other,
-            "unif | gau | unb | poker | kdd | exp | dup | gau-hd | gau+out",
-        )),
-    }
+    let params = FamilyParams {
+        k_prime: maybe_usize(value, "k_prime")?,
+        distinct: maybe_usize(value, "distinct")?,
+        dim: maybe_usize(value, "dim")?,
+        planted: maybe_usize(value, "planted")?,
+    };
+    DatasetSpec::from_family(family, n, params).map_err(|e| {
+        let key = match e.param {
+            SpecParam::Family => "dataset.family",
+            SpecParam::KPrime => "dataset.k_prime",
+            SpecParam::Distinct => "dataset.distinct",
+            SpecParam::Dim => "dataset.dim",
+            SpecParam::Planted => "dataset.planted",
+        };
+        invalid(key, e.value, &e.expected)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1390,18 +1369,22 @@ pub fn run_scenario_with(
     })
 }
 
+/// Installs a cell's kernel backend and assignment arm.
+fn install_cell(kernel: KernelChoice, assign: AssignChoice) -> Result<(), ScenarioError> {
+    kernel
+        .resolve()
+        .and_then(simd::set_active)
+        .map_err(|e| invalid("kernel", kernel.name(), &e.to_string()))?;
+    grid::set_choice(assign);
+    Ok(())
+}
+
 fn run_one_cell(
     spec: &ScenarioSpec,
     cell: &CellConfig,
     id: String,
 ) -> Result<CellResult, ScenarioError> {
-    // Install the cell's dispatch state.
-    let backend: KernelBackend = cell
-        .kernel
-        .resolve()
-        .map_err(|e| invalid("kernel", kernel_label(cell.kernel), &e.to_string()))?;
-    simd::set_active(backend).map_err(|e| invalid("kernel", backend.name(), &e.to_string()))?;
-    grid::set_choice(cell.assign);
+    install_cell(cell.kernel, cell.assign)?;
     let executor = cell.executor.resolve(Some(spec.threads));
 
     // Monomorphise on (precision, distance) and run.
@@ -1415,9 +1398,9 @@ fn run_one_cell(
                 n: cell.dataset.n(),
                 solver: cell.solver.name().to_string(),
                 precision: cell.precision.name().to_string(),
-                kernel: kernel_label(cell.kernel).to_string(),
-                assign: assign_label(cell.assign).to_string(),
-                executor: executor_label(cell.executor).to_string(),
+                kernel: cell.kernel.name().to_string(),
+                assign: cell.assign.name().to_string(),
+                executor: cell.executor.name().to_string(),
                 distance: cell.distance.name().to_string(),
                 z: cell.z,
                 fault: cell.fault.label(),
@@ -1455,12 +1438,7 @@ fn run_ingest_cell(
     cell: &IngestCellConfig,
     id: String,
 ) -> Result<CellResult, ScenarioError> {
-    let backend: KernelBackend = cell
-        .kernel
-        .resolve()
-        .map_err(|e| invalid("kernel", kernel_label(cell.kernel), &e.to_string()))?;
-    simd::set_active(backend).map_err(|e| invalid("kernel", backend.name(), &e.to_string()))?;
-    grid::set_choice(cell.assign);
+    install_cell(cell.kernel, cell.assign)?;
     let start = Instant::now();
     let mut result = match cell.precision {
         Precision::F64 => ingest_cell_at::<f64>(spec, cell, &id),
@@ -1480,14 +1458,7 @@ fn ingest_cell_at<S: Scalar>(
     id: &str,
 ) -> Result<CellResult, ScenarioError> {
     let fail = |what: String| invalid("cell", id, &what);
-    let faults = match cell.fault {
-        FaultSpec::None => None,
-        FaultSpec::Seeded { seed, degrade } => Some(
-            FaultConfig::new(FaultPlan::seeded(seed))
-                .with_policy(FaultPolicy::with_max_attempts(spec.max_attempts))
-                .with_degrade(degrade),
-        ),
-    };
+    let faults = cell.fault.config(spec.max_attempts);
     let config = |kill: Option<KillPoint>| IngestConfig {
         stream: StreamConfig {
             spec: cell.dataset.clone(),
@@ -1566,8 +1537,8 @@ fn ingest_cell_at<S: Scalar>(
         n: cell.dataset.n(),
         solver: "ingest".to_string(),
         precision: cell.precision.name().to_string(),
-        kernel: kernel_label(cell.kernel).to_string(),
-        assign: assign_label(cell.assign).to_string(),
+        kernel: cell.kernel.name().to_string(),
+        assign: cell.assign.name().to_string(),
         executor: "simulated".to_string(),
         distance: "euclidean".to_string(),
         z: 0,
@@ -1593,14 +1564,7 @@ fn solve_cell<S: Scalar, D: Distance + Default>(
     let flat = cell.dataset.generate_flat_at::<S>(spec.seed);
     let space: VecSpace<D, S> = VecSpace::from_flat_with_distance(flat, D::default());
 
-    let faults = match cell.fault {
-        FaultSpec::None => None,
-        FaultSpec::Seeded { seed, degrade } => Some(
-            FaultConfig::new(FaultPlan::seeded(seed))
-                .with_policy(FaultPolicy::with_max_attempts(spec.max_attempts))
-                .with_degrade(degrade),
-        ),
-    };
+    let faults = cell.fault.config(spec.max_attempts);
 
     let outcome = match cell.solver {
         SolverKind::Gon => {
@@ -1974,6 +1938,7 @@ fn diff_cell(base: &CellResult, cur: &CellResult, tol: &DiffTolerances, out: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcenter_metric::{AssignMode, KernelBackend};
 
     const SPEC: &str = r#"
 name = "unit"
@@ -2085,6 +2050,19 @@ k_prime = 3
             ScenarioSpec::parse("name = \"x\"\nk = 2\n[[dataset]]\nfamily = \"fractal\"\nn = 10\n")
                 .unwrap_err();
         assert!(matches!(err, ScenarioError::Invalid { ref what, .. } if what == "dataset.family"));
+    }
+
+    #[test]
+    fn datasets_with_zero_k_prime_are_named_spec_errors() {
+        let err = ScenarioSpec::parse(
+            "name = \"x\"\nk = 2\n[[dataset]]\nfamily = \"gau\"\nn = 10\nk_prime = 0\n",
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::Invalid { ref what, ref value, .. }
+                if what == "dataset.k_prime" && value == "0"),
+            "{err}"
+        );
     }
 
     #[test]

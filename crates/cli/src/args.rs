@@ -4,7 +4,7 @@
 //! crates; the grammar is small enough that a parser combinator library
 //! would be overkill.
 
-use kcenter_data::DatasetSpec;
+use kcenter_data::{DatasetSpec, FamilyParams, SpecParam};
 use kcenter_mapreduce::ExecutorChoice;
 use kcenter_metric::{AssignChoice, KernelChoice, Precision};
 use kcenter_serve::{KillPoint, KillStage};
@@ -71,7 +71,7 @@ impl SolverChoice {
     }
 }
 
-/// Fault-injection options shared by `solve` and `sweep`.
+/// Fault-injection options, part of [`RunArgs`].
 ///
 /// A run is fault-free unless `--fault-plan FILE` (an explicit schedule or
 /// seeded plan in the [`kcenter_mapreduce::FaultPlan::parse_text`] format)
@@ -145,6 +145,67 @@ impl FaultArgs {
     }
 }
 
+/// The run setup shared by `solve`, `sweep` and `ingest`: the conditions
+/// every compared algorithm runs under.  A `None` request defers to its
+/// `KCENTER_*` environment variable, read by `commands::install`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RunArgs {
+    /// Storage precision of the coordinate store (`--precision f32|f64`):
+    /// `f32` halves the scan bandwidth (radii are still certified in
+    /// `f64`).
+    pub precision: Precision,
+    /// Kernel backend request (`--kernel auto|scalar|portable|avx2`);
+    /// `None` defers to `KCENTER_KERNEL`.
+    pub kernel: Option<KernelChoice>,
+    /// Assignment-arm request (`--assign auto|dense|grid`); `None` defers
+    /// to `KCENTER_ASSIGN`.
+    pub assign: Option<AssignChoice>,
+    /// Cluster-executor request (`--executor simulated|threads`); `None`
+    /// defers to `KCENTER_EXECUTOR`.
+    pub executor: Option<ExecutorChoice>,
+    /// Worker-thread budget (`--threads N`); `None` defers to
+    /// `KCENTER_THREADS`, then to the host's available parallelism.
+    pub threads: Option<usize>,
+    /// Fault-injection options (inactive by default).
+    pub faults: FaultArgs,
+}
+
+impl RunArgs {
+    /// Consumes one `--flag value` pair if it is a run flag; returns
+    /// whether the pair was consumed.  Unknown choice names surface the
+    /// named selection error of their crate.
+    fn consume(&mut self, flag: &str, value: &str) -> Result<bool, ParseError> {
+        if self.faults.consume(flag, value)? {
+            return Ok(true);
+        }
+        let named = |e: &dyn fmt::Display| ParseError(format!("invalid value for {flag}: {e}"));
+        match flag {
+            "--precision" => {
+                self.precision = Precision::parse(value).ok_or_else(|| {
+                    ParseError(format!(
+                        "invalid value {value:?} for --precision (expected f32 or f64)"
+                    ))
+                })?
+            }
+            "--kernel" => self.kernel = Some(KernelChoice::parse(value).map_err(|e| named(&e))?),
+            "--assign" => self.assign = Some(AssignChoice::parse(value).map_err(|e| named(&e))?),
+            "--executor" => {
+                self.executor = Some(ExecutorChoice::parse(value).map_err(|e| named(&e))?)
+            }
+            "--threads" => match value.parse::<usize>() {
+                Ok(n) if n >= 1 => self.threads = Some(n),
+                _ => {
+                    return Err(ParseError(format!(
+                        "invalid value {value:?} for --threads (expected an integer >= 1)"
+                    )))
+                }
+            },
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
 /// Arguments of the `solve` subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveArgs {
@@ -167,28 +228,12 @@ pub struct SolveArgs {
     /// Optional path to write the per-point assignment to
     /// (`--assign-out OUT.csv`).
     pub assignment_out: Option<String>,
-    /// Storage precision for the coordinate store: `f32` halves the scan
-    /// bandwidth (the covering radius is still certified in `f64`).
-    pub precision: Precision,
-    /// Kernel backend request (`--kernel auto|scalar|portable|avx2`);
-    /// `None` defers to the `KCENTER_KERNEL` environment variable.
-    pub kernel: Option<KernelChoice>,
-    /// Assignment-arm request (`--assign auto|dense|grid`); `None` defers
-    /// to the `KCENTER_ASSIGN` environment variable.
-    pub assign: Option<AssignChoice>,
-    /// Cluster-executor request (`--executor simulated|threads`); `None`
-    /// defers to the `KCENTER_EXECUTOR` environment variable.
-    pub executor: Option<ExecutorChoice>,
-    /// Worker-thread budget (`--threads N`); `None` defers to the
-    /// `KCENTER_THREADS` environment variable, then to the host's
-    /// available parallelism.
-    pub threads: Option<usize>,
     /// With-outliers objective: additionally certify the radius over the
     /// `n − z` kept points after dropping the `z` farthest (`--outliers Z`;
     /// 0 disables the extra report).
     pub outliers: usize,
-    /// Fault-injection options (inactive by default).
-    pub faults: FaultArgs,
+    /// The run setup.
+    pub run: RunArgs,
 }
 
 /// Which builder the `sweep` subcommand uses for its one-off coreset.
@@ -248,27 +293,11 @@ pub struct SweepArgs {
     pub epsilon: f64,
     /// Seed for all sampling randomness.
     pub seed: u64,
-    /// Storage precision of the coordinate store.
-    pub precision: Precision,
-    /// Kernel backend request (`--kernel auto|scalar|portable|avx2`);
-    /// `None` defers to the `KCENTER_KERNEL` environment variable.
-    pub kernel: Option<KernelChoice>,
-    /// Assignment-arm request (`--assign auto|dense|grid`); `None` defers
-    /// to the `KCENTER_ASSIGN` environment variable.
-    pub assign: Option<AssignChoice>,
-    /// Cluster-executor request (`--executor simulated|threads`); `None`
-    /// defers to the `KCENTER_EXECUTOR` environment variable.
-    pub executor: Option<ExecutorChoice>,
-    /// Worker-thread budget (`--threads N`); `None` defers to the
-    /// `KCENTER_THREADS` environment variable, then to the host's
-    /// available parallelism.
-    pub threads: Option<usize>,
     /// Whether to run the per-cell EIM reruns the sweep amortises away
     /// (disable to time the coreset path alone).
     pub baseline: bool,
-    /// Fault-injection options (inactive by default; applied to the
-    /// coreset build rounds).
-    pub faults: FaultArgs,
+    /// The run setup (its faults apply to the coreset build rounds).
+    pub run: RunArgs,
 }
 
 /// Arguments of the `ingest` subcommand: the durable streaming coreset
@@ -296,19 +325,9 @@ pub struct IngestArgs {
     pub k: usize,
     /// Checkpoint file path.
     pub checkpoint: String,
-    /// Storage precision of the coordinate store.
-    pub precision: Precision,
-    /// Kernel backend request; `None` defers to `KCENTER_KERNEL`.
-    pub kernel: Option<KernelChoice>,
-    /// Assignment-arm request; `None` defers to `KCENTER_ASSIGN`.
-    pub assign: Option<AssignChoice>,
-    /// Cluster-executor request; `None` defers to `KCENTER_EXECUTOR`.
-    pub executor: Option<ExecutorChoice>,
-    /// Worker-thread budget; `None` defers to `KCENTER_THREADS`.
-    pub threads: Option<usize>,
-    /// Fault-injection options for the batch builds (dropped shards are
-    /// healed by re-ingestion from the stream, not disclosed as lost).
-    pub faults: FaultArgs,
+    /// The run setup (its faults apply to the batch builds; dropped shards
+    /// are healed by re-ingestion from the stream, not disclosed as lost).
+    pub run: RunArgs,
     /// Deterministic crash injection: die at `--kill-stage` of batch
     /// `--kill-after-batch` (composes with `--fault-seed`).
     pub kill: Option<KillPoint>,
@@ -351,33 +370,28 @@ USAGE:
                 [--seed S] --out FILE.csv
   kcenter solve <gon|mrg|eim|hs> --input FILE.csv --k K [--machines M] [--phi P]
                 [--epsilon E] [--seed S] [--skip-columns C] [--assign-out OUT.csv]
-                [--precision f32|f64] [--kernel auto|scalar|portable|avx2]
-                [--assign auto|dense|grid]
-                [--executor simulated|threads] [--threads N] [--outliers Z]
-                [--fault-plan FILE | --fault-seed S] [--max-attempts N]
-                [--degrade on|off]
-  kcenter sweep (--input FILE.csv | --family <unif|gau|unb|poker|kdd> --n N [--k-prime K'])
+                [--outliers Z] [RUN FLAGS]
+  kcenter sweep (--input FILE.csv | --family FAMILY --n N [--k-prime K'])
                 --ks K1,K2,... [--phis P1,P2,...] [--builder gonzalez|eim]
                 [--coreset-size T] [--machines M] [--epsilon E] [--seed S]
-                [--skip-columns C] [--precision f32|f64]
-                [--kernel auto|scalar|portable|avx2] [--assign auto|dense|grid]
-                [--executor simulated|threads] [--threads N]
-                [--baseline on|off]
-                [--fault-plan FILE | --fault-seed S] [--max-attempts N]
-                [--degrade on|off]
-  kcenter ingest --family <unif|gau|unb|poker|kdd> --n N [--k-prime K']
+                [--skip-columns C] [--baseline on|off] [RUN FLAGS]
+  kcenter ingest --family FAMILY --n N [--k-prime K']
                 --batches B --k K --checkpoint FILE.ckpt [--seed S]
                 [--coreset-size T] [--budget C] [--machines M]
-                [--precision f32|f64] [--kernel auto|scalar|portable|avx2]
-                [--assign auto|dense|grid]
-                [--executor simulated|threads] [--threads N]
-                [--fault-plan FILE | --fault-seed S] [--max-attempts N]
-                [--degrade on|off]
                 [--kill-after-batch B
                  [--kill-stage before-checkpoint|during-checkpoint|after-checkpoint]]
-                [--query X,Y,...] [--report OUT.json]
+                [--query X,Y,...] [--report OUT.json] [RUN FLAGS]
   kcenter info --input FILE.csv [--skip-columns C]
   kcenter help
+
+RUN FLAGS (solve, sweep and ingest):
+                [--precision f32|f64] [--kernel auto|scalar|portable|avx2]
+                [--assign auto|dense|grid] [--executor simulated|threads]
+                [--threads N] [--fault-plan FILE | --fault-seed S]
+                [--max-attempts N] [--degrade on|off]
+
+FAMILY is any of generate's nine workload families, at generate's
+defaults for the parameters sweep and ingest take no flag for.
 
 The sweep builds one weighted coreset, solves every (k, phi) grid cell on
 it, certifies each cell's full-data radius, and (unless --baseline off)
@@ -494,49 +508,50 @@ fn parse_generate(args: &[String]) -> Result<GenerateArgs, ParseError> {
         .ok_or_else(|| ParseError("generate needs a workload family".into()))?;
     let flags = collect_flags(&args[1..])?;
     let mut n: Option<usize> = None;
-    let mut k_prime: usize = 25;
+    let mut params = FamilyParams::default();
     let mut seed: u64 = 1;
     let mut output: Option<String> = None;
-    let mut distinct: usize = 16;
-    let mut dim: usize = 64;
-    let mut outliers: Option<usize> = None;
     for (flag, value) in &flags {
         match flag.as_str() {
             "--n" => n = Some(parse_number(flag, value)?),
-            "--k-prime" => k_prime = parse_number(flag, value)?,
+            "--k-prime" => params.k_prime = Some(parse_number(flag, value)?),
             "--seed" => seed = parse_number(flag, value)?,
             "--out" => output = Some(value.clone()),
-            "--distinct" => distinct = parse_number(flag, value)?,
-            "--dim" => dim = parse_number(flag, value)?,
-            "--outliers" => outliers = Some(parse_number(flag, value)?),
+            "--distinct" => params.distinct = Some(parse_number(flag, value)?),
+            "--dim" => params.dim = Some(parse_number(flag, value)?),
+            "--outliers" => params.planted = Some(parse_number(flag, value)?),
             other => return Err(ParseError(format!("unknown flag {other:?} for generate"))),
         }
     }
     let n = n.ok_or_else(|| ParseError("generate requires --n".into()))?;
     let output = output.ok_or_else(|| ParseError("generate requires --out".into()))?;
-    let spec = match family.to_ascii_lowercase().as_str() {
-        "unif" => DatasetSpec::Unif { n },
-        "gau" => DatasetSpec::Gau { n, k_prime },
-        "unb" => DatasetSpec::Unb { n, k_prime },
-        "poker" => DatasetSpec::PokerHand { n },
-        "kdd" => DatasetSpec::KddCup { n },
-        "exp" => DatasetSpec::Exp { n, k_prime },
-        "dup" => DatasetSpec::Dup { n, distinct },
-        "gau-hd" => DatasetSpec::HighDim { n, k_prime, dim },
-        "gau+out" | "planted" => DatasetSpec::PlantedOutliers {
-            n,
-            k_prime,
-            // Default: 1% planted outliers, at least one.
-            outliers: outliers.unwrap_or_else(|| (n / 100).max(1)),
-        },
-        other => return Err(ParseError(format!("unknown workload family {other:?}"))),
-    };
-    if outliers.is_some() && !matches!(spec, DatasetSpec::PlantedOutliers { .. }) {
+    let spec = family_spec(family, n, params)?;
+    if params.planted.is_some() && !matches!(spec, DatasetSpec::PlantedOutliers { .. }) {
         return Err(ParseError(
             "--outliers only applies to the gau+out (planted) family".into(),
         ));
     }
     Ok(GenerateArgs { spec, seed, output })
+}
+
+/// Builds a generated workload through the one family parser, naming the
+/// flag of a rejected parameter.
+fn family_spec(family: &str, n: usize, params: FamilyParams) -> Result<DatasetSpec, ParseError> {
+    DatasetSpec::from_family(family, n, params).map_err(|e| {
+        let flag = match e.param {
+            SpecParam::Family => {
+                return ParseError(format!("unknown workload family {:?}", e.value))
+            }
+            SpecParam::KPrime => "--k-prime",
+            SpecParam::Distinct => "--distinct",
+            SpecParam::Dim => "--dim",
+            SpecParam::Planted => "--outliers",
+        };
+        ParseError(format!(
+            "invalid value {:?} for {flag} (expected {})",
+            e.value, e.expected
+        ))
+    })
 }
 
 fn parse_solve(args: &[String]) -> Result<SolveArgs, ParseError> {
@@ -554,15 +569,10 @@ fn parse_solve(args: &[String]) -> Result<SolveArgs, ParseError> {
     let mut seed: u64 = 0;
     let mut skip_columns: usize = 0;
     let mut assignment_out: Option<String> = None;
-    let mut precision = Precision::default();
-    let mut kernel: Option<KernelChoice> = None;
-    let mut assign: Option<AssignChoice> = None;
-    let mut executor: Option<ExecutorChoice> = None;
-    let mut threads: Option<usize> = None;
     let mut outliers: usize = 0;
-    let mut faults = FaultArgs::default();
+    let mut run = RunArgs::default();
     for (flag, value) in &flags {
-        if faults.consume(flag, value)? {
+        if run.consume(flag, value)? {
             continue;
         }
         match flag.as_str() {
@@ -574,22 +584,11 @@ fn parse_solve(args: &[String]) -> Result<SolveArgs, ParseError> {
             "--seed" => seed = parse_number(flag, value)?,
             "--skip-columns" => skip_columns = parse_number(flag, value)?,
             "--assign-out" => assignment_out = Some(value.clone()),
-            "--precision" => {
-                precision = Precision::parse(value).ok_or_else(|| {
-                    ParseError(format!(
-                        "invalid value {value:?} for --precision (expected f32 or f64)"
-                    ))
-                })?
-            }
-            "--kernel" => kernel = Some(parse_kernel(value)?),
-            "--assign" => assign = Some(parse_assign(value)?),
-            "--executor" => executor = Some(parse_executor(value)?),
-            "--threads" => threads = Some(parse_threads(value)?),
             "--outliers" => outliers = parse_number(flag, value)?,
             other => return Err(ParseError(format!("unknown flag {other:?} for solve"))),
         }
     }
-    faults.validate()?;
+    run.faults.validate()?;
     Ok(SolveArgs {
         algorithm,
         input: input.ok_or_else(|| ParseError("solve requires --input".into()))?,
@@ -600,43 +599,9 @@ fn parse_solve(args: &[String]) -> Result<SolveArgs, ParseError> {
         seed,
         skip_columns,
         assignment_out,
-        precision,
-        kernel,
-        assign,
-        executor,
-        threads,
         outliers,
-        faults,
+        run,
     })
-}
-
-/// Parses a `--kernel` value; unknown names surface the named
-/// [`kcenter_metric::KernelSelectError`] message.
-fn parse_kernel(value: &str) -> Result<KernelChoice, ParseError> {
-    KernelChoice::parse(value).map_err(|e| ParseError(format!("invalid value for --kernel: {e}")))
-}
-
-/// Parses an `--assign` value; unknown names surface the named
-/// [`kcenter_metric::AssignSelectError`] message.
-fn parse_assign(value: &str) -> Result<AssignChoice, ParseError> {
-    AssignChoice::parse(value).map_err(|e| ParseError(format!("invalid value for --assign: {e}")))
-}
-
-/// Parses an `--executor` value; unknown names surface the named
-/// [`kcenter_mapreduce::ExecutorSelectError`] message.
-fn parse_executor(value: &str) -> Result<ExecutorChoice, ParseError> {
-    ExecutorChoice::parse(value)
-        .map_err(|e| ParseError(format!("invalid value for --executor: {e}")))
-}
-
-/// Parses a `--threads` value (a positive integer).
-fn parse_threads(value: &str) -> Result<usize, ParseError> {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(ParseError(format!(
-            "invalid value {value:?} for --threads (expected an integer >= 1)"
-        ))),
-    }
 }
 
 /// Parses a comma-separated list of numbers for flags like `--ks 5,10,25`.
@@ -659,7 +624,7 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
     let mut input: Option<String> = None;
     let mut family: Option<String> = None;
     let mut n: Option<usize> = None;
-    let mut k_prime: usize = 25;
+    let mut params = FamilyParams::default();
     let mut ks: Option<Vec<usize>> = None;
     let mut phis: Vec<f64> = vec![1.0, 4.0, 8.0];
     let mut builder = SweepBuilderChoice::Gonzalez;
@@ -668,22 +633,17 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
     let mut epsilon: f64 = 0.1;
     let mut seed: u64 = 0;
     let mut skip_columns: usize = 0;
-    let mut precision = Precision::default();
-    let mut kernel: Option<KernelChoice> = None;
-    let mut assign: Option<AssignChoice> = None;
-    let mut executor: Option<ExecutorChoice> = None;
-    let mut threads: Option<usize> = None;
     let mut baseline = true;
-    let mut faults = FaultArgs::default();
+    let mut run = RunArgs::default();
     for (flag, value) in &flags {
-        if faults.consume(flag, value)? {
+        if run.consume(flag, value)? {
             continue;
         }
         match flag.as_str() {
             "--input" => input = Some(value.clone()),
             "--family" => family = Some(value.clone()),
             "--n" => n = Some(parse_number(flag, value)?),
-            "--k-prime" => k_prime = parse_number(flag, value)?,
+            "--k-prime" => params.k_prime = Some(parse_number(flag, value)?),
             "--ks" => ks = Some(parse_number_list(flag, value)?),
             "--phis" => phis = parse_number_list(flag, value)?,
             "--builder" => {
@@ -698,17 +658,6 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
             "--epsilon" => epsilon = parse_number(flag, value)?,
             "--seed" => seed = parse_number(flag, value)?,
             "--skip-columns" => skip_columns = parse_number(flag, value)?,
-            "--precision" => {
-                precision = Precision::parse(value).ok_or_else(|| {
-                    ParseError(format!(
-                        "invalid value {value:?} for --precision (expected f32 or f64)"
-                    ))
-                })?
-            }
-            "--kernel" => kernel = Some(parse_kernel(value)?),
-            "--assign" => assign = Some(parse_assign(value)?),
-            "--executor" => executor = Some(parse_executor(value)?),
-            "--threads" => threads = Some(parse_threads(value)?),
             "--baseline" => {
                 baseline = match value.to_ascii_lowercase().as_str() {
                     "on" | "true" | "yes" => true,
@@ -723,7 +672,7 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
             other => return Err(ParseError(format!("unknown flag {other:?} for sweep"))),
         }
     }
-    faults.validate()?;
+    run.faults.validate()?;
     let source = match (input, family) {
         (Some(_), Some(_)) => {
             return Err(ParseError(
@@ -733,7 +682,7 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
         (Some(path), None) => SweepSource::Csv { path, skip_columns },
         (None, Some(fam)) => {
             let n = n.ok_or_else(|| ParseError("sweep --family requires --n".into()))?;
-            SweepSource::Generated(parse_family_spec(&fam, n, k_prime)?)
+            SweepSource::Generated(family_spec(&fam, n, params)?)
         }
         (None, None) => {
             return Err(ParseError(
@@ -750,33 +699,16 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, ParseError> {
         machines,
         epsilon,
         seed,
-        precision,
-        kernel,
-        assign,
-        executor,
-        threads,
         baseline,
-        faults,
+        run,
     })
-}
-
-/// Parses a generated-workload family shared by `sweep` and `ingest`.
-fn parse_family_spec(fam: &str, n: usize, k_prime: usize) -> Result<DatasetSpec, ParseError> {
-    match fam.to_ascii_lowercase().as_str() {
-        "unif" => Ok(DatasetSpec::Unif { n }),
-        "gau" => Ok(DatasetSpec::Gau { n, k_prime }),
-        "unb" => Ok(DatasetSpec::Unb { n, k_prime }),
-        "poker" => Ok(DatasetSpec::PokerHand { n }),
-        "kdd" => Ok(DatasetSpec::KddCup { n }),
-        other => Err(ParseError(format!("unknown workload family {other:?}"))),
-    }
 }
 
 fn parse_ingest(args: &[String]) -> Result<IngestArgs, ParseError> {
     let flags = collect_flags(args)?;
     let mut family: Option<String> = None;
     let mut n: Option<usize> = None;
-    let mut k_prime: usize = 25;
+    let mut params = FamilyParams::default();
     let mut seed: u64 = 0;
     let mut batches: Option<usize> = None;
     let mut coreset_size: usize = 32;
@@ -784,24 +716,19 @@ fn parse_ingest(args: &[String]) -> Result<IngestArgs, ParseError> {
     let mut machines: usize = 10;
     let mut k: Option<usize> = None;
     let mut checkpoint: Option<String> = None;
-    let mut precision = Precision::default();
-    let mut kernel: Option<KernelChoice> = None;
-    let mut assign: Option<AssignChoice> = None;
-    let mut executor: Option<ExecutorChoice> = None;
-    let mut threads: Option<usize> = None;
-    let mut faults = FaultArgs::default();
+    let mut run = RunArgs::default();
     let mut kill_after_batch: Option<usize> = None;
     let mut kill_stage: Option<KillStage> = None;
     let mut queries: Vec<Vec<f64>> = Vec::new();
     let mut report: Option<String> = None;
     for (flag, value) in &flags {
-        if faults.consume(flag, value)? {
+        if run.consume(flag, value)? {
             continue;
         }
         match flag.as_str() {
             "--family" => family = Some(value.clone()),
             "--n" => n = Some(parse_number(flag, value)?),
-            "--k-prime" => k_prime = parse_number(flag, value)?,
+            "--k-prime" => params.k_prime = Some(parse_number(flag, value)?),
             "--seed" => seed = parse_number(flag, value)?,
             "--batches" => batches = Some(parse_number(flag, value)?),
             "--coreset-size" => coreset_size = parse_number(flag, value)?,
@@ -809,17 +736,6 @@ fn parse_ingest(args: &[String]) -> Result<IngestArgs, ParseError> {
             "--machines" => machines = parse_number(flag, value)?,
             "--k" => k = Some(parse_number(flag, value)?),
             "--checkpoint" => checkpoint = Some(value.clone()),
-            "--precision" => {
-                precision = Precision::parse(value).ok_or_else(|| {
-                    ParseError(format!(
-                        "invalid value {value:?} for --precision (expected f32 or f64)"
-                    ))
-                })?
-            }
-            "--kernel" => kernel = Some(parse_kernel(value)?),
-            "--assign" => assign = Some(parse_assign(value)?),
-            "--executor" => executor = Some(parse_executor(value)?),
-            "--threads" => threads = Some(parse_threads(value)?),
             "--kill-after-batch" => kill_after_batch = Some(parse_number(flag, value)?),
             "--kill-stage" => {
                 kill_stage = Some(KillStage::parse(value).ok_or_else(|| {
@@ -834,10 +750,10 @@ fn parse_ingest(args: &[String]) -> Result<IngestArgs, ParseError> {
             other => return Err(ParseError(format!("unknown flag {other:?} for ingest"))),
         }
     }
-    faults.validate()?;
+    run.faults.validate()?;
     let fam = family.ok_or_else(|| ParseError("ingest requires --family".into()))?;
     let n = n.ok_or_else(|| ParseError("ingest requires --n".into()))?;
-    let spec = parse_family_spec(&fam, n, k_prime)?;
+    let spec = family_spec(&fam, n, params)?;
     let batches = batches.ok_or_else(|| ParseError("ingest requires --batches".into()))?;
     if coreset_size == 0 {
         return Err(ParseError(
@@ -872,12 +788,7 @@ fn parse_ingest(args: &[String]) -> Result<IngestArgs, ParseError> {
         machines,
         k: k.ok_or_else(|| ParseError("ingest requires --k".into()))?,
         checkpoint: checkpoint.ok_or_else(|| ParseError("ingest requires --checkpoint".into()))?,
-        precision,
-        kernel,
-        assign,
-        executor,
-        threads,
-        faults,
+        run,
         kill,
         queries,
         report,
@@ -1023,6 +934,97 @@ mod tests {
         assert!(err.to_string().contains("--outliers"));
     }
 
+    /// Asserts that `cmd` is a parse error naming `flag`.
+    fn rejects(cmd: &str, flag: &str) {
+        let err = parse(&argv(cmd)).unwrap_err().to_string();
+        assert!(err.contains(flag), "{cmd}: {err}");
+    }
+
+    #[test]
+    fn zero_k_prime_is_a_named_error_on_every_family_flag() {
+        rejects("generate gau --n 100 --k-prime 0 --out o.csv", "--k-prime");
+        rejects("sweep --family gau --n 100 --k-prime 0 --ks 2", "--k-prime");
+        rejects(
+            "ingest --family gau --n 100 --k-prime 0 --batches 2 --k 2 --checkpoint c",
+            "--k-prime",
+        );
+    }
+
+    #[test]
+    fn zero_dimension_is_a_named_error() {
+        rejects("generate gau-hd --n 100 --dim 0 --out o.csv", "--dim");
+    }
+
+    #[test]
+    fn exp_spread_beyond_the_coordinate_bound_is_a_named_error() {
+        // 2^46 is the farthest center that fits below 1e14.
+        parse(&argv("generate exp --n 100 --k-prime 47 --out o.csv")).unwrap();
+        rejects("generate exp --n 100 --k-prime 48 --out o.csv", "--k-prime");
+    }
+
+    #[test]
+    fn zero_distinct_locations_is_a_named_error() {
+        rejects(
+            "generate dup --n 100 --distinct 0 --out o.csv",
+            "--distinct",
+        );
+    }
+
+    #[test]
+    fn more_planted_outliers_than_points_is_a_named_error() {
+        parse(&argv("generate gau+out --n 10 --outliers 10 --out o.csv")).unwrap();
+        // The 1% default never exceeds n, so an empty instance parses.
+        parse(&argv("generate gau+out --n 0 --out o.csv")).unwrap();
+        rejects(
+            "generate gau+out --n 10 --outliers 20 --out o.csv",
+            "--outliers",
+        );
+    }
+
+    #[test]
+    fn sweep_and_ingest_accept_every_generate_family() {
+        for (family, want) in [
+            ("exp", DatasetSpec::Exp { n: 100, k_prime: 3 }),
+            (
+                "dup",
+                DatasetSpec::Dup {
+                    n: 100,
+                    distinct: 16,
+                },
+            ),
+            (
+                "gau-hd",
+                DatasetSpec::HighDim {
+                    n: 100,
+                    k_prime: 3,
+                    dim: 64,
+                },
+            ),
+            (
+                "gau+out",
+                DatasetSpec::PlantedOutliers {
+                    n: 100,
+                    k_prime: 3,
+                    outliers: 1,
+                },
+            ),
+        ] {
+            let flags = format!("--family {family} --n 100 --k-prime 3");
+            match parse(&argv(&format!("sweep {flags} --ks 2")))
+                .unwrap()
+                .command
+            {
+                Command::Sweep(s) => assert_eq!(s.source, SweepSource::Generated(want.clone())),
+                _ => panic!("expected sweep"),
+            }
+            let ingest = format!("ingest {flags} --batches 2 --k 2 --checkpoint c");
+            match parse(&argv(&ingest)).unwrap().command {
+                Command::Ingest(i) => assert_eq!(i.spec, want),
+                _ => panic!("expected ingest"),
+            }
+        }
+    }
+
     #[test]
     fn solve_parses_defaults_and_overrides() {
         let cli = parse(&argv("solve mrg --input pts.csv --k 10")).unwrap();
@@ -1034,7 +1036,7 @@ mod tests {
                 assert_eq!(s.phi, 8.0);
                 assert_eq!(s.epsilon, 0.1);
                 assert_eq!(s.assignment_out, None);
-                assert_eq!(s.precision, Precision::F64);
+                assert_eq!(s.run.precision, Precision::F64);
             }
             _ => panic!("expected solve"),
         }
@@ -1051,7 +1053,7 @@ mod tests {
                 assert_eq!(s.seed, 9);
                 assert_eq!(s.skip_columns, 1);
                 assert_eq!(s.assignment_out.as_deref(), Some("a.csv"));
-                assert_eq!(s.precision, Precision::F32);
+                assert_eq!(s.run.precision, Precision::F32);
             }
             _ => panic!("expected solve"),
         }
@@ -1080,131 +1082,89 @@ mod tests {
         assert!(err.to_string().contains("--precision"));
     }
 
+    /// Every run flag through `solve`, `sweep` and `ingest`: a valid value
+    /// lands in `run` (absent flags leave the defaults), and a bad value is
+    /// a parse error naming the flag and the value.
     #[test]
-    fn kernel_flag_parses_every_backend_and_rejects_unknown_names() {
-        use kcenter_metric::KernelBackend;
-        let cases = [
-            ("auto", KernelChoice::Auto),
-            ("scalar", KernelChoice::Fixed(KernelBackend::Scalar)),
-            ("portable", KernelChoice::Fixed(KernelBackend::Portable)),
-            ("AVX2", KernelChoice::Fixed(KernelBackend::Avx2)),
+    fn run_flags_parse_the_same_on_every_subcommand() {
+        use kcenter_metric::{AssignMode, KernelBackend};
+        type Set = fn(&mut RunArgs);
+        let valid: &[(&str, Set)] = &[
+            ("--precision f32", |r| r.precision = Precision::F32),
+            ("--kernel auto", |r| r.kernel = Some(KernelChoice::Auto)),
+            ("--kernel scalar", |r| {
+                r.kernel = Some(KernelChoice::Fixed(KernelBackend::Scalar))
+            }),
+            ("--kernel portable", |r| {
+                r.kernel = Some(KernelChoice::Fixed(KernelBackend::Portable))
+            }),
+            ("--kernel AVX2", |r| {
+                r.kernel = Some(KernelChoice::Fixed(KernelBackend::Avx2))
+            }),
+            ("--assign auto", |r| r.assign = Some(AssignChoice::Auto)),
+            ("--assign dense", |r| {
+                r.assign = Some(AssignChoice::Fixed(AssignMode::Dense))
+            }),
+            ("--assign GRID", |r| {
+                r.assign = Some(AssignChoice::Fixed(AssignMode::Grid))
+            }),
+            ("--executor SIMULATED", |r| {
+                r.executor = Some(ExecutorChoice::Simulated)
+            }),
+            ("--executor threads --threads 4", |r| {
+                r.executor = Some(ExecutorChoice::Threads);
+                r.threads = Some(4);
+            }),
+            ("--assign grid --kernel scalar", |r| {
+                r.assign = Some(AssignChoice::Fixed(AssignMode::Grid));
+                r.kernel = Some(KernelChoice::Fixed(KernelBackend::Scalar));
+            }),
+            ("--fault-seed 42 --max-attempts 5 --degrade on", |r| {
+                r.faults.fault_seed = Some(42);
+                r.faults.max_attempts = Some(5);
+                r.faults.degrade = true;
+            }),
+            ("--fault-plan plan.txt", |r| {
+                r.faults.plan_file = Some("plan.txt".into())
+            }),
         ];
-        for (name, want) in cases {
-            let cli = parse(&argv(&format!(
-                "solve gon --input x.csv --k 2 --kernel {name}"
-            )))
-            .unwrap();
-            match cli.command {
-                Command::Solve(s) => assert_eq!(s.kernel, Some(want), "{name}"),
-                _ => panic!("expected solve"),
-            }
-        }
-        // Absent flag defers to the environment variable.
-        let cli = parse(&argv("solve gon --input x.csv --k 2")).unwrap();
-        match cli.command {
-            Command::Solve(s) => assert_eq!(s.kernel, None),
-            _ => panic!("expected solve"),
-        }
-        // Unknown override is a named error.
-        let err = parse(&argv("solve gon --input x.csv --k 2 --kernel warp9")).unwrap_err();
-        assert!(err.to_string().contains("--kernel"));
-        assert!(err.to_string().contains("warp9"));
-        let err = parse(&argv("sweep --input a.csv --ks 2 --kernel turbo")).unwrap_err();
-        assert!(err.to_string().contains("--kernel"));
-        assert!(err.to_string().contains("turbo"));
-    }
-
-    #[test]
-    fn assign_flag_parses_every_arm_and_rejects_unknown_names() {
-        use kcenter_metric::AssignMode;
-        let cases = [
-            ("auto", AssignChoice::Auto),
-            ("dense", AssignChoice::Fixed(AssignMode::Dense)),
-            ("GRID", AssignChoice::Fixed(AssignMode::Grid)),
+        let bad = [
+            ("--precision", "f16"),
+            ("--kernel", "warp9"),
+            ("--assign", "octree"),
+            ("--executor", "gpu"),
+            ("--threads", "0"),
+            ("--threads", "many"),
+            ("--fault-seed", "x"),
+            ("--max-attempts", "none"),
+            ("--degrade", "maybe"),
         ];
-        for (name, want) in cases {
-            let cli = parse(&argv(&format!(
-                "solve gon --input x.csv --k 2 --assign {name}"
-            )))
-            .unwrap();
-            match cli.command {
-                Command::Solve(s) => assert_eq!(s.assign, Some(want), "{name}"),
-                _ => panic!("expected solve"),
+        for cmd in [
+            "solve gon --input x.csv --k 2",
+            "sweep --input a.csv --ks 2",
+            "ingest --family gau --n 100 --batches 2 --k 2 --checkpoint c",
+        ] {
+            let run_of =
+                |flags: &str| match parse(&argv(&format!("{cmd} {flags}"))).unwrap().command {
+                    Command::Solve(s) => s.run,
+                    Command::Sweep(s) => s.run,
+                    Command::Ingest(i) => i.run,
+                    other => panic!("{other:?} takes no run flags"),
+                };
+            assert_eq!(run_of(""), RunArgs::default(), "{cmd}");
+            for (flags, set) in valid {
+                let mut want = RunArgs::default();
+                set(&mut want);
+                assert_eq!(run_of(flags), want, "{cmd} {flags}");
             }
-        }
-        // Absent flag defers to the environment variable.
-        let cli = parse(&argv("solve gon --input x.csv --k 2")).unwrap();
-        match cli.command {
-            Command::Solve(s) => assert_eq!(s.assign, None),
-            _ => panic!("expected solve"),
-        }
-        // Unknown override is a named error, on both subcommands.
-        let err = parse(&argv("solve gon --input x.csv --k 2 --assign octree")).unwrap_err();
-        assert!(err.to_string().contains("--assign"));
-        assert!(err.to_string().contains("octree"));
-        let err = parse(&argv("sweep --input a.csv --ks 2 --assign kdtree")).unwrap_err();
-        assert!(err.to_string().contains("--assign"));
-        assert!(err.to_string().contains("kdtree"));
-        // The assignment-output flag is distinct from the arm pin.
-        let cli = parse(&argv(
-            "sweep --input a.csv --ks 2 --assign grid --kernel scalar",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Sweep(s) => assert_eq!(s.assign, Some(AssignChoice::Fixed(AssignMode::Grid))),
-            _ => panic!("expected sweep"),
-        }
-    }
-
-    #[test]
-    fn executor_flags_parse_and_reject_unknown_values() {
-        let cli = parse(&argv(
-            "solve gon --input x.csv --k 2 --executor threads --threads 4",
-        ))
-        .unwrap();
-        match cli.command {
-            Command::Solve(s) => {
-                assert_eq!(s.executor, Some(ExecutorChoice::Threads));
-                assert_eq!(s.threads, Some(4));
+            for (flag, value) in bad {
+                let err = parse(&argv(&format!("{cmd} {flag} {value}"))).unwrap_err();
+                let err = err.to_string();
+                assert!(
+                    err.contains(flag) && err.contains(value),
+                    "{cmd} {flag} {value}: {err}"
+                );
             }
-            _ => panic!("expected solve"),
-        }
-        let cli = parse(&argv("sweep --input a.csv --ks 2 --executor SIMULATED")).unwrap();
-        match cli.command {
-            Command::Sweep(s) => {
-                assert_eq!(s.executor, Some(ExecutorChoice::Simulated));
-                assert_eq!(s.threads, None);
-            }
-            _ => panic!("expected sweep"),
-        }
-        // Absent flags defer to the environment variables.
-        let cli = parse(&argv("solve gon --input x.csv --k 2")).unwrap();
-        match cli.command {
-            Command::Solve(s) => {
-                assert_eq!(s.executor, None);
-                assert_eq!(s.threads, None);
-            }
-            _ => panic!("expected solve"),
-        }
-        // Unknown executor names and bad thread counts are named errors.
-        let err = parse(&argv("solve gon --input x.csv --k 2 --executor gpu")).unwrap_err();
-        assert!(err.to_string().contains("--executor"));
-        assert!(err.to_string().contains("gpu"));
-        let err = parse(&argv("solve gon --input x.csv --k 2 --threads 0")).unwrap_err();
-        assert!(err.to_string().contains("--threads"));
-        let err = parse(&argv("sweep --input a.csv --ks 2 --threads many")).unwrap_err();
-        assert!(err.to_string().contains("--threads"));
-    }
-
-    #[test]
-    fn sweep_kernel_flag_parses() {
-        use kcenter_metric::KernelBackend;
-        let cli = parse(&argv("sweep --input a.csv --ks 2 --kernel scalar")).unwrap();
-        match cli.command {
-            Command::Sweep(s) => {
-                assert_eq!(s.kernel, Some(KernelChoice::Fixed(KernelBackend::Scalar)))
-            }
-            _ => panic!("expected sweep"),
         }
     }
 
@@ -1251,7 +1211,7 @@ mod tests {
                 assert_eq!(s.coreset_size, 0);
                 assert_eq!(s.machines, 50);
                 assert!(s.baseline);
-                assert_eq!(s.precision, Precision::F64);
+                assert_eq!(s.run.precision, Precision::F64);
             }
             _ => panic!("expected sweep"),
         }
@@ -1277,7 +1237,7 @@ mod tests {
                 assert_eq!(s.epsilon, 0.13);
                 assert_eq!(s.seed, 3);
                 assert!(!s.baseline);
-                assert_eq!(s.precision, Precision::F32);
+                assert_eq!(s.run.precision, Precision::F32);
             }
             _ => panic!("expected sweep"),
         }
@@ -1340,7 +1300,7 @@ mod tests {
         match cli.command {
             Command::Solve(s) => {
                 assert_eq!(
-                    s.faults,
+                    s.run.faults,
                     FaultArgs {
                         plan_file: None,
                         fault_seed: Some(42),
@@ -1348,7 +1308,7 @@ mod tests {
                         degrade: true,
                     }
                 );
-                assert!(s.faults.is_active());
+                assert!(s.run.faults.is_active());
             }
             _ => panic!("expected solve"),
         }
@@ -1358,16 +1318,16 @@ mod tests {
         .unwrap();
         match cli.command {
             Command::Sweep(s) => {
-                assert_eq!(s.faults.plan_file.as_deref(), Some("plan.txt"));
-                assert_eq!(s.faults.fault_seed, None);
-                assert!(!s.faults.degrade);
+                assert_eq!(s.run.faults.plan_file.as_deref(), Some("plan.txt"));
+                assert_eq!(s.run.faults.fault_seed, None);
+                assert!(!s.run.faults.degrade);
             }
             _ => panic!("expected sweep"),
         }
         // Fault-free by default.
         let cli = parse(&argv("solve gon --input x.csv --k 2")).unwrap();
         match cli.command {
-            Command::Solve(s) => assert!(!s.faults.is_active()),
+            Command::Solve(s) => assert!(!s.run.faults.is_active()),
             _ => panic!("expected solve"),
         }
     }
@@ -1427,11 +1387,11 @@ mod tests {
                 assert_eq!(i.machines, 10);
                 assert_eq!(i.k, 5);
                 assert_eq!(i.checkpoint, "state.ckpt");
-                assert_eq!(i.precision, Precision::F64);
+                assert_eq!(i.run.precision, Precision::F64);
                 assert_eq!(i.kill, None);
                 assert!(i.queries.is_empty());
                 assert_eq!(i.report, None);
-                assert!(!i.faults.is_active());
+                assert!(!i.run.faults.is_active());
             }
             _ => panic!("expected ingest"),
         }
@@ -1451,9 +1411,9 @@ mod tests {
                 assert_eq!(i.budget, 48);
                 assert_eq!(i.machines, 5);
                 assert_eq!(i.k, 3);
-                assert_eq!(i.precision, Precision::F32);
-                assert_eq!(i.faults.fault_seed, Some(7));
-                assert!(i.faults.degrade);
+                assert_eq!(i.run.precision, Precision::F32);
+                assert_eq!(i.run.faults.fault_seed, Some(7));
+                assert!(i.run.faults.degrade);
                 assert_eq!(
                     i.kill,
                     Some(KillPoint {

@@ -1,7 +1,7 @@
 //! Execution of the parsed CLI commands.
 
 use crate::args::{
-    Cli, Command, FaultArgs, GenerateArgs, InfoArgs, IngestArgs, SolveArgs, SolverChoice,
+    Cli, Command, FaultArgs, GenerateArgs, InfoArgs, IngestArgs, RunArgs, SolveArgs, SolverChoice,
     SweepArgs, SweepBuilderChoice, SweepSource, USAGE,
 };
 use kcenter_bench::scenario::{center_digest, CellResult, ScenarioReport};
@@ -115,93 +115,80 @@ fn load_space<S: Scalar>(
         // The flat store cannot hold coordinates beyond the storage
         // scalar's safe magnitude (squared distances would overflow); name
         // the flag that fixes it.
-        CsvError::OutOfRange { value, .. } => {
-            CommandError::Algorithm(KCenterError::InvalidParameter {
-                name: "precision",
-                message: format!(
-                    "coordinate {value} exceeds the {} storage limit {:e}; \
-                     rerun with --precision f64",
-                    S::NAME,
-                    S::MAX_ABS_COORD
-                ),
-            })
-        }
+        CsvError::OutOfRange { value, .. } => invalid(
+            "precision",
+            format!(
+                "coordinate {value} exceeds the {} storage limit {:e}; \
+                 rerun with --precision f64",
+                S::NAME,
+                S::MAX_ABS_COORD
+            ),
+        ),
         e => CommandError::Csv(e),
     })?;
     Ok(VecSpace::from_flat(flat))
 }
 
-/// Resolves and installs the kernel backend for this run: the `--kernel`
-/// flag wins, otherwise the `KCENTER_KERNEL` environment variable, otherwise
-/// `auto`.  Unknown names and unavailable backends surface as the named
-/// `kernel` parameter error rather than a deep panic.
-fn apply_kernel(flag: Option<KernelChoice>) -> Result<KernelBackend, CommandError> {
-    let named = |e: kcenter_metric::KernelSelectError| {
-        CommandError::Algorithm(KCenterError::InvalidParameter {
-            name: "kernel",
-            message: e.to_string(),
-        })
-    };
-    let choice = match flag {
-        Some(c) => c,
-        None => KernelChoice::from_env().map_err(named)?,
-    };
-    let backend = choice.resolve().map_err(named)?;
-    simd::set_active(backend).map_err(named)?;
-    Ok(backend)
+/// The named parameter error the CLI reports for a rejected value.
+fn invalid(name: &'static str, e: impl fmt::Display) -> CommandError {
+    CommandError::Algorithm(KCenterError::InvalidParameter {
+        name,
+        message: e.to_string(),
+    })
 }
 
-/// Resolves and installs the assignment arm for this run: the `--assign`
-/// flag wins, otherwise the `KCENTER_ASSIGN` environment variable,
-/// otherwise `auto`.  Unknown environment values surface as the named
-/// `assign` parameter error rather than a deep panic.  Also zeroes the
-/// scan telemetry so [`report_assign_scans`] accounts for this command
-/// alone.
-fn apply_assign(flag: Option<AssignChoice>) -> Result<AssignChoice, CommandError> {
-    let choice = match flag {
-        Some(c) => c,
-        None => AssignChoice::from_env().map_err(|e| {
-            CommandError::Algorithm(KCenterError::InvalidParameter {
-                name: "assign",
-                message: e.to_string(),
-            })
-        })?,
-    };
-    grid::set_choice(choice);
+/// The dispatch a run resolved to: what the printout and reports name.
+#[derive(Clone, Copy)]
+struct Dispatch {
+    kernel: KernelBackend,
+    assign: AssignChoice,
+    executor: Executor,
+}
+
+/// Resolves and installs the run setup, printing one line per choice.
+/// Each flag wins over its `KCENTER_*` environment variable, which is read
+/// only when the flag is absent; with neither, kernel and arm are `auto`,
+/// the executor `simulated`, and the threaded executor takes the host's
+/// available parallelism.  Installs the kernel backend, the assignment arm
+/// and an explicit thread budget (which also caps the chunked `par_*`
+/// kernels), and zeroes the scan counts so [`report_assign_scans`]
+/// accounts for this command alone.  Unknown names and unavailable
+/// backends are named `kernel`, `assign` or `executor` parameter errors,
+/// not deep panics.  Results are executor-invariant; only the wall-clock
+/// accounting changes.
+fn install<W: Write>(run: &RunArgs, out: &mut W) -> Result<Dispatch, CommandError> {
+    let kernel = run
+        .kernel
+        .map_or_else(KernelChoice::from_env, Ok)
+        .and_then(KernelChoice::resolve)
+        .and_then(|backend| simd::set_active(backend).map(|()| backend))
+        .map_err(|e| invalid("kernel", e))?;
+    writeln!(out, "kernel backend: {kernel}")?;
+    let assign = run
+        .assign
+        .map_or_else(AssignChoice::from_env, Ok)
+        .map_err(|e| invalid("assign", e))?;
+    grid::set_choice(assign);
     grid::reset_scan_counts();
-    Ok(choice)
-}
-
-/// Resolves and installs the cluster executor for this run: the
-/// `--executor` flag wins, otherwise the `KCENTER_EXECUTOR` environment
-/// variable, otherwise the paper's simulated mode.  The worker budget is
-/// resolved `--threads`, then `KCENTER_THREADS`, then the host's available
-/// parallelism; an explicit budget is also installed as the rayon
-/// stand-in's thread override so the chunked `par_*` kernels honour it
-/// regardless of executor.  Results are executor-invariant — only the
-/// wall-clock accounting changes.
-fn apply_executor(
-    flag: Option<ExecutorChoice>,
-    threads_flag: Option<usize>,
-) -> Result<Executor, CommandError> {
-    let named = |e: kcenter_mapreduce::ExecutorSelectError| {
-        CommandError::Algorithm(KCenterError::InvalidParameter {
-            name: "executor",
-            message: e.to_string(),
-        })
-    };
-    let choice = match flag {
-        Some(c) => c,
-        None => ExecutorChoice::from_env().map_err(named)?,
-    };
-    let threads = match threads_flag {
+    writeln!(out, "assignment arm: {assign}")?;
+    let choice = run
+        .executor
+        .map_or_else(ExecutorChoice::from_env, Ok)
+        .map_err(|e| invalid("executor", e))?;
+    let threads = match run.threads {
         Some(n) => Some(n),
-        None => threads_from_env().map_err(named)?,
+        None => threads_from_env().map_err(|e| invalid("executor", e))?,
     };
     if let Some(n) = threads {
         install_thread_budget(n);
     }
-    Ok(choice.resolve(threads))
+    let executor = choice.resolve(threads);
+    writeln!(out, "cluster executor: {executor}")?;
+    Ok(Dispatch {
+        kernel,
+        assign,
+        executor,
+    })
 }
 
 /// Prints which assignment arm the scans actually ran on — a pinned `grid`
@@ -223,12 +210,8 @@ fn report_assign_scans<W: Write>(out: &mut W) -> Result<(), CommandError> {
 fn build_fault_config(args: &FaultArgs) -> Result<Option<FaultConfig>, CommandError> {
     let plan = if let Some(path) = &args.plan_file {
         let text = std::fs::read_to_string(path)?;
-        let plan = FaultPlan::parse_text(&text).map_err(|e| {
-            CommandError::Algorithm(KCenterError::InvalidParameter {
-                name: "fault-plan",
-                message: format!("{path}: {e}"),
-            })
-        })?;
+        let plan = FaultPlan::parse_text(&text)
+            .map_err(|e| invalid("fault-plan", format!("{path}: {e}")))?;
         Some(plan)
     } else {
         args.fault_seed.map(FaultPlan::seeded)
@@ -281,16 +264,11 @@ fn report_degraded<W: Write>(degraded: &DegradedRun, out: &mut W) -> Result<(), 
 }
 
 fn solve<W: Write>(args: &SolveArgs, out: &mut W) -> Result<(), CommandError> {
-    let kernel = apply_kernel(args.kernel)?;
-    writeln!(out, "kernel backend: {kernel}")?;
-    let assign_arm = apply_assign(args.assign)?;
-    writeln!(out, "assignment arm: {assign_arm}")?;
-    let executor = apply_executor(args.executor, args.threads)?;
-    writeln!(out, "cluster executor: {executor}")?;
+    let executor = install(&args.run, out)?.executor;
     // Dispatch into the monomorphised storage-precision stack once, here;
     // everything below runs entirely at the chosen precision (with the
     // covering radius still certified in f64 by the evaluation layer).
-    match args.precision {
+    match args.run.precision {
         Precision::F64 => solve_at::<f64, W>(args, executor, out)?,
         Precision::F32 => solve_at::<f32, W>(args, executor, out)?,
     }
@@ -312,19 +290,18 @@ fn solve_at<S: Scalar, W: Write>(
         S::NAME
     )?;
 
-    let faults = build_fault_config(&args.faults)?;
+    let faults = build_fault_config(&args.run.faults)?;
     if faults.is_some()
         && matches!(
             args.algorithm,
             SolverChoice::Gon | SolverChoice::HochbaumShmoys
         )
     {
-        return Err(CommandError::Algorithm(KCenterError::InvalidParameter {
-            name: "fault-plan",
-            message: "fault injection targets the MapReduce algorithms; \
-                      use mrg or eim (gon and hs run sequentially)"
-                .into(),
-        }));
+        return Err(invalid(
+            "fault-plan",
+            "fault injection targets the MapReduce algorithms; \
+             use mrg or eim (gon and hs run sequentially)",
+        ));
     }
 
     let (centers, radius, degraded): (Vec<PointId>, f64, Option<DegradedRun>) = match args.algorithm
@@ -472,13 +449,8 @@ fn solve_at<S: Scalar, W: Write>(
 }
 
 fn sweep<W: Write>(args: &SweepArgs, out: &mut W) -> Result<(), CommandError> {
-    let kernel = apply_kernel(args.kernel)?;
-    writeln!(out, "kernel backend: {kernel}")?;
-    let assign_arm = apply_assign(args.assign)?;
-    writeln!(out, "assignment arm: {assign_arm}")?;
-    let executor = apply_executor(args.executor, args.threads)?;
-    writeln!(out, "cluster executor: {executor}")?;
-    match args.precision {
+    let executor = install(&args.run, out)?.executor;
+    match args.run.precision {
         Precision::F64 => sweep_at::<f64, W>(args, executor, out)?,
         Precision::F32 => sweep_at::<f32, W>(args, executor, out)?,
     }
@@ -510,14 +482,13 @@ fn sweep_at<S: Scalar, W: Write>(
 
     // The parser guarantees a non-empty --ks list; surface a named error
     // instead of panicking if a caller constructs SweepArgs by hand.
-    let k_max = *args.ks.iter().max().ok_or_else(|| {
-        CommandError::Algorithm(KCenterError::InvalidParameter {
-            name: "ks",
-            message: "sweep needs at least one k value".into(),
-        })
-    })?;
+    let k_max = *args
+        .ks
+        .iter()
+        .max()
+        .ok_or_else(|| invalid("ks", "sweep needs at least one k value"))?;
     let phi_max = args.phis.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let faults = build_fault_config(&args.faults)?;
+    let faults = build_fault_config(&args.run.faults)?;
 
     // ---- Phase 1: build the coreset exactly once.
     let coreset: WeightedCoreset<Euclidean, S> = match args.builder {
@@ -682,15 +653,10 @@ fn sweep_at<S: Scalar, W: Write>(
 }
 
 fn ingest<W: Write>(args: &IngestArgs, out: &mut W) -> Result<(), CommandError> {
-    let kernel = apply_kernel(args.kernel)?;
-    writeln!(out, "kernel backend: {kernel}")?;
-    let assign_arm = apply_assign(args.assign)?;
-    writeln!(out, "assignment arm: {assign_arm}")?;
-    let executor = apply_executor(args.executor, args.threads)?;
-    writeln!(out, "cluster executor: {executor}")?;
-    match args.precision {
-        Precision::F64 => ingest_at::<f64, W>(args, executor, kernel, assign_arm, out)?,
-        Precision::F32 => ingest_at::<f32, W>(args, executor, kernel, assign_arm, out)?,
+    let dispatch = install(&args.run, out)?;
+    match args.run.precision {
+        Precision::F64 => ingest_at::<f64, W>(args, dispatch, out)?,
+        Precision::F32 => ingest_at::<f32, W>(args, dispatch, out)?,
     }
     report_assign_scans(out)
 }
@@ -715,12 +681,10 @@ fn ingest_fault_label(faults: &FaultArgs) -> String {
 
 fn ingest_at<S: Scalar, W: Write>(
     args: &IngestArgs,
-    executor: Executor,
-    kernel: KernelBackend,
-    assign_arm: AssignChoice,
+    dispatch: Dispatch,
     out: &mut W,
 ) -> Result<(), CommandError> {
-    let faults = build_fault_config(&args.faults)?;
+    let faults = build_fault_config(&args.run.faults)?;
     let config = IngestConfig {
         stream: StreamConfig {
             spec: args.spec.clone(),
@@ -731,7 +695,7 @@ fn ingest_at<S: Scalar, W: Write>(
         budget: args.budget,
         machines: args.machines,
         faults,
-        executor,
+        executor: dispatch.executor,
         solve_k: args.k,
         kill: args.kill,
     };
@@ -840,7 +804,7 @@ fn ingest_at<S: Scalar, W: Write>(
             args.budget,
             args.machines,
             S::NAME,
-            ingest_fault_label(&args.faults),
+            ingest_fault_label(&args.run.faults),
         );
         let report = ScenarioReport {
             scenario: "ingest".to_string(),
@@ -852,12 +816,12 @@ fn ingest_at<S: Scalar, W: Write>(
                 n: args.spec.n(),
                 solver: "ingest-gonzalez".to_string(),
                 precision: S::NAME.to_string(),
-                kernel: kernel.to_string(),
-                assign: assign_arm.to_string(),
-                executor: executor.to_string(),
+                kernel: dispatch.kernel.to_string(),
+                assign: dispatch.assign.to_string(),
+                executor: dispatch.executor.to_string(),
                 distance: "euclidean".to_string(),
                 z: 0,
-                fault: ingest_fault_label(&args.faults),
+                fault: ingest_fault_label(&args.run.faults),
                 radius: certified,
                 kept_radius: certified,
                 centers: solution.centers.len(),
@@ -928,8 +892,8 @@ mod tests {
     }
 
     /// Serialises tests that are sensitive to the process-global kernel
-    /// dispatch table: `apply_kernel` installs a backend on every
-    /// solve/sweep, so a test that pins non-default backends must not
+    /// dispatch table: `install` sets a backend on every solve, sweep and
+    /// ingest, so a test that pins non-default backends must not
     /// interleave with one comparing radii across runs.
     fn kernel_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
@@ -1065,7 +1029,7 @@ mod tests {
 
     #[test]
     fn solve_reports_the_assignment_arm_and_scan_accounting() {
-        // `apply_assign` installs a process-global choice, like the kernel
+        // `install` sets a process-global assign choice, like the kernel
         // dispatch table — serialise with the other dispatch-pinning tests.
         let _guard = kernel_lock();
         let csv = temp_path("assign-arm.csv");

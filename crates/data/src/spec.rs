@@ -9,6 +9,7 @@
 use crate::real::{KddCupSim, PokerHandSim};
 use crate::synthetic::{
     DupGenerator, ExpGenerator, GauGenerator, PlantedOutlierGenerator, UnbGenerator, UnifGenerator,
+    MAX_PLACED_COORD,
 };
 use crate::PointGenerator;
 use kcenter_metric::{Euclidean, FlatPoints, Point, Scalar, VecSpace};
@@ -84,7 +85,122 @@ pub enum DatasetSpec {
     },
 }
 
+/// The optional parameters of a named family; `None` takes the default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FamilyParams {
+    /// Inherent clusters `k'` (default 25).
+    pub k_prime: Option<usize>,
+    /// DUP's distinct locations (default 16).
+    pub distinct: Option<usize>,
+    /// GAU-HD's dimension (default 64).
+    pub dim: Option<usize>,
+    /// GAU+OUT's planted outliers (default 1% of `n`, at least one, at
+    /// most `n`).
+    pub planted: Option<usize>,
+}
+
+/// The parameter a [`SpecError`] rejects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpecParam {
+    /// The family name.
+    Family,
+    /// [`FamilyParams::k_prime`].
+    KPrime,
+    /// [`FamilyParams::distinct`].
+    Distinct,
+    /// [`FamilyParams::dim`].
+    Dim,
+    /// [`FamilyParams::planted`].
+    Planted,
+}
+
+/// A family name or parameter that no generator accepts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// The rejected parameter.
+    pub param: SpecParam,
+    /// The rejected value, rendered.
+    pub value: String,
+    /// What would have been accepted.
+    pub expected: String,
+}
+
 impl DatasetSpec {
+    /// Maps a family name (case-insensitive), `n` and the optional
+    /// parameters to a spec, or names the parameter a generator would
+    /// panic on.  This is the one family parser of the CLI and the
+    /// scenario specs.
+    pub fn from_family(
+        family: &str,
+        n: usize,
+        params: FamilyParams,
+    ) -> Result<DatasetSpec, SpecError> {
+        let k_prime = params.k_prime.unwrap_or(25);
+        let family = family.to_ascii_lowercase();
+        let spec = match family.as_str() {
+            "unif" => DatasetSpec::Unif { n },
+            "gau" => DatasetSpec::Gau { n, k_prime },
+            "unb" => DatasetSpec::Unb { n, k_prime },
+            "poker" => DatasetSpec::PokerHand { n },
+            "kdd" => DatasetSpec::KddCup { n },
+            "exp" => DatasetSpec::Exp { n, k_prime },
+            "dup" => DatasetSpec::Dup {
+                n,
+                distinct: params.distinct.unwrap_or(16),
+            },
+            "gau-hd" => DatasetSpec::HighDim {
+                n,
+                k_prime,
+                dim: params.dim.unwrap_or(64),
+            },
+            "gau+out" | "planted" => DatasetSpec::PlantedOutliers {
+                n,
+                k_prime,
+                outliers: params.planted.unwrap_or((n / 100).max(1).min(n)),
+            },
+            _ => {
+                return Err(SpecError {
+                    param: SpecParam::Family,
+                    value: family,
+                    expected: "unif | gau | unb | poker | kdd | exp | dup | gau-hd | gau+out"
+                        .to_string(),
+                })
+            }
+        };
+        let (param, value, expected) = match spec {
+            DatasetSpec::Gau { k_prime: 0, .. }
+            | DatasetSpec::Unb { k_prime: 0, .. }
+            | DatasetSpec::Exp { k_prime: 0, .. }
+            | DatasetSpec::HighDim { k_prime: 0, .. }
+            | DatasetSpec::PlantedOutliers { k_prime: 0, .. } => {
+                (SpecParam::KPrime, 0, "at least one cluster".to_string())
+            }
+            DatasetSpec::Exp { k_prime, .. }
+                if ExpGenerator::farthest_center(k_prime) > MAX_PLACED_COORD =>
+            {
+                let expected = format!(
+                    "a k' whose farthest exp center 2^(k'-1) stays within {MAX_PLACED_COORD:e}"
+                );
+                (SpecParam::KPrime, k_prime, expected)
+            }
+            DatasetSpec::Dup { distinct: 0, .. } => {
+                (SpecParam::Distinct, 0, "at least one location".to_string())
+            }
+            DatasetSpec::HighDim { dim: 0, .. } => {
+                (SpecParam::Dim, 0, "at least one dimension".to_string())
+            }
+            DatasetSpec::PlantedOutliers { outliers, .. } if outliers > n => {
+                (SpecParam::Planted, outliers, format!("at most n = {n}"))
+            }
+            _ => return Ok(spec),
+        };
+        Err(SpecError {
+            param,
+            value: value.to_string(),
+            expected,
+        })
+    }
+
     /// The workload name as used in the paper.
     pub fn family(&self) -> &'static str {
         match self {

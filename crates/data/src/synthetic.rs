@@ -28,6 +28,11 @@ use rayon::prelude::*;
 /// rayon split while remaining deterministic for a given seed.
 const GEN_CHUNK: usize = 16_384;
 
+/// The largest coordinate magnitude a generator places a cluster center or
+/// planted outlier at: beyond it an `f32` store could overflow squared
+/// distances.
+pub const MAX_PLACED_COORD: f64 = 1e14;
+
 /// Runs `fill(point_index, rng, sink)` for every point in parallel chunks
 /// of `chunk` points, each writing its rows straight into its own slice of
 /// one caller-allocated flat buffer at the target storage precision (no
@@ -359,14 +364,18 @@ impl ExpGenerator {
         Self::with_params(n, k_prime, 2, 1.0, 2.0, 0.05)
     }
 
+    /// The farthest center `2^(k'-1)` of [`ExpGenerator::new`]'s layout.
+    pub(crate) fn farthest_center(k_prime: usize) -> f64 {
+        2f64.powi(k_prime as i32 - 1)
+    }
+
     /// Fully parameterised constructor.
     ///
     /// # Panics
     ///
     /// Panics if `k_prime == 0`, `dim == 0`, `base <= 0`, `ratio < 1`,
     /// `sigma_fraction < 0`, or the farthest center `base · ratio^(k'-1)`
-    /// exceeds `1e14` (beyond which an `f32` store could overflow squared
-    /// distances).
+    /// exceeds [`MAX_PLACED_COORD`].
     pub fn with_params(
         n: usize,
         k_prime: usize,
@@ -382,7 +391,7 @@ impl ExpGenerator {
         assert!(sigma_fraction >= 0.0, "sigma must be non-negative");
         let spread = base * ratio.powi(k_prime as i32 - 1);
         assert!(
-            spread.is_finite() && spread <= 1e14,
+            spread.is_finite() && spread <= MAX_PLACED_COORD,
             "exponential spread {spread:e} exceeds the f32-safe coordinate bound"
         );
         Self {
@@ -580,7 +589,8 @@ impl PlantedOutlierGenerator {
     /// # Panics
     ///
     /// Panics if `outliers > n`, `spread <= 1`, or the farthest planted
-    /// coordinate `spread · cube_side · (outliers + 1)` exceeds `1e14`.
+    /// coordinate `spread · cube_side · (outliers + 1)` exceeds
+    /// [`MAX_PLACED_COORD`].
     pub fn with_params(
         n: usize,
         k_prime: usize,
@@ -597,7 +607,7 @@ impl PlantedOutlierGenerator {
         );
         let farthest = spread * cube_side * (outliers as f64 + 1.0);
         assert!(
-            farthest.is_finite() && farthest <= 1e14,
+            farthest.is_finite() && farthest <= MAX_PLACED_COORD,
             "planted outlier coordinate {farthest:e} exceeds the f32-safe bound"
         );
         Self {

@@ -138,6 +138,14 @@ impl ExecutorChoice {
         }
     }
 
+    /// The name this request parses from.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecutorChoice::Simulated => "simulated",
+            ExecutorChoice::Threads => "threads",
+        }
+    }
+
     /// Resolves the request to a concrete executor.  `threads` is the
     /// already-resolved budget request (flag or env); `None` falls back to
     /// the host's available parallelism for the threaded executor.

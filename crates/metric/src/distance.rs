@@ -2,10 +2,9 @@
 //!
 //! The clustering algorithms are generic over a [`Distance`], but the paper's
 //! experiments all use the Euclidean metric computed on demand from point
-//! coordinates (Section 7.3).  Additional metrics are provided both for
-//! completeness (the real data sets are partly categorical, where an
-//! overlap/Hamming distance is the natural choice) and to exercise the
-//! genericity of the core algorithms in tests.
+//! coordinates (Section 7.3).  [`Manhattan`] is the scenario harness's
+//! non-Euclidean arm, and [`SquaredEuclidean`] is the non-metric the
+//! algorithms reject.
 //!
 //! # Scalar genericity
 //!
@@ -30,8 +29,7 @@
 //! The hot scans never need actual distances — only their *order* (which
 //! center is nearest, which point is farthest).  [`Distance::surrogate`]
 //! returns a value that is order-equivalent to the distance but may be
-//! cheaper: squared Euclidean skips the `sqrt`, Minkowski skips the final
-//! `p`-th root.  [`Distance::surrogate_to_distance`] converts a surrogate
+//! cheaper: squared Euclidean skips the `sqrt`.  [`Distance::surrogate_to_distance`] converts a surrogate
 //! value back (one `sqrt` per winner instead of one per pair), and
 //! [`Distance::distance_to_surrogate`] converts a distance threshold into
 //! surrogate space for early-exit scans.
@@ -331,135 +329,6 @@ impl Distance for Manhattan {
     }
 }
 
-/// The Chebyshev (`L∞`) metric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Chebyshev;
-
-impl Distance for Chebyshev {
-    #[inline]
-    fn distance_slices<S: Scalar>(&self, a: &[S], b: &[S]) -> f64 {
-        debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x.to_f64() - y.to_f64()).abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// The coordinate-gap maximum taken in `S` (order-equivalent fast path).
-    #[inline]
-    fn surrogate<S: Scalar>(&self, a: &[S], b: &[S]) -> S {
-        debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-        let mut max = S::ZERO;
-        for (x, y) in a.iter().zip(b.iter()) {
-            max = max.max((*x - *y).abs());
-        }
-        max
-    }
-
-    fn name(&self) -> &'static str {
-        "chebyshev"
-    }
-}
-
-/// The Minkowski (`Lp`) metric for a configurable exponent `p >= 1`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Minkowski {
-    p: f64,
-}
-
-impl Minkowski {
-    /// Creates an `Lp` metric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p < 1` (the triangle inequality fails for `p < 1`).
-    pub fn new(p: f64) -> Self {
-        assert!(
-            p >= 1.0 && p.is_finite(),
-            "Minkowski exponent must be finite and >= 1"
-        );
-        Self { p }
-    }
-
-    /// The exponent `p`.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-}
-
-impl Distance for Minkowski {
-    #[inline]
-    fn distance_slices<S: Scalar>(&self, a: &[S], b: &[S]) -> f64 {
-        self.wide_surrogate(a, b).powf(1.0 / self.p)
-    }
-
-    /// The `p`-th power of the distance, accumulated in `S`:
-    /// order-equivalent and one `powf` cheaper per pair.
-    #[inline]
-    fn surrogate<S: Scalar>(&self, a: &[S], b: &[S]) -> S {
-        debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-        let p = S::from_f64(self.p);
-        let mut sum = S::ZERO;
-        for (x, y) in a.iter().zip(b.iter()) {
-            sum += (*x - *y).abs().powf(p);
-        }
-        sum
-    }
-
-    #[inline]
-    fn surrogate_to_distance<S: Scalar>(&self, s: S) -> f64 {
-        s.to_f64().powf(1.0 / self.p)
-    }
-
-    #[inline]
-    fn distance_to_surrogate<S: Scalar>(&self, d: f64) -> S {
-        S::from_f64(d.powf(self.p))
-    }
-
-    /// The `p`-th power of the distance, accumulated in `f64` (certification
-    /// scan).
-    #[inline]
-    fn wide_surrogate<S: Scalar>(&self, a: &[S], b: &[S]) -> f64 {
-        debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x.to_f64() - y.to_f64()).abs().powf(self.p))
-            .sum()
-    }
-
-    #[inline]
-    fn wide_surrogate_to_distance(&self, s: f64) -> f64 {
-        s.powf(1.0 / self.p)
-    }
-
-    #[inline]
-    fn distance_to_wide_surrogate(&self, d: f64) -> f64 {
-        d.powf(self.p)
-    }
-
-    fn name(&self) -> &'static str {
-        "minkowski"
-    }
-}
-
-/// Hamming / overlap distance: the number of coordinates in which the two
-/// points differ.  The natural metric for categorical attributes such as the
-/// suits and ranks of the Poker Hand data set.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Hamming;
-
-impl Distance for Hamming {
-    #[inline]
-    fn distance_slices<S: Scalar>(&self, a: &[S], b: &[S]) -> f64 {
-        debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-        a.iter().zip(b.iter()).filter(|(x, y)| x != y).count() as f64
-    }
-
-    fn name(&self) -> &'static str {
-        "hamming"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,34 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn chebyshev_takes_max_coordinate_gap() {
-        let d = Chebyshev.distance(&p(&[1.0, 2.0, 3.0]), &p(&[2.0, 10.0, 3.5]));
-        assert!((d - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn minkowski_p1_equals_manhattan_p2_equals_euclidean() {
-        let a = p(&[1.0, -2.0, 0.5]);
-        let b = p(&[-3.0, 4.0, 2.0]);
-        let m1 = Minkowski::new(1.0).distance(&a, &b);
-        let m2 = Minkowski::new(2.0).distance(&a, &b);
-        assert!((m1 - Manhattan.distance(&a, &b)).abs() < 1e-9);
-        assert!((m2 - Euclidean.distance(&a, &b)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "Minkowski exponent")]
-    fn minkowski_rejects_p_below_one() {
-        Minkowski::new(0.5);
-    }
-
-    #[test]
-    fn hamming_counts_differing_coordinates() {
-        let d = Hamming.distance(&p(&[1.0, 2.0, 3.0, 4.0]), &p(&[1.0, 5.0, 3.0, 0.0]));
-        assert_eq!(d, 2.0);
-    }
-
-    #[test]
     fn wide_surrogates_round_trip_for_every_metric() {
         let a = [1.0f32, -2.0, 0.5, 7.25];
         let b = [-3.0f32, 4.0, 2.0, -1.5];
@@ -570,18 +411,12 @@ mod tests {
         check!(Euclidean);
         check!(SquaredEuclidean);
         check!(Manhattan);
-        check!(Chebyshev);
-        check!(Minkowski::new(3.0));
-        check!(Hamming);
     }
 
     #[test]
     fn all_metrics_report_names() {
         assert_eq!(Euclidean.name(), "euclidean");
         assert_eq!(Manhattan.name(), "manhattan");
-        assert_eq!(Chebyshev.name(), "chebyshev");
-        assert_eq!(Hamming.name(), "hamming");
-        assert_eq!(Minkowski::new(3.0).name(), "minkowski");
         assert_eq!(SquaredEuclidean.name(), "squared-euclidean");
     }
 
@@ -589,8 +424,5 @@ mod tests {
     fn metric_flags() {
         assert!(Euclidean.is_metric());
         assert!(Manhattan.is_metric());
-        assert!(Chebyshev.is_metric());
-        assert!(Hamming.is_metric());
-        assert!(Minkowski::new(4.0).is_metric());
     }
 }

@@ -222,51 +222,6 @@ pub fn dist2_wide_auto<S: Scalar>(a: &[S], b: &[S]) -> f64 {
     }
 }
 
-/// Squared Euclidean distance between rows `i` and `j` of the store.
-#[inline]
-pub fn dist2_rows<S: Scalar>(flat: &FlatPoints<S>, i: PointId, j: PointId) -> S {
-    dist2(flat.row(i), flat.row(j))
-}
-
-/// Minimum squared distance from `row` to any of the `centers` rows.
-///
-/// Returns `S::INFINITY` when `centers` is empty.
-#[inline]
-pub fn nearest2<S: Scalar>(flat: &FlatPoints<S>, row: &[S], centers: &[PointId]) -> S {
-    let mut best = S::INFINITY;
-    for &c in centers {
-        let d = dist2(row, flat.row(c));
-        if d < best {
-            best = d;
-        }
-    }
-    best
-}
-
-/// Like [`nearest2`], but stops scanning centers as soon as the running
-/// minimum drops to `stop_below` or less.  The returned value is always an
-/// upper bound on the true minimum and is exact whenever it exceeds
-/// `stop_below` — exactly what coverage checks and max-of-min scans need.
-#[inline]
-pub fn nearest2_bounded<S: Scalar>(
-    flat: &FlatPoints<S>,
-    row: &[S],
-    centers: &[PointId],
-    stop_below: S,
-) -> S {
-    let mut best = S::INFINITY;
-    for &c in centers {
-        let d = dist2(row, flat.row(c));
-        if d < best {
-            best = d;
-            if best <= stop_below {
-                break;
-            }
-        }
-    }
-    best
-}
-
 /// The fused Gonzalez relaxation: for every `subset[i]`, lowers
 /// `nearest[i]` to `min(nearest[i], dist2(subset[i], center))`.
 ///
@@ -583,32 +538,7 @@ mod tests {
     fn dist2_of_identical_rows_is_zero() {
         let p = Point::xyz(1.5, -2.0, 3.25);
         let flat = FlatPoints::<f64>::from_points(&[p.clone(), p]);
-        assert_eq!(dist2_rows(&flat, 0, 1), 0.0);
-    }
-
-    #[test]
-    fn nearest2_takes_minimum_and_handles_empty() {
-        let flat = cloud(10, 4);
-        assert!(nearest2(&flat, flat.row(0), &[]).is_infinite());
-        let centers = vec![3, 7, 9];
-        let naive = centers
-            .iter()
-            .map(|&c| dist2_rows(&flat, 0, c))
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(nearest2(&flat, flat.row(0), &centers), naive);
-    }
-
-    #[test]
-    fn bounded_nearest_is_exact_above_the_threshold() {
-        let flat = cloud(50, 3);
-        let centers: Vec<usize> = (1..50).collect();
-        let exact = nearest2(&flat, flat.row(0), &centers);
-        let bounded = nearest2_bounded(&flat, flat.row(0), &centers, exact - 1.0);
-        assert_eq!(bounded, exact);
-        // With a generous threshold the scan may stop early but never
-        // understates the minimum.
-        let loose = nearest2_bounded(&flat, flat.row(0), &centers, f64::MAX);
-        assert!(loose >= exact);
+        assert_eq!(dist2(flat.row(0), flat.row(1)), 0.0);
     }
 
     #[test]
@@ -619,7 +549,7 @@ mod tests {
         relax_nearest(&flat, &subset, 17, &mut nearest);
         relax_nearest(&flat, &subset, 91, &mut nearest);
         for (i, &v) in nearest.iter().enumerate() {
-            let naive = dist2_rows(&flat, i, 17).min(dist2_rows(&flat, i, 91));
+            let naive = dist2(flat.row(i), flat.row(17)).min(dist2(flat.row(i), flat.row(91)));
             assert_eq!(v, naive);
         }
     }

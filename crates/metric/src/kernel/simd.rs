@@ -207,6 +207,14 @@ impl KernelChoice {
         }
     }
 
+    /// The name this request parses from.
+    pub fn name(&self) -> &'static str {
+        match self {
+            KernelChoice::Auto => "auto",
+            KernelChoice::Fixed(k) => k.name(),
+        }
+    }
+
     /// Resolves the request to a concrete, available backend.
     pub fn resolve(self) -> Result<KernelBackend, KernelSelectError> {
         match self {

@@ -18,9 +18,9 @@
 //! * [`Point`] — a dense, owned `f64` coordinate vector used as the
 //!   per-point view/conversion type at API boundaries.
 //! * [`Distance`] implementations — [`Euclidean`], [`SquaredEuclidean`],
-//!   [`Manhattan`], [`Chebyshev`], [`Minkowski`], [`Hamming`] — all defined
-//!   over raw coordinate slices at either precision, with order-equivalent
-//!   *surrogate* forms (squared Euclidean, un-rooted Minkowski) for
+//!   [`Manhattan`] — all defined over raw coordinate slices at either
+//!   precision, with order-equivalent *surrogate* forms (squared
+//!   Euclidean) for
 //!   comparison-only scans and `f64`-accumulated *wide* forms for
 //!   certification.
 //! * [`kernel`] — the fused scan kernels (`dist2`, the dimension-specialised
@@ -112,9 +112,7 @@ pub mod scalar;
 pub mod space;
 
 pub use bbox::{BoundingBox, DimensionMismatch};
-pub use distance::{
-    Chebyshev, Distance, Euclidean, Hamming, Manhattan, Minkowski, SquaredEuclidean,
-};
+pub use distance::{Distance, Euclidean, Manhattan, SquaredEuclidean};
 pub use flat::FlatPoints;
 pub use grid::{AssignChoice, AssignMode, AssignSelectError, GridRelaxer, SpatialGrid, ASSIGN_ENV};
 pub use kernel::simd::{KernelBackend, KernelChoice, KernelSelectError, KERNEL_ENV};

@@ -106,8 +106,6 @@ pub trait Scalar:
     fn is_finite(self) -> bool;
     /// Absolute value.
     fn abs(self) -> Self;
-    /// Raises to a power (used by the Minkowski surrogate).
-    fn powf(self, e: Self) -> Self;
     /// IEEE-754 minimum (propagating the non-NaN operand).
     fn min(self, other: Self) -> Self;
     /// IEEE-754 maximum (propagating the non-NaN operand).
@@ -150,10 +148,6 @@ macro_rules! impl_scalar {
             #[inline(always)]
             fn abs(self) -> Self {
                 <$t>::abs(self)
-            }
-            #[inline(always)]
-            fn powf(self, e: Self) -> Self {
-                <$t>::powf(self, e)
             }
             #[inline(always)]
             fn min(self, other: Self) -> Self {

@@ -3,12 +3,10 @@
 //! distance code to 1e-12 on random points (all metrics, dimensions 1–64),
 //! and the parallel relax scan must match the sequential one bit-for-bit.
 
-use kcenter_metric::kernel::{
-    argmax, dist2, nearest2, nearest2_bounded, relax_nearest, PAR_CUTOFF,
-};
+use kcenter_metric::kernel::{argmax, dist2, relax_nearest, PAR_CUTOFF};
 use kcenter_metric::{
-    Chebyshev, Distance, Euclidean, FlatPoints, Hamming, Manhattan, MetricSpace, Minkowski, Point,
-    Scalar, SquaredEuclidean, VecSpace,
+    Distance, Euclidean, FlatPoints, Manhattan, MetricSpace, Point, Scalar, SquaredEuclidean,
+    VecSpace,
 };
 use proptest::prelude::*;
 
@@ -28,25 +26,6 @@ mod reference {
 
     pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum()
-    }
-
-    pub fn chebyshev(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
-
-    pub fn minkowski(p: f64, a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x - y).abs().powf(p))
-            .sum::<f64>()
-            .powf(1.0 / p)
-    }
-
-    pub fn hamming(a: &[f64], b: &[f64]) -> f64 {
-        a.iter().zip(b.iter()).filter(|(x, y)| x != y).count() as f64
     }
 }
 
@@ -81,22 +60,13 @@ proptest! {
     }
 
     #[test]
-    fn slice_distances_agree_with_scalar_references(
-        (a, b) in row_pair(),
-        p in 1.0f64..6.0,
-    ) {
+    fn slice_distances_agree_with_scalar_references((a, b) in row_pair()) {
         prop_assert!(close(Euclidean.distance_slices(&a, &b), reference::euclidean(&a, &b)));
         prop_assert!(close(
             SquaredEuclidean.distance_slices(&a, &b),
             reference::squared_euclidean(&a, &b)
         ));
         prop_assert!(close(Manhattan.distance_slices(&a, &b), reference::manhattan(&a, &b)));
-        prop_assert!(close(Chebyshev.distance_slices(&a, &b), reference::chebyshev(&a, &b)));
-        prop_assert!(close(
-            Minkowski::new(p).distance_slices(&a, &b),
-            reference::minkowski(p, &a, &b)
-        ));
-        prop_assert!(close(Hamming.distance_slices(&a, &b), reference::hamming(&a, &b)));
     }
 
     #[test]
@@ -107,7 +77,7 @@ proptest! {
     }
 
     #[test]
-    fn surrogates_round_trip_to_distances((a, b) in row_pair(), p in 1.0f64..6.0) {
+    fn surrogates_round_trip_to_distances((a, b) in row_pair()) {
         // The scalar-generic methods make `Distance` non-dyn-compatible,
         // so enumerate the metrics statically.
         macro_rules! check {
@@ -134,25 +104,6 @@ proptest! {
         check!(Euclidean);
         check!(SquaredEuclidean);
         check!(Manhattan);
-        check!(Chebyshev);
-        check!(Minkowski::new(p));
-        check!(Hamming);
-    }
-
-    #[test]
-    fn nearest_and_bounded_kernels_match_naive_minimum(flat in flat_cloud()) {
-        let centers: Vec<usize> = (0..flat.len()).step_by(3).collect();
-        for i in 0..flat.len() {
-            let naive = centers
-                .iter()
-                .map(|&c| reference::squared_euclidean(flat.row(i), flat.row(c)))
-                .fold(f64::INFINITY, f64::min);
-            let fast = nearest2(&flat, flat.row(i), &centers);
-            prop_assert!(close(fast, naive));
-            // A threshold below the true minimum must not trigger an exit.
-            let bounded = nearest2_bounded(&flat, flat.row(i), &centers, fast * 0.5 - 1.0);
-            prop_assert_eq!(bounded, fast);
-        }
     }
 
     #[test]

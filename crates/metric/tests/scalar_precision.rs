@@ -15,11 +15,8 @@
 //! Dimensions 1–64 are exercised for every metric, matching the bounds
 //! documented on the kernels.
 
-use kcenter_metric::kernel::{dist2, dist2_wide, nearest2, relax_nearest};
-use kcenter_metric::{
-    Chebyshev, Distance, Euclidean, FlatPoints, Hamming, Manhattan, Minkowski, Scalar,
-    SquaredEuclidean,
-};
+use kcenter_metric::kernel::{dist2, dist2_wide, relax_nearest};
+use kcenter_metric::{Distance, Euclidean, FlatPoints, Manhattan, Scalar, SquaredEuclidean};
 use proptest::prelude::*;
 
 /// Widens an `f32` row to `f64` (exact).
@@ -89,10 +86,7 @@ proptest! {
     /// the dimension-scaled bound of the f64 scalar reference on widened
     /// rows (dims 1–64).
     #[test]
-    fn f32_metrics_within_dimension_scaled_bound_of_f64_reference(
-        (a, b) in row_pair32(),
-        p in 1.0f64..4.0,
-    ) {
+    fn f32_metrics_within_dimension_scaled_bound_of_f64_reference((a, b) in row_pair32()) {
         let (aw, bw) = (widen(&a), widen(&b));
         let dim = a.len();
 
@@ -111,8 +105,6 @@ proptest! {
         exact!(Euclidean);
         exact!(SquaredEuclidean);
         exact!(Manhattan);
-        exact!(Chebyshev);
-        exact!(Hamming);
 
         // The f32 comparison-space surrogates carry only accumulation error
         // relative to the f64 surrogate of the same rounded inputs.
@@ -130,18 +122,10 @@ proptest! {
         close_surrogate!(Euclidean, 1.0);
         close_surrogate!(SquaredEuclidean, 1.0);
         close_surrogate!(Manhattan, 1.0);
-        close_surrogate!(Chebyshev, 1.0);
-        // powf is correctly rounded only to a few ulp; allow extra headroom.
-        close_surrogate!(Minkowski::new(p), 16.0);
-        // Hamming counts are integers below 2^24: exactly representable.
-        let h32: f32 = Hamming.surrogate(&a, &b);
-        let h64: f64 = Hamming.surrogate(&aw, &bw);
-        prop_assert_eq!(h32 as f64, h64);
     }
 
-    /// The fused relax/nearest kernels at f32 agree with a per-pair f64
-    /// reference on widened rows, to the dimension-scaled bound, for every
-    /// point of the cloud.
+    /// The fused relax kernel at f32 agrees with its f64 run on widened
+    /// rows, to the dimension-scaled bound, for every point of the cloud.
     #[test]
     fn f32_scan_kernels_track_the_f64_reference(flat in flat_cloud32()) {
         let dim = flat.dim();
@@ -156,17 +140,10 @@ proptest! {
             relax_nearest(&wide, &subset, c, &mut near64);
         }
         for i in 0..flat.len() {
-            let narrow = nearest2(&flat, flat.row(i), &centers) as f64;
-            let reference = nearest2(&wide, wide.row(i), &centers);
-            let tol = accumulation_tol(dim) * reference.max(f64::MIN_POSITIVE);
-            prop_assert!(
-                (narrow - reference).abs() <= tol,
-                "nearest2 point {i}: |{narrow} - {reference}| > {tol}"
-            );
             // The relax recurrences may pick a different (near-tied) center
             // per precision, but the *values* stay within the bound of each
             // other because both are mins over pairwise values within tol.
-            let tol_relax = tol.max(accumulation_tol(dim) * near64[i].max(f64::MIN_POSITIVE));
+            let tol_relax = accumulation_tol(dim) * near64[i].max(f64::MIN_POSITIVE);
             prop_assert!(
                 (near32[i] as f64 - near64[i]).abs() <= tol_relax,
                 "relax point {i}: |{} - {}| > {tol_relax}", near32[i], near64[i]
