@@ -1082,63 +1082,13 @@ mod tests {
         assert!(err.to_string().contains("--precision"));
     }
 
-    /// Every run flag through `solve`, `sweep` and `ingest`: a valid value
-    /// lands in `run` (absent flags leave the defaults), and a bad value is
-    /// a parse error naming the flag and the value.
-    #[test]
-    fn run_flags_parse_the_same_on_every_subcommand() {
-        use kcenter_metric::{AssignMode, KernelBackend};
-        type Set = fn(&mut RunArgs);
-        let valid: &[(&str, Set)] = &[
-            ("--precision f32", |r| r.precision = Precision::F32),
-            ("--kernel auto", |r| r.kernel = Some(KernelChoice::Auto)),
-            ("--kernel scalar", |r| {
-                r.kernel = Some(KernelChoice::Fixed(KernelBackend::Scalar))
-            }),
-            ("--kernel portable", |r| {
-                r.kernel = Some(KernelChoice::Fixed(KernelBackend::Portable))
-            }),
-            ("--kernel AVX2", |r| {
-                r.kernel = Some(KernelChoice::Fixed(KernelBackend::Avx2))
-            }),
-            ("--assign auto", |r| r.assign = Some(AssignChoice::Auto)),
-            ("--assign dense", |r| {
-                r.assign = Some(AssignChoice::Fixed(AssignMode::Dense))
-            }),
-            ("--assign GRID", |r| {
-                r.assign = Some(AssignChoice::Fixed(AssignMode::Grid))
-            }),
-            ("--executor SIMULATED", |r| {
-                r.executor = Some(ExecutorChoice::Simulated)
-            }),
-            ("--executor threads --threads 4", |r| {
-                r.executor = Some(ExecutorChoice::Threads);
-                r.threads = Some(4);
-            }),
-            ("--assign grid --kernel scalar", |r| {
-                r.assign = Some(AssignChoice::Fixed(AssignMode::Grid));
-                r.kernel = Some(KernelChoice::Fixed(KernelBackend::Scalar));
-            }),
-            ("--fault-seed 42 --max-attempts 5 --degrade on", |r| {
-                r.faults.fault_seed = Some(42);
-                r.faults.max_attempts = Some(5);
-                r.faults.degrade = true;
-            }),
-            ("--fault-plan plan.txt", |r| {
-                r.faults.plan_file = Some("plan.txt".into())
-            }),
-        ];
-        let bad = [
-            ("--precision", "f16"),
-            ("--kernel", "warp9"),
-            ("--assign", "octree"),
-            ("--executor", "gpu"),
-            ("--threads", "0"),
-            ("--threads", "many"),
-            ("--fault-seed", "x"),
-            ("--max-attempts", "none"),
-            ("--degrade", "maybe"),
-        ];
+    type SetRun = fn(&mut RunArgs);
+
+    /// Runs each row through `solve`, `sweep` and `ingest`, each with its
+    /// minimal required flags: a valid value lands in `run` (absent flags
+    /// leave the defaults), and a bad value is a parse error naming the flag
+    /// and the value.
+    fn assert_run_flags(valid: &[(&str, SetRun)], bad: &[(&str, &str)]) {
         for cmd in [
             "solve gon --input x.csv --k 2",
             "sweep --input a.csv --ks 2",
@@ -1165,6 +1115,103 @@ mod tests {
                     "{cmd} {flag} {value}: {err}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn run_flags_parse_the_same_on_every_subcommand() {
+        assert_run_flags(
+            &[
+                ("--precision f32", |r| r.precision = Precision::F32),
+                ("--fault-seed 42 --max-attempts 5 --degrade on", |r| {
+                    r.faults.fault_seed = Some(42);
+                    r.faults.max_attempts = Some(5);
+                    r.faults.degrade = true;
+                }),
+                ("--fault-plan plan.txt", |r| {
+                    r.faults.plan_file = Some("plan.txt".into())
+                }),
+            ],
+            &[
+                ("--precision", "f16"),
+                ("--fault-seed", "x"),
+                ("--max-attempts", "none"),
+                ("--degrade", "maybe"),
+            ],
+        );
+    }
+
+    #[test]
+    fn kernel_flag_parses_every_backend_and_rejects_unknown_names() {
+        use kcenter_metric::KernelBackend;
+        assert_run_flags(
+            &[
+                ("--kernel auto", |r| r.kernel = Some(KernelChoice::Auto)),
+                ("--kernel scalar", |r| {
+                    r.kernel = Some(KernelChoice::Fixed(KernelBackend::Scalar))
+                }),
+                ("--kernel portable", |r| {
+                    r.kernel = Some(KernelChoice::Fixed(KernelBackend::Portable))
+                }),
+                ("--kernel AVX2", |r| {
+                    r.kernel = Some(KernelChoice::Fixed(KernelBackend::Avx2))
+                }),
+            ],
+            &[("--kernel", "warp9"), ("--kernel", "turbo")],
+        );
+    }
+
+    #[test]
+    fn assign_flag_parses_every_arm_and_rejects_unknown_names() {
+        use kcenter_metric::{AssignMode, KernelBackend};
+        assert_run_flags(
+            &[
+                ("--assign auto", |r| r.assign = Some(AssignChoice::Auto)),
+                ("--assign dense", |r| {
+                    r.assign = Some(AssignChoice::Fixed(AssignMode::Dense))
+                }),
+                ("--assign GRID", |r| {
+                    r.assign = Some(AssignChoice::Fixed(AssignMode::Grid))
+                }),
+                ("--assign grid --kernel scalar", |r| {
+                    r.assign = Some(AssignChoice::Fixed(AssignMode::Grid));
+                    r.kernel = Some(KernelChoice::Fixed(KernelBackend::Scalar));
+                }),
+            ],
+            &[("--assign", "octree"), ("--assign", "kdtree")],
+        );
+    }
+
+    #[test]
+    fn executor_flags_parse_and_reject_unknown_values() {
+        assert_run_flags(
+            &[
+                ("--executor SIMULATED", |r| {
+                    r.executor = Some(ExecutorChoice::Simulated)
+                }),
+                ("--executor threads --threads 4", |r| {
+                    r.executor = Some(ExecutorChoice::Threads);
+                    r.threads = Some(4);
+                }),
+            ],
+            &[
+                ("--executor", "gpu"),
+                ("--threads", "0"),
+                ("--threads", "many"),
+            ],
+        );
+    }
+
+    #[test]
+    fn sweep_kernel_flag_parses() {
+        use kcenter_metric::KernelBackend;
+        let cli = parse(&argv("sweep --input a.csv --ks 2 --kernel scalar")).unwrap();
+        match cli.command {
+            Command::Sweep(s) => assert_eq!(
+                s.run.kernel,
+                Some(KernelChoice::Fixed(KernelBackend::Scalar))
+            ),
+            _ => panic!("expected sweep"),
         }
     }
 
