@@ -16,9 +16,11 @@
 //! run's outputs bit for bit, so "executor" never joins the determinism
 //! tuple either.
 
+use kcenter_core::hash::Fnv;
 use kcenter_core::prelude::*;
 use kcenter_mapreduce::{
-    Executor, FaultConfig, FaultKind, FaultPlan, FaultPolicy, FaultRates, ScheduledFault,
+    DroppedShard, Executor, FaultCause, FaultConfig, FaultKind, FaultPlan, FaultPolicy, FaultRates,
+    JobStats, MapReduceError, ScheduledFault,
 };
 use kcenter_metric::{Point, VecSpace};
 use proptest::prelude::*;
@@ -265,4 +267,338 @@ fn degraded_coreset_pins_its_coverage_fraction_and_provenance() {
     assert_eq!(degraded.total_points, 2_000);
     assert_eq!(degraded.coverage_fraction(), 0.9);
     assert_eq!(degraded.dropped_shards.len(), 1);
+}
+
+/// Integer coordinates in a 1000x1000 square: every squared distance is an
+/// exact small integer, so every kernel backend computes the same bits.
+fn integer_cloud(n: usize, seed: u64) -> VecSpace {
+    VecSpace::new(
+        (0..n)
+            .map(|i| {
+                let v = seed
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(i as u64)
+                    .wrapping_mul(0xD129_0DDB_53C4_3E49);
+                Point::xy((v % 1_000) as f64, ((v >> 20) % 1_000) as f64)
+            })
+            .collect(),
+    )
+}
+
+/// Degrade mode on: each listed `(round, machine)` crashes on all three
+/// of its attempts, so the cluster drops exactly those shards.
+fn dropping(shards: &[(usize, usize)]) -> FaultConfig {
+    let plan = FaultPlan::explicit(
+        shards
+            .iter()
+            .flat_map(|&(round, machine)| {
+                (0..3).map(move |attempt| ScheduledFault {
+                    round,
+                    machine,
+                    attempt,
+                    kind: FaultKind::Crash,
+                })
+            })
+            .collect(),
+    );
+    FaultConfig::new(plan)
+        .with_policy(FaultPolicy::with_max_attempts(3))
+        .with_degrade(true)
+}
+
+/// Everything a degraded run is pinned on, one fact per line: the run's
+/// `answer` (its centers or representatives), the radius bits, the
+/// coverage, every dropped shard, and per round its label, attempt count
+/// and fault-event lines.
+fn pin(
+    answer: String,
+    radius: f64,
+    (covered, total): (usize, usize),
+    dropped: &[DroppedShard],
+    stats: &JobStats,
+) -> String {
+    let mut out = format!(
+        "{answer}\nradius {:#018x}\ncovered {covered} of {total}\n",
+        radius.to_bits()
+    );
+    for shard in dropped {
+        out += &format!("dropped {shard}\n");
+    }
+    for round in stats.rounds() {
+        out += &format!("round {:?} attempts {}\n", round.label, round.attempts);
+        for event in round.faults.events() {
+            out += &format!("  {event}\n");
+        }
+    }
+    out
+}
+
+/// Runs `run` under the simulated executor and on two threads, demands
+/// the same pin from both, and returns it.
+fn pinned_on_both_executors(run: impl Fn(Executor) -> String) -> String {
+    let simulated = run(Executor::Simulated);
+    assert_eq!(simulated, run(Executor::threads(2)));
+    simulated
+}
+
+const MRG_DEGRADE_PLAN: &[(usize, usize)] = &[(0, 3)];
+const EIM_DEGRADE_PLAN: &[(usize, usize)] = &[(0, 1), (1, 0), (2, 0)];
+const GONZALEZ_CORESET_DEGRADE_PLAN: &[(usize, usize)] = &[(0, 2), (2, 4)];
+
+fn mrg_config() -> MrgConfig {
+    MrgConfig::new(5).with_machines(10).with_capacity(400)
+}
+
+fn eim_config() -> EimConfig {
+    EimConfig::new(2)
+        .with_machines(6)
+        .with_epsilon(0.13)
+        .with_seed(7)
+}
+
+/// MRG loses round 0's machine 3: its 400 source points leave the claim.
+const MRG_PIN: &str = r#"centers [0, 964, 1978, 81, 391]
+radius 0x407eef45cf44175d
+covered 3600 of 4000
+dropped round=0 machine=3: 400 items dropped after 3 attempts (the reducer crashed)
+round "MRG reduction round 1 (gonzalez on 10 machines)" attempts 12
+  machine 3 attempt 0: crashed
+  machine 3: retry as attempt 1 after 10ms backoff
+  machine 3 attempt 1: crashed
+  machine 3: retry as attempt 2 after 20ms backoff
+  machine 3 attempt 2: crashed
+  machine 3: shard of 400 items dropped after 3 attempts
+round "MRG final round (gonzalez on 1 machine)" attempts 1
+"#;
+
+#[test]
+fn degraded_mrg_run_is_pinned_on_both_executors() {
+    let space = integer_cloud(4_000, 51);
+    let got = pinned_on_both_executors(|executor| {
+        let result = mrg_config()
+            .with_faults(dropping(MRG_DEGRADE_PLAN))
+            .with_executor(executor)
+            .run(&space)
+            .unwrap();
+        let degraded = result.degraded.expect("round 0 lost a shard");
+        pin(
+            format!("centers {:?}", result.solution.centers),
+            result.solution.radius,
+            (degraded.covered_points, degraded.total_points),
+            &degraded.dropped_shards,
+            &result.stats,
+        )
+    });
+    assert_eq!(got, MRG_PIN);
+}
+
+/// EIM loses iteration 1's round-1 machine 1 (its chunk leaves the claim),
+/// its Select round (no points lost, the iteration filters nothing) and
+/// its filter round's machine 0 (the unsampled part of the chunk leaves).
+const EIM_PIN: &str = r#"centers [14, 1516]
+radius 0x4087b82b2c07ee14
+covered 2844 of 4000
+dropped round=0 machine=1: 667 items dropped after 3 attempts (the reducer crashed)
+dropped round=1 machine=0: 69 items dropped after 3 attempts (the reducer crashed)
+dropped round=2 machine=0: 556 items dropped after 3 attempts (the reducer crashed)
+round "EIM iteration 1 round 1: sample S and H" attempts 8
+  machine 1 attempt 0: crashed
+  machine 1: retry as attempt 1 after 10ms backoff
+  machine 1 attempt 1: crashed
+  machine 1: retry as attempt 2 after 20ms backoff
+  machine 1 attempt 2: crashed
+  machine 1: shard of 667 items dropped after 3 attempts
+round "EIM iteration 1 round 2: Select(H, S)" attempts 3
+  machine 0 attempt 0: crashed
+  machine 0: retry as attempt 1 after 10ms backoff
+  machine 0 attempt 1: crashed
+  machine 0: retry as attempt 2 after 20ms backoff
+  machine 0 attempt 2: crashed
+  machine 0: shard of 69 items dropped after 3 attempts
+round "EIM iteration 1 round 3: filter R" attempts 8
+  machine 0 attempt 0: crashed
+  machine 0: retry as attempt 1 after 10ms backoff
+  machine 0 attempt 1: crashed
+  machine 0: retry as attempt 2 after 20ms backoff
+  machine 0 attempt 2: crashed
+  machine 0: shard of 556 items dropped after 3 attempts
+round "EIM iteration 2 round 1: sample S and H" attempts 6
+round "EIM iteration 2 round 2: Select(H, S)" attempts 1
+round "EIM iteration 2 round 3: filter R" attempts 6
+round "EIM iteration 3 round 1: sample S and H" attempts 6
+round "EIM iteration 3 round 2: Select(H, S)" attempts 1
+round "EIM iteration 3 round 3: filter R" attempts 6
+round "EIM final round: gonzalez on the sample" attempts 1
+"#;
+
+#[test]
+fn degraded_eim_run_is_pinned_on_both_executors() {
+    let space = integer_cloud(4_000, 52);
+    let got = pinned_on_both_executors(|executor| {
+        let result = eim_config()
+            .with_faults(dropping(EIM_DEGRADE_PLAN))
+            .with_executor(executor)
+            .run(&space)
+            .unwrap();
+        let degraded = result.degraded.expect("three rounds lost a shard");
+        pin(
+            format!("centers {:?}", result.solution.centers),
+            result.solution.radius,
+            (degraded.covered_points, degraded.total_points),
+            &degraded.dropped_shards,
+            &result.stats,
+        )
+    });
+    assert_eq!(got, EIM_PIN);
+}
+
+/// A coreset's pin: its representatives and weights enter as FNV-1a
+/// digests (an EIM coreset keeps over a thousand rows).
+fn coreset_pin(coreset: &WeightedCoreset) -> String {
+    let digest = |values: &[u64]| {
+        let mut h = Fnv::new();
+        values.iter().for_each(|&v| h.write_u64(v));
+        h.finish()
+    };
+    let ids: Vec<u64> = coreset.source_ids().iter().map(|&id| id as u64).collect();
+    let coverage = coreset.coverage();
+    pin(
+        format!(
+            "representatives {} digest {:#018x}\nweights digest {:#018x}",
+            ids.len(),
+            digest(&ids),
+            digest(coreset.weights())
+        ),
+        coreset.construction_radius(),
+        (coverage.covered_source_len, coreset.source_len()),
+        &coverage.dropped_shards,
+        coreset.stats(),
+    )
+}
+
+/// The Gonzalez coreset loses round 0's machine 2 and the weights round's
+/// machine 4: both chunks leave the claim.
+const GONZALEZ_CORESET_PIN: &str = r#"representatives 16 digest 0x570017cc4ba15758
+weights digest 0x6f19f0dbbdd4a789
+radius 0x406b0225d72ae0d6
+covered 2777 of 4000
+dropped round=0 machine=2: 667 items dropped after 3 attempts (the reducer crashed)
+dropped round=2 machine=4: 556 items dropped after 3 attempts (the reducer crashed)
+round "coreset round 1: local gonzalez (t=16 on 6 machines)" attempts 8
+  machine 2 attempt 0: crashed
+  machine 2: retry as attempt 1 after 10ms backoff
+  machine 2 attempt 1: crashed
+  machine 2: retry as attempt 2 after 20ms backoff
+  machine 2 attempt 2: crashed
+  machine 2: shard of 667 items dropped after 3 attempts
+round "coreset round 2: merge local coresets" attempts 1
+round "coreset round 3: weights + certification [dense]" attempts 8
+  machine 4 attempt 0: crashed
+  machine 4: retry as attempt 1 after 10ms backoff
+  machine 4 attempt 1: crashed
+  machine 4: retry as attempt 2 after 20ms backoff
+  machine 4 attempt 2: crashed
+  machine 4: shard of 556 items dropped after 3 attempts
+"#;
+
+#[test]
+fn degraded_gonzalez_coreset_is_pinned_on_both_executors() {
+    let space = integer_cloud(4_000, 53);
+    let got = pinned_on_both_executors(|executor| {
+        let coreset = GonzalezCoresetConfig::new(16)
+            .with_machines(6)
+            .with_faults(dropping(GONZALEZ_CORESET_DEGRADE_PLAN))
+            .with_executor(executor)
+            .build(&space)
+            .unwrap();
+        coreset_pin(&coreset)
+    });
+    assert_eq!(got, GONZALEZ_CORESET_PIN);
+}
+
+/// The EIM coreset under the EIM plan: the same three drops, then a clean
+/// weights round over the survivors.
+const EIM_CORESET_PIN: &str = r#"representatives 2249 digest 0x6e8be598797cfc02
+weights digest 0x558a347a850e0d61
+radius 0x4022706821902e9a
+covered 2844 of 4000
+dropped round=0 machine=1: 667 items dropped after 3 attempts (the reducer crashed)
+dropped round=1 machine=0: 69 items dropped after 3 attempts (the reducer crashed)
+dropped round=2 machine=0: 556 items dropped after 3 attempts (the reducer crashed)
+round "coreset EIM iteration 1 round 1: sample S and H" attempts 8
+  machine 1 attempt 0: crashed
+  machine 1: retry as attempt 1 after 10ms backoff
+  machine 1 attempt 1: crashed
+  machine 1: retry as attempt 2 after 20ms backoff
+  machine 1 attempt 2: crashed
+  machine 1: shard of 667 items dropped after 3 attempts
+round "coreset EIM iteration 1 round 2: Select(H, S)" attempts 3
+  machine 0 attempt 0: crashed
+  machine 0: retry as attempt 1 after 10ms backoff
+  machine 0 attempt 1: crashed
+  machine 0: retry as attempt 2 after 20ms backoff
+  machine 0 attempt 2: crashed
+  machine 0: shard of 69 items dropped after 3 attempts
+round "coreset EIM iteration 1 round 3: filter R" attempts 8
+  machine 0 attempt 0: crashed
+  machine 0: retry as attempt 1 after 10ms backoff
+  machine 0 attempt 1: crashed
+  machine 0: retry as attempt 2 after 20ms backoff
+  machine 0 attempt 2: crashed
+  machine 0: shard of 556 items dropped after 3 attempts
+round "coreset EIM iteration 2 round 1: sample S and H" attempts 6
+round "coreset EIM iteration 2 round 2: Select(H, S)" attempts 1
+round "coreset EIM iteration 2 round 3: filter R" attempts 6
+round "coreset EIM iteration 3 round 1: sample S and H" attempts 6
+round "coreset EIM iteration 3 round 2: Select(H, S)" attempts 1
+round "coreset EIM iteration 3 round 3: filter R" attempts 6
+round "coreset final round: weights + certification [dense]" attempts 6
+"#;
+
+#[test]
+fn degraded_eim_coreset_is_pinned_on_both_executors() {
+    let space = integer_cloud(4_000, 54);
+    let got = pinned_on_both_executors(|executor| {
+        let coreset = eim_config()
+            .with_faults(dropping(EIM_DEGRADE_PLAN))
+            .with_executor(executor)
+            .build_coreset(&space)
+            .unwrap();
+        coreset_pin(&coreset)
+    });
+    assert_eq!(got, EIM_CORESET_PIN);
+}
+
+/// A single-reducer round never degrades: losing MRG's final round, EIM's
+/// final round (round 9 after three iterations) or the coreset merge round
+/// leaves nothing to degrade to, so the run fails even in degrade mode.
+#[test]
+fn degrade_mode_never_drops_a_single_reducer_round() {
+    let space = integer_cloud(4_000, 55);
+    let failed = |round| {
+        KCenterError::MapReduce(MapReduceError::RoundFailed {
+            round,
+            machine: 0,
+            attempts: 3,
+            source: FaultCause::Crashed,
+        })
+    };
+    for executor in [Executor::Simulated, Executor::threads(2)] {
+        let mrg = mrg_config()
+            .with_faults(dropping(&[(1, 0)]))
+            .with_executor(executor)
+            .run(&space);
+        assert_eq!(mrg.unwrap_err(), failed(1));
+        let eim = eim_config()
+            .with_faults(dropping(&[(9, 0)]))
+            .with_executor(executor)
+            .run(&space);
+        assert_eq!(eim.unwrap_err(), failed(9));
+        let coreset = GonzalezCoresetConfig::new(16)
+            .with_machines(6)
+            .with_faults(dropping(&[(1, 0)]))
+            .with_executor(executor)
+            .build(&space);
+        assert_eq!(coreset.unwrap_err(), failed(1));
+    }
 }
