@@ -1,8 +1,8 @@
 //! Execution of the parsed CLI commands.
 
 use crate::args::{
-    Cli, Command, FaultArgs, GenerateArgs, InfoArgs, IngestArgs, RunArgs, SolveArgs, SolverChoice,
-    SweepArgs, SweepBuilderChoice, SweepSource, USAGE,
+    Cli, Command, FaultArgs, GenerateArgs, InfoArgs, IngestArgs, ParseError, RunArgs, SolveArgs,
+    SolverChoice, SweepArgs, SweepBuilderChoice, SweepSource, USAGE,
 };
 use kcenter_bench::scenario::{center_digest, CellResult, ScenarioReport};
 use kcenter_core::evaluate::{assign, cluster_sizes};
@@ -10,13 +10,13 @@ use kcenter_core::prelude::*;
 use kcenter_data::csv::{load_flat, save_points, CsvError, CsvOptions};
 use kcenter_mapreduce::{
     install_thread_budget, threads_from_env, Cluster, ClusterConfig, DegradedRun, Executor,
-    ExecutorChoice, FaultConfig, FaultPlan, FaultPolicy, JobStats,
+    ExecutorChoice, FaultConfig, FaultPlan, FaultPolicy, JobStats, EXECUTOR_ENV, THREADS_ENV,
 };
 use kcenter_metric::grid;
 use kcenter_metric::kernel::simd;
 use kcenter_metric::{
     AssignChoice, BoundingBox, Euclidean, KernelBackend, KernelChoice, MetricSpace, PointId,
-    Precision, Scalar, VecSpace,
+    Precision, Scalar, VecSpace, ASSIGN_ENV, KERNEL_ENV,
 };
 use kcenter_serve::{IngestConfig, IngestError, Ingestor, SnapshotCell, StreamConfig};
 use std::fmt;
@@ -35,6 +35,20 @@ pub enum CommandError {
     Algorithm(KCenterError),
     /// The checkpointed ingest loop reported an error.
     Ingest(IngestError),
+    /// A `KCENTER_*` variable held a value its flag would reject at parse
+    /// time: a usage error like the flag's, naming the variable.
+    Usage(ParseError),
+}
+
+impl CommandError {
+    /// The process exit code: 2 for a usage error, as for a bad flag; 1
+    /// for every other failure.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            CommandError::Usage(_) => 2,
+            _ => 1,
+        }
+    }
 }
 
 impl fmt::Display for CommandError {
@@ -44,6 +58,7 @@ impl fmt::Display for CommandError {
             CommandError::Io(e) => write!(f, "I/O error: {e}"),
             CommandError::Algorithm(e) => write!(f, "algorithm error: {e}"),
             CommandError::Ingest(e) => write!(f, "ingest error: {e}"),
+            CommandError::Usage(e) => write!(f, "{e}"),
         }
     }
 }
@@ -137,6 +152,12 @@ fn invalid(name: &'static str, e: impl fmt::Display) -> CommandError {
     })
 }
 
+/// The usage error of a bad `KCENTER_*` value, worded like the parse error
+/// of its flag.
+fn bad_env(var: &str, e: impl fmt::Display) -> CommandError {
+    CommandError::Usage(ParseError(format!("invalid value for {var}: {e}")))
+}
+
 /// The dispatch a run resolved to: what the printout and reports name.
 #[derive(Clone, Copy)]
 struct Dispatch {
@@ -152,32 +173,34 @@ struct Dispatch {
 /// available parallelism.  Installs the kernel backend, the assignment arm
 /// and an explicit thread budget (which also caps the chunked `par_*`
 /// kernels), and zeroes the scan counts so [`report_assign_scans`]
-/// accounts for this command alone.  Unknown names and unavailable
-/// backends are named `kernel`, `assign` or `executor` parameter errors,
-/// not deep panics.  Results are executor-invariant; only the wall-clock
-/// accounting changes.
+/// accounts for this command alone.  A bad `KCENTER_*` value is a usage
+/// error naming the variable (exit 2, as for the flag); an unavailable
+/// backend is a named `kernel` parameter error, not a deep panic.  Results
+/// are executor-invariant; only the wall-clock accounting changes.
 fn install<W: Write>(run: &RunArgs, out: &mut W) -> Result<Dispatch, CommandError> {
-    let kernel = run
-        .kernel
-        .map_or_else(KernelChoice::from_env, Ok)
-        .and_then(KernelChoice::resolve)
+    let kernel = match run.kernel {
+        Some(choice) => choice,
+        None => KernelChoice::from_env().map_err(|e| bad_env(KERNEL_ENV, e))?,
+    };
+    let kernel = kernel
+        .resolve()
         .and_then(|backend| simd::set_active(backend).map(|()| backend))
         .map_err(|e| invalid("kernel", e))?;
     writeln!(out, "kernel backend: {kernel}")?;
-    let assign = run
-        .assign
-        .map_or_else(AssignChoice::from_env, Ok)
-        .map_err(|e| invalid("assign", e))?;
+    let assign = match run.assign {
+        Some(choice) => choice,
+        None => AssignChoice::from_env().map_err(|e| bad_env(ASSIGN_ENV, e))?,
+    };
     grid::set_choice(assign);
     grid::reset_scan_counts();
     writeln!(out, "assignment arm: {assign}")?;
-    let choice = run
-        .executor
-        .map_or_else(ExecutorChoice::from_env, Ok)
-        .map_err(|e| invalid("executor", e))?;
+    let choice = match run.executor {
+        Some(choice) => choice,
+        None => ExecutorChoice::from_env().map_err(|e| bad_env(EXECUTOR_ENV, e))?,
+    };
     let threads = match run.threads {
         Some(n) => Some(n),
-        None => threads_from_env().map_err(|e| invalid("executor", e))?,
+        None => threads_from_env().map_err(|e| bad_env(THREADS_ENV, e))?,
     };
     if let Some(n) = threads {
         install_thread_budget(n);
@@ -209,10 +232,9 @@ fn report_assign_scans<W: Write>(out: &mut W) -> Result<(), CommandError> {
 /// malformed plan files surface as named errors, not panics.
 fn build_fault_config(args: &FaultArgs) -> Result<Option<FaultConfig>, CommandError> {
     let plan = if let Some(path) = &args.plan_file {
-        let text = std::fs::read_to_string(path)?;
-        let plan = FaultPlan::parse_text(&text)
-            .map_err(|e| invalid("fault-plan", format!("{path}: {e}")))?;
-        Some(plan)
+        let named = |e: &dyn fmt::Display| invalid("fault-plan", format!("{path}: {e}"));
+        let text = std::fs::read_to_string(path).map_err(|e| named(&e))?;
+        Some(FaultPlan::parse_text(&text).map_err(|e| named(&e))?)
     } else {
         args.fault_seed.map(FaultPlan::seeded)
     };
@@ -1326,12 +1348,19 @@ mod tests {
                 ..
             })
         ));
-        // A missing plan file is an I/O error, not a panic.
+        // A missing plan file names the flag and the path, not a panic.
         let err = run_cli(&format!(
             "solve mrg --input {csv} --k 2 --fault-plan /not/there.txt"
         ))
         .unwrap_err();
-        assert!(matches!(err, CommandError::Io(_)));
+        assert!(matches!(
+            err,
+            CommandError::Algorithm(KCenterError::InvalidParameter {
+                name: "fault-plan",
+                ..
+            })
+        ));
+        assert!(err.to_string().contains("/not/there.txt"));
         // Sequential solvers reject fault injection by name.
         let err = run_cli(&format!("solve gon --input {csv} --k 2 --fault-seed 1")).unwrap_err();
         assert!(err.to_string().contains("mrg or eim"));

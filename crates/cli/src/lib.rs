@@ -19,7 +19,8 @@
 //! [`args::RunArgs`]: storage precision, kernel backend, assignment arm,
 //! executor and thread budget, and injected faults.  One
 //! `RunArgs::consume` parses it, and one install step in [`commands`]
-//! resolves it against the `KCENTER_*` environment.
+//! resolves it against the `KCENTER_*` environment; a bad variable value
+//! is a usage error naming the variable (exit 2), like a bad flag.
 //!
 //! All argument parsing and command execution lives in this library so it
 //! can be unit-tested without spawning processes; `main.rs` is a thin shim.

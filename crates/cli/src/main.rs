@@ -16,6 +16,6 @@ fn main() {
     let mut out = stdout.lock();
     if let Err(e) = commands::run(&cli, &mut out) {
         eprintln!("error: {e}");
-        std::process::exit(1);
+        std::process::exit(e.exit_code());
     }
 }

@@ -85,7 +85,9 @@ pub use persist::PersistError;
 
 use crate::eim::{sampling_phase, EimConfig};
 use crate::error::KCenterError;
-use crate::evaluate::{covering_radius, covering_radius_subset, weighted_covering_radius};
+use crate::evaluate::{
+    covering_radius, covering_radius_subset, surviving_ids, weighted_covering_radius,
+};
 use crate::gonzalez::{self, FirstCenter};
 use crate::solution::KCenterSolution;
 use crate::solver::SequentialSolver;
@@ -297,14 +299,7 @@ impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
     /// The source ids the certificate covers, ascending — the full
     /// `0..source_len` range minus [`CoresetCoverage::lost_source_ids`].
     pub fn covered_source_ids(&self) -> Vec<PointId> {
-        if !self.is_partial() {
-            return (0..self.source_len).collect();
-        }
-        let mut lost = vec![false; self.source_len];
-        for &id in &self.coverage.lost_source_ids {
-            lost[id] = true;
-        }
-        (0..self.source_len).filter(|&id| !lost[id]).collect()
+        surviving_ids(self.source_len, &self.coverage.lost_source_ids)
     }
 
     /// Recomputes the **exact** certified covering radius of `solution`'s
@@ -576,10 +571,8 @@ impl GonzalezCoresetConfig {
         let mut cluster = Cluster::unchecked(ClusterConfig::new(self.machines, n.max(1)))
             .with_executor(self.executor);
         if let Some(faults) = &self.faults {
-            cluster.set_fault_injection(Some(faults.clone()));
+            cluster = cluster.with_fault_injection(faults.clone());
         }
-        let degrade = cluster.degrade_enabled();
-        let mut dropped: Vec<DroppedShard> = Vec::new();
         let mut lost: Vec<PointId> = Vec::new();
         let t = self.t;
         let first = self.first_center;
@@ -596,31 +589,24 @@ impl GonzalezCoresetConfig {
         );
         let round1_reduce =
             |_: usize, chunk: &[PointId]| gonzalez::select_centers(space, chunk, t, first, false);
-        let locals: Vec<Vec<PointId>> = if degrade {
-            let out = cluster.run_round_degradable(&label, &parts, round1_reduce, Vec::len)?;
-            for shard in &out.dropped {
-                lost.extend(parts[shard.machine].iter().copied());
+        let locals = cluster.run_round(&label, &parts, round1_reduce, Vec::len)?;
+        let mut union: Vec<PointId> = Vec::new();
+        for (part, local) in parts.iter().zip(locals) {
+            match local {
+                Some(local) => union.extend(local),
+                None => lost.extend_from_slice(part),
             }
-            dropped.extend(out.dropped);
-            out.outputs.into_iter().flatten().collect()
-        } else {
-            cluster.run_round(&label, &parts, round1_reduce, Vec::len)?
-        };
+        }
 
         // Round 2: one reducer merges the local coresets by re-running the
         // traversal on their union (identity when only one machine ran).
         // A single-reducer round never degrades: losing it loses the whole
         // build, so exhaustion fails the job even in degrade mode.
-        let union: Vec<PointId> = locals.into_iter().flatten().collect();
         if union.is_empty() {
             // Every round-1 shard died: there is nothing to degrade to.
-            let shard = dropped.last().expect("empty round output implies drops");
-            return Err(KCenterError::MapReduce(MapReduceError::RoundFailed {
-                round: shard.round,
-                machine: shard.machine,
-                attempts: shard.attempts,
-                source: shard.cause,
-            }));
+            let shard = cluster.dropped_shards().last();
+            let shard = shard.expect("an empty round output implies drops");
+            return Err(MapReduceError::from(shard).into());
         }
         let reps = cluster.run_single(
             "coreset round 2: merge local coresets",
@@ -631,23 +617,19 @@ impl GonzalezCoresetConfig {
 
         // Round 3: weigh every representative by the surviving source
         // points it covers and certify the construction radius over them.
-        let survivors = surviving_ids(n, &lost);
         let (weights, construction_radius) = weight_and_certify_round(
             &mut cluster,
             space,
             &reps,
-            &survivors,
             self.machines,
             "coreset round 3: weights + certification",
-            degrade,
-            &mut dropped,
             &mut lost,
         )?;
 
         lost.sort_unstable();
         let coverage = CoresetCoverage {
             covered_source_len: n - lost.len(),
-            dropped_shards: dropped,
+            dropped_shards: cluster.dropped_shards().to_vec(),
             lost_source_ids: lost,
         };
         Ok(WeightedCoreset::from_parts(
@@ -680,8 +662,6 @@ impl EimConfig {
     ) -> Result<WeightedCoreset<D, S>, KCenterError> {
         let n = MetricSpace::len(space);
         let (phase, mut cluster) = sampling_phase(self, space, "coreset ")?;
-        let degrade = cluster.degrade_enabled();
-        let mut dropped = phase.dropped;
         let mut lost = phase.lost;
 
         // The hand-off set C = S ∪ R (disjoint by construction).
@@ -691,32 +671,24 @@ impl EimConfig {
         if reps.is_empty() {
             // Degrade mode lost every shard before anything was sampled:
             // there is no hand-off set to weigh.
-            let shard = dropped.last().expect("an empty hand-off implies drops");
-            return Err(KCenterError::MapReduce(MapReduceError::RoundFailed {
-                round: shard.round,
-                machine: shard.machine,
-                attempts: shard.attempts,
-                source: shard.cause,
-            }));
+            let shard = cluster.dropped_shards().last();
+            let shard = shard.expect("an empty hand-off implies drops");
+            return Err(MapReduceError::from(shard).into());
         }
 
-        let survivors = surviving_ids(n, &lost);
         let (weights, construction_radius) = weight_and_certify_round(
             &mut cluster,
             space,
             &reps,
-            &survivors,
             self.machines,
             "coreset final round: weights + certification",
-            degrade,
-            &mut dropped,
             &mut lost,
         )?;
 
         lost.sort_unstable();
         let coverage = CoresetCoverage {
             covered_source_len: n - lost.len(),
-            dropped_shards: dropped,
+            dropped_shards: cluster.dropped_shards().to_vec(),
             lost_source_ids: lost,
         };
         Ok(WeightedCoreset::from_parts(
@@ -754,33 +726,20 @@ fn gather_rows<D: Distance + Clone, S: Scalar>(
 /// `coreset.stats().counter(PRUNED_PAIRS_COUNTER)`.
 pub const PRUNED_PAIRS_COUNTER: &str = "weights round pruned pairs";
 
-/// The ascending source ids not present in `lost` (which need not be
-/// sorted) — the points a degraded build still speaks for.
-fn surviving_ids(n: usize, lost: &[PointId]) -> Vec<PointId> {
-    if lost.is_empty() {
-        return (0..n).collect();
-    }
-    let mut dead = vec![false; n];
-    for &id in lost {
-        dead[id] = true;
-    }
-    (0..n).filter(|&id| !dead[id]).collect()
-}
-
-/// One MapReduce round that assigns every surviving source point (`ids`)
+/// One MapReduce round that assigns every source point not yet in `lost`
 /// to its nearest representative (comparison space, ties to the smaller
 /// representative position — the [`crate::evaluate::assign`] convention)
 /// and certifies the construction radius with the `wide_cmp_*`
 /// (`f64`-accumulating, max-pruned) discipline.  Returns
 /// per-representative weights and the certified radius.
 ///
-/// With `degrade` set the round itself may drop shards: a dropped chunk's
-/// points leave the coverage claim (appended to `lost`, provenance to
-/// `dropped`) — including any representative whose self-weight lived in
-/// that chunk, which then simply carries the weight of its surviving
-/// coverage.  Losing *every* chunk fails the round even in degrade mode:
-/// a coreset with no certified weight is not a degraded result, it is no
-/// result.
+/// In degrade mode the round itself may drop shards: a dropped chunk's
+/// points leave the coverage claim (appended to `lost`; the cluster keeps
+/// the shard's provenance) — including any representative whose
+/// self-weight lived in that chunk, which then simply carries the weight
+/// of its surviving coverage.  Losing *every* chunk fails the round even
+/// in degrade mode: a coreset with no certified weight is not a degraded
+/// result, it is no result.
 ///
 /// The certification side is **pruned**: the dense version of this round
 /// scanned all `|reps|` representatives twice per point (once for the
@@ -797,19 +756,16 @@ fn surviving_ids(n: usize, lost: &[PointId]) -> Vec<PointId> {
 /// makes EIM-built coresets (where `|reps|` is tens of thousands at large
 /// `k`) cheap to weigh.  The number of pairs skipped this way lands in the
 /// round's [`JobStats`] under [`PRUNED_PAIRS_COUNTER`].
-#[allow(clippy::too_many_arguments)] // crate-private round: shared verbatim by both builders
 fn weight_and_certify_round<Sp: MetricSpace + ?Sized>(
     cluster: &mut Cluster,
     space: &Sp,
     reps: &[PointId],
-    ids: &[PointId],
     machines: usize,
     label: &str,
-    degrade: bool,
-    dropped: &mut Vec<DroppedShard>,
     lost: &mut Vec<PointId>,
 ) -> Result<(Vec<u64>, f64), KCenterError> {
-    let parts = partition::chunks(ids, machines);
+    let ids = surviving_ids(space.len(), lost);
+    let parts = partition::chunks(&ids, machines);
     // Grid arm for the nearest-rep argmin (and the wide fallback scan):
     // bucket the representatives once, then each point probes Chebyshev
     // rings of cells around itself instead of scanning all |reps|.  The
@@ -878,34 +834,21 @@ fn weight_and_certify_round<Sp: MetricSpace + ?Sized>(
         (counts, wide_max, pruned)
     };
     let count_out = |(counts, _, _): &(Vec<u64>, f64, u64)| counts.len();
-    let outputs: Vec<(Vec<u64>, f64, u64)> = if degrade {
-        let out = cluster.run_round_degradable(label, &parts, reduce, count_out)?;
-        for shard in &out.dropped {
-            lost.extend(parts[shard.machine].iter().copied());
-        }
-        let survived: Vec<(Vec<u64>, f64, u64)> = out.outputs.into_iter().flatten().collect();
-        if survived.is_empty() {
-            let shard = out
-                .dropped
-                .last()
-                .expect("empty round output implies drops");
-            return Err(KCenterError::MapReduce(MapReduceError::RoundFailed {
-                round: shard.round,
-                machine: shard.machine,
-                attempts: shard.attempts,
-                source: shard.cause,
-            }));
-        }
-        dropped.extend(out.dropped);
-        survived
-    } else {
-        cluster.run_round(label, &parts, reduce, count_out)?
-    };
+    let outputs = cluster.run_round(label, &parts, reduce, count_out)?;
+    if outputs.iter().all(Option::is_none) {
+        let shard = cluster.dropped_shards().last();
+        let shard = shard.expect("an empty round output implies drops");
+        return Err(MapReduceError::from(shard).into());
+    }
 
     let mut weights = vec![0u64; reps.len()];
     let mut wide_max = f64::NEG_INFINITY;
     let mut pruned_total = 0u64;
-    for (counts, local_max, pruned) in outputs {
+    for (part, output) in parts.iter().zip(outputs) {
+        let Some((counts, local_max, pruned)) = output else {
+            lost.extend_from_slice(part);
+            continue;
+        };
         for (w, c) in weights.iter_mut().zip(counts) {
             *w += c;
         }

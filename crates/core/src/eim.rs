@@ -33,14 +33,13 @@
 //! paper's observation that round 3 dominates the runtime.
 
 use crate::error::KCenterError;
-use crate::evaluate::{covering_radius, covering_radius_subset};
+use crate::evaluate::certify_survivors;
 use crate::gonzalez::FirstCenter;
 use crate::select::{select_pivot, PHI_ORIGINAL};
 use crate::solution::KCenterSolution;
 use crate::solver::SequentialSolver;
 use kcenter_mapreduce::{
-    partition, Cluster, ClusterConfig, DegradedRun, DroppedShard, Executor, FaultConfig, JobStats,
-    MapReduceError,
+    partition, Cluster, ClusterConfig, DegradedRun, Executor, FaultConfig, JobStats, MapReduceError,
 };
 use kcenter_metric::{MetricSpace, PointId, Scalar};
 use rand::rngs::StdRng;
@@ -205,13 +204,11 @@ impl EimConfig {
 
     /// Runs EIM on the given space.
     pub fn run<S: MetricSpace + ?Sized>(&self, space: &S) -> Result<EimResult, KCenterError> {
-        let n = space.len();
         let (phase, mut cluster) = sampling_phase(self, space, "")?;
         let SamplingPhase {
             sample,
             remaining,
             iterations,
-            dropped,
             lost,
         } = phase;
 
@@ -222,13 +219,9 @@ impl EimConfig {
         let sample_size = coreset.len();
         if coreset.is_empty() {
             // Degrade mode lost every point: nothing to degrade to.
-            let shard = dropped.last().expect("an empty hand-off set implies drops");
-            return Err(KCenterError::MapReduce(MapReduceError::RoundFailed {
-                round: shard.round,
-                machine: shard.machine,
-                attempts: shard.attempts,
-                source: shard.cause,
-            }));
+            let shard = cluster.dropped_shards().last();
+            let shard = shard.expect("an empty hand-off set implies drops");
+            return Err(MapReduceError::from(shard).into());
         }
 
         // Final clean-up round: a sequential k-center algorithm on C.
@@ -247,25 +240,8 @@ impl EimConfig {
 
         // The certificate: a degraded run restates the covering radius over
         // the surviving points only — never silently over the full input.
-        let radius = if lost.is_empty() {
-            covering_radius(space, &centers)
-        } else {
-            let mut is_lost = vec![false; n];
-            for &p in &lost {
-                is_lost[p] = true;
-            }
-            let survivors: Vec<PointId> = (0..n).filter(|&p| !is_lost[p]).collect();
-            covering_radius_subset(space, &survivors, &centers)
-        };
-        let degraded = if dropped.is_empty() {
-            None
-        } else {
-            Some(DegradedRun {
-                covered_points: n - lost.len(),
-                total_points: n,
-                dropped_shards: dropped,
-            })
-        };
+        let (radius, degraded) =
+            certify_survivors(space, &centers, &lost, cluster.dropped_shards());
         let solution = KCenterSolution::new(self.k, centers, radius);
         Ok(EimResult {
             solution,
@@ -293,9 +269,9 @@ pub(crate) struct SamplingPhase {
     pub remaining: Vec<PointId>,
     /// Iterations of the sampling loop that actually ran.
     pub iterations: usize,
-    /// Shards dropped by degrade mode (empty without faults or drops).
-    pub dropped: Vec<DroppedShard>,
-    /// Source points that left the coverage claim with a dropped shard:
+    /// Source points that left the coverage claim with a shard degrade
+    /// mode dropped (the shards themselves are in the cluster's
+    /// `dropped_shards` ledger):
     /// a round-1 drop loses its whole chunk (those points were neither
     /// sampled nor filtered), a round-3 drop loses the unsampled part of
     /// its chunk, and a round-2 (Select) drop loses no points — only the
@@ -305,10 +281,11 @@ pub(crate) struct SamplingPhase {
 
 /// Runs Algorithm 2's sampling loop (three MapReduce rounds per iteration)
 /// and returns the phase outcome together with the cluster whose `JobStats`
-/// charged those rounds, so callers can keep charging follow-up rounds to
-/// the same accounting.  Round labels are prefixed with `label_prefix` so a
-/// multi-phase job (e.g. the coreset builder) can slice the sampling cost
-/// back out of the stats.
+/// charged those rounds and whose ledger holds any dropped shards, so
+/// callers can keep charging follow-up rounds to the same accounting.
+/// Round labels are prefixed with `label_prefix` so a multi-phase job
+/// (e.g. the coreset builder) can slice the sampling cost back out of the
+/// stats.
 pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
     config: &EimConfig,
     space: &S,
@@ -332,10 +309,8 @@ pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
     let mut cluster = Cluster::unchecked(ClusterConfig::new(config.machines, n.max(1)))
         .with_executor(config.executor);
     if let Some(faults) = &config.faults {
-        cluster.set_fault_injection(Some(faults.clone()));
+        cluster = cluster.with_fault_injection(faults.clone());
     }
-    let degrade = cluster.degrade_enabled();
-    let mut dropped: Vec<DroppedShard> = Vec::new();
     let mut lost: Vec<PointId> = Vec::new();
 
     // Algorithm 2, line 1: S <- ∅, R <- V.
@@ -379,32 +354,25 @@ pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
             (s_i, h_i)
         };
         let round1_count = |(s_i, h_i): &(Vec<PointId>, Vec<PointId>)| s_i.len() + h_i.len();
-        let sampled: Vec<(Vec<PointId>, Vec<PointId>)> = if degrade {
-            let out =
-                cluster.run_round_degradable(&round1_label, &parts, round1_reduce, round1_count)?;
-            let mut survived = Vec::new();
-            let mut lost_now: Vec<PointId> = Vec::new();
-            for (i, o) in out.outputs.into_iter().enumerate() {
-                match o {
-                    Some(pair) => survived.push(pair),
-                    // The chunk's points were neither sampled nor filtered:
-                    // they leave both R and the coverage claim.
-                    None => lost_now.extend_from_slice(&parts[i]),
-                }
+        let outputs = cluster.run_round(&round1_label, &parts, round1_reduce, round1_count)?;
+        let mut sampled = Vec::with_capacity(outputs.len());
+        let mut lost_now: Vec<PointId> = Vec::new();
+        for (part, output) in parts.iter().zip(outputs) {
+            match output {
+                Some(pair) => sampled.push(pair),
+                // The chunk's points were neither sampled nor filtered:
+                // they leave both R and the coverage claim.
+                None => lost_now.extend_from_slice(part),
             }
-            dropped.extend(out.dropped);
-            if !lost_now.is_empty() {
-                let mut is_lost = vec![false; n];
-                for &x in &lost_now {
-                    is_lost[x] = true;
-                }
-                remaining.retain(|&x| !is_lost[x]);
-                lost.extend(lost_now);
+        }
+        if !lost_now.is_empty() {
+            let mut is_lost = vec![false; n];
+            for &x in &lost_now {
+                is_lost[x] = true;
             }
-            survived
-        } else {
-            cluster.run_round(&round1_label, &parts, round1_reduce, round1_count)?
-        };
+            remaining.retain(|&x| !is_lost[x]);
+            lost.extend(lost_now);
+        }
 
         // Line 5: S <- S ∪ (∪_i S^i), H <- ∪_i H^i.
         let mut additions: Vec<PointId> = Vec::new();
@@ -428,7 +396,7 @@ pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
             "{label_prefix}EIM iteration {} round 2: Select(H, S)",
             iterations + 1
         );
-        let round2_reduce = |h: &[PointId]| {
+        let round2_reduce = |_: usize, h: &[PointId]| {
             let with_dist: Vec<(PointId, S::Cmp)> = h
                 .iter()
                 .map(|&x| {
@@ -441,21 +409,17 @@ pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
             select_pivot(&with_dist, phi, n)
         };
         let round2_count = |p: &Option<(PointId, S::Cmp)>| usize::from(p.is_some());
-        let pivot = if degrade {
-            // A dead Select round loses only the pivot, never any points:
-            // the iteration simply filters nothing beyond the sampled set.
-            let single = vec![pivot_candidates];
-            let mut out = cluster.run_round_degradable(
-                &round2_label,
-                &single,
-                |_, h| round2_reduce(h),
-                round2_count,
-            )?;
-            dropped.extend(out.dropped);
-            out.outputs.pop().unwrap_or(None).flatten()
-        } else {
-            cluster.run_single(&round2_label, pivot_candidates, round2_reduce, round2_count)?
-        };
+        // A one-partition round rather than `run_single`: a dead Select
+        // round loses only the pivot, never any points, so degrade mode may
+        // drop it and the iteration simply filters nothing beyond the
+        // sampled set.
+        let mut pivot = cluster.run_round(
+            &round2_label,
+            &[pivot_candidates],
+            round2_reduce,
+            round2_count,
+        )?;
+        let pivot = pivot.pop().flatten().flatten();
 
         // ---- Round 3 (lines 7-9): drop points no farther than the pivot.
         let pivot_distance = pivot.map(|(_, d)| d);
@@ -482,27 +446,19 @@ pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
                 })
                 .collect::<Vec<_>>()
         };
-        let retained: Vec<Vec<(PointId, S::Cmp)>> = if degrade {
-            let out =
-                cluster.run_round_degradable(&round3_label, &parts, round3_reduce, Vec::len)?;
-            for (i, o) in out.outputs.iter().enumerate() {
-                if o.is_none() {
-                    // The unsampled part of a dead filter chunk is lost:
-                    // those points are unrepresented and leave both R and
-                    // the coverage claim (the sampled part is in S and
-                    // stays covered).
-                    lost.extend(parts[i].iter().copied().filter(|&x| !in_sample_ref[x]));
-                }
-            }
-            dropped.extend(out.dropped);
-            out.outputs.into_iter().flatten().collect()
-        } else {
-            cluster.run_round(&round3_label, &parts, round3_reduce, Vec::len)?
-        };
+        let retained = cluster.run_round(&round3_label, &parts, round3_reduce, Vec::len)?;
 
         let mut next_remaining = Vec::with_capacity(remaining.len());
-        for part in retained {
-            for (x, d) in part {
+        for (part, output) in parts.iter().zip(retained) {
+            let Some(kept) = output else {
+                // The unsampled part of a dead filter chunk is lost: those
+                // points are unrepresented and leave both R and the
+                // coverage claim (the sampled part is in S and stays
+                // covered).
+                lost.extend(part.iter().copied().filter(|&x| !in_sample_ref[x]));
+                continue;
+            };
+            for (x, d) in kept {
                 dist_to_sample[x] = d;
                 next_remaining.push(x);
             }
@@ -524,7 +480,6 @@ pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
             sample,
             remaining,
             iterations,
-            dropped,
             lost,
         },
         cluster,

@@ -27,6 +27,7 @@
 //! converted back to a real distance once at the end, so exactly one `sqrt`
 //! is taken per evaluation.
 
+use kcenter_mapreduce::{DegradedRun, DroppedShard};
 use kcenter_metric::grid::{self, SpatialGrid};
 use kcenter_metric::{MetricSpace, PointId, Scalar};
 use rayon::prelude::*;
@@ -85,6 +86,41 @@ pub fn covering_radius_subset<S: MetricSpace + ?Sized>(
         wide_radius_block(space, subset, centers)
     };
     space.wide_cmp_to_distance(wide_max.max(0.0))
+}
+
+/// The ascending ids in `0..n` not present in `lost` (which need not be
+/// sorted) — the points a degraded run still speaks for.
+pub(crate) fn surviving_ids(n: usize, lost: &[PointId]) -> Vec<PointId> {
+    if lost.is_empty() {
+        return (0..n).collect();
+    }
+    let mut dead = vec![false; n];
+    for &id in lost {
+        dead[id] = true;
+    }
+    (0..n).filter(|&id| !dead[id]).collect()
+}
+
+/// The certificate of a MapReduce run that degrade mode may have cut
+/// short: the covering radius of `centers` over every point not in `lost`
+/// (the points that left the coverage claim with a dropped shard), and —
+/// when any shard was `dropped` — the partial-coverage disclosure the
+/// result must carry.  A radius is never silently claimed over the full
+/// input.
+pub(crate) fn certify_survivors<S: MetricSpace + ?Sized>(
+    space: &S,
+    centers: &[PointId],
+    lost: &[PointId],
+    dropped: &[DroppedShard],
+) -> (f64, Option<DegradedRun>) {
+    let n = space.len();
+    let radius = covering_radius_subset(space, &surviving_ids(n, lost), centers);
+    let degraded = (!dropped.is_empty()).then(|| DegradedRun {
+        covered_points: n - lost.len(),
+        total_points: n,
+        dropped_shards: dropped.to_vec(),
+    });
+    (radius, degraded)
 }
 
 /// Weighted max-of-mins over one contiguous block of `(point, weight)`

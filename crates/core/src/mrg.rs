@@ -13,13 +13,12 @@
 //! factor (Lemma 3).  The runtime is `O(k·n/m + k²·m)` (Section 5.1).
 
 use crate::error::KCenterError;
-use crate::evaluate::{covering_radius, covering_radius_subset};
+use crate::evaluate::certify_survivors;
 use crate::gonzalez::FirstCenter;
 use crate::solution::KCenterSolution;
 use crate::solver::SequentialSolver;
 use kcenter_mapreduce::{
-    partition, Cluster, ClusterConfig, DegradedRun, DroppedShard, Executor, FaultConfig, JobStats,
-    MapReduceError,
+    partition, Cluster, ClusterConfig, DegradedRun, Executor, FaultConfig, JobStats, MapReduceError,
 };
 use kcenter_metric::{MetricSpace, PointId};
 
@@ -165,9 +164,8 @@ impl MrgConfig {
         .with_executor(self.executor);
         cluster.check_fits(n)?;
         if let Some(faults) = &self.faults {
-            cluster.set_fault_injection(Some(faults.clone()));
+            cluster = cluster.with_fault_injection(faults.clone());
         }
-        let degrade = cluster.degrade_enabled();
 
         let solver = self.solver;
         let k = self.k;
@@ -176,12 +174,10 @@ impl MrgConfig {
         // Algorithm 1, line 1: S <- V.
         let mut sample: Vec<PointId> = (0..n).collect();
         let mut reduction_rounds = 0usize;
-        // Degrade-mode bookkeeping: provenance of every dropped shard, and
-        // the source points that left coverage with a round-0 shard (later
-        // rounds hold only candidate centers, so dropping them loses no
-        // source coverage — the final radius is measured directly either
-        // way).
-        let mut dropped: Vec<DroppedShard> = Vec::new();
+        // The source points that left coverage with a round-0 shard
+        // dropped by degrade mode (later rounds hold only candidate
+        // centers, so dropping them loses no source coverage — the final
+        // radius is measured directly either way).
         let mut lost: Vec<PointId> = Vec::new();
 
         // Lines 2-5: while |S| > c, reduce in parallel.
@@ -202,42 +198,26 @@ impl MrgConfig {
                 solver.name(),
                 parts.len()
             );
-            let next: Vec<PointId> = if degrade {
-                let out = cluster.run_round_degradable(
-                    &label,
-                    &parts,
-                    |_, part| solver.select_centers(space, part, k, first),
-                    Vec::len,
-                )?;
-                for (i, o) in out.outputs.iter().enumerate() {
-                    if o.is_none() && reduction_rounds == 0 {
-                        // Round 0 partitions hold source data: those points
-                        // leave the coverage claim with the shard.
-                        lost.extend_from_slice(&parts[i]);
-                    }
+            let outputs = cluster.run_round(
+                &label,
+                &parts,
+                |_, part| solver.select_centers(space, part, k, first),
+                Vec::len,
+            )?;
+            for (part, output) in parts.iter().zip(&outputs) {
+                if output.is_none() && reduction_rounds == 0 {
+                    // Round 0 partitions hold source data: those points
+                    // leave the coverage claim with the shard.
+                    lost.extend_from_slice(part);
                 }
-                dropped.extend(out.dropped);
-                let next: Vec<PointId> = out.outputs.into_iter().flatten().flatten().collect();
-                if next.is_empty() {
-                    // Every shard died: there is nothing to degrade to.
-                    let shard = dropped.last().expect("empty round output implies drops");
-                    return Err(KCenterError::MapReduce(MapReduceError::RoundFailed {
-                        round: shard.round,
-                        machine: shard.machine,
-                        attempts: shard.attempts,
-                        source: shard.cause,
-                    }));
-                }
-                next
-            } else {
-                let outputs = cluster.run_round(
-                    &label,
-                    &parts,
-                    |_, part| solver.select_centers(space, part, k, first),
-                    Vec::len,
-                )?;
-                outputs.into_iter().flatten().collect()
-            };
+            }
+            let next: Vec<PointId> = outputs.into_iter().flatten().flatten().collect();
+            if next.is_empty() {
+                // Every shard died: there is nothing to degrade to.
+                let shard = cluster.dropped_shards().last();
+                let shard = shard.expect("an empty round output implies drops");
+                return Err(MapReduceError::from(shard).into());
+            }
             if next.len() >= sample.len() {
                 // k is too close to the capacity: the sample no longer
                 // shrinks (the situation discussed after Lemma 3).
@@ -259,28 +239,10 @@ impl MrgConfig {
             Vec::len,
         )?;
 
-        // The certificate: a directly measured covering radius.  A degraded
-        // run restates it over the surviving points only — never silently
-        // over the full input.
-        let radius = if lost.is_empty() {
-            covering_radius(space, &centers)
-        } else {
-            let mut is_lost = vec![false; n];
-            for &p in &lost {
-                is_lost[p] = true;
-            }
-            let survivors: Vec<PointId> = (0..n).filter(|&p| !is_lost[p]).collect();
-            covering_radius_subset(space, &survivors, &centers)
-        };
-        let degraded = if dropped.is_empty() {
-            None
-        } else {
-            Some(DegradedRun {
-                covered_points: n - lost.len(),
-                total_points: n,
-                dropped_shards: dropped,
-            })
-        };
+        // The certificate: a directly measured covering radius, restated
+        // over the surviving points when degrade mode dropped shards.
+        let (radius, degraded) =
+            certify_survivors(space, &centers, &lost, cluster.dropped_shards());
         let solution = KCenterSolution::new(self.k, centers, radius);
         let stats = cluster.into_stats();
         Ok(MrgResult {

@@ -41,42 +41,25 @@ use std::time::{Duration, Instant};
 /// clock under [`Executor::Threads`].  Because reducers are pure, a round
 /// in which every partition eventually succeeds returns outputs
 /// bit-identical to the fault-free round — only the accounting differs.
+///
+/// The cluster alone decides what an exhausted partition does: with the
+/// fault configuration's `degrade` set, [`Cluster::run_round`] drops it,
+/// returns `None` in its slot and records it in
+/// [`Cluster::dropped_shards`]; otherwise the round fails with
+/// [`MapReduceError::RoundFailed`].  [`Cluster::run_single`] never drops.
 pub struct Cluster {
     config: ClusterConfig,
     stats: JobStats,
     enforce_capacity: bool,
     faults: Option<FaultConfig>,
     executor: Executor,
+    dropped: Vec<DroppedShard>,
 }
-
-/// The historical name of [`Cluster`]: a cluster whose default executor
-/// simulates the machines sequentially.  Kept as an alias so existing
-/// call sites read naturally when they mean the paper's simulated mode.
-pub type SimulatedCluster = Cluster;
-
-/// A [`Cluster`] intended to run with [`Executor::Threads`] — construct
-/// one with [`Cluster::threaded`] or [`Cluster::with_executor`].
-pub type ThreadedCluster = Cluster;
-
-/// The outputs of a degradable round: one `Some(output)` per surviving
-/// partition, `None` for each shard that exhausted its attempts, plus the
-/// provenance of every dropped shard.
-#[derive(Debug)]
-pub struct DegradableOutputs<R> {
-    /// `outputs[i]` is reducer `i`'s result, or `None` if its shard died.
-    pub outputs: Vec<Option<R>>,
-    /// Provenance of the dropped shards, ascending machine order.
-    pub dropped: Vec<DroppedShard>,
-}
-
-/// An optional per-machine output validator: `(machine, output) -> ok`.
-/// Rejected outputs count as corrupt and send the shard back for retry.
-type OutputValidator<'a, R> = Option<&'a (dyn Fn(usize, &R) -> bool + Sync)>;
 
 /// The result of one reducer execution attempt, before retry logic.
 struct AttemptOutcome<R> {
-    /// The surviving output (`None` if the attempt crashed or its output
-    /// was rejected).
+    /// The surviving output (`None` if the attempt crashed or returned
+    /// corrupt output).
     output: Option<R>,
     /// Time charged to the simulated machine for this attempt (slowdown
     /// included, backoff not).
@@ -113,6 +96,7 @@ impl Cluster {
             enforce_capacity: true,
             faults: None,
             executor: Executor::Simulated,
+            dropped: Vec::new(),
         }
     }
 
@@ -122,18 +106,9 @@ impl Cluster {
     /// the multi-round analysis needs.
     pub fn unchecked(config: ClusterConfig) -> Self {
         Self {
-            config,
-            stats: JobStats::new(),
             enforce_capacity: false,
-            faults: None,
-            executor: Executor::Simulated,
+            ..Self::new(config)
         }
-    }
-
-    /// Creates a capacity-checked cluster whose rounds fan out over
-    /// `threads` real worker threads (see [`Executor::Threads`]).
-    pub fn threaded(config: ClusterConfig, threads: usize) -> Self {
-        Cluster::new(config).with_executor(Executor::threads(threads))
     }
 
     /// Selects the executor for all subsequent rounds.  Outputs are
@@ -144,51 +119,24 @@ impl Cluster {
         self
     }
 
-    /// Installs the executor on an existing cluster.
-    pub fn set_executor(&mut self, executor: Executor) {
-        self.executor = executor;
-    }
-
-    /// The active executor.
-    pub fn executor(&self) -> Executor {
-        self.executor
-    }
-
     /// Enables fault injection: every subsequent reducer execution consults
-    /// `faults.plan`, and failures are handled per `faults.policy`.
+    /// `faults.plan`, failures are handled per `faults.policy`, and
+    /// `faults.degrade` decides whether [`Cluster::run_round`] may drop a
+    /// partition that exhausts its attempts.
     pub fn with_fault_injection(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
         self
     }
 
-    /// Installs (or clears) the fault configuration on an existing cluster.
-    pub fn set_fault_injection(&mut self, faults: Option<FaultConfig>) {
-        self.faults = faults;
-    }
-
-    /// The active fault configuration, if any.
-    pub fn fault_injection(&self) -> Option<&FaultConfig> {
-        self.faults.as_ref()
-    }
-
-    /// Whether the active fault configuration allows degrade mode.
-    pub fn degrade_enabled(&self) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.degrade)
-    }
-
-    /// The cluster configuration.
-    pub fn config(&self) -> ClusterConfig {
-        self.config
-    }
-
-    /// Whether capacity limits are enforced.
-    pub fn enforces_capacity(&self) -> bool {
-        self.enforce_capacity
-    }
-
     /// Statistics of every round executed so far.
     pub fn stats(&self) -> &JobStats {
         &self.stats
+    }
+
+    /// Every shard degrade mode dropped so far, in the order the rounds
+    /// ran (ascending machine within a round).
+    pub fn dropped_shards(&self) -> &[DroppedShard] {
+        &self.dropped
     }
 
     /// Consumes the cluster, returning the accumulated statistics.
@@ -199,9 +147,12 @@ impl Cluster {
     /// Executes one MapReduce round.
     ///
     /// `partitions[i]` is the input of reducer `i`; `reduce(i, &partitions[i])`
-    /// produces its output.  Outputs are returned in partition order.  The
-    /// `count_out` closure tells the accounting how many items each output
-    /// contributes to the next shuffle.
+    /// produces its output.  Outputs are returned in partition order, one
+    /// slot per partition: `Some(output)`, or `None` for a shard that
+    /// degrade mode dropped (see [`Cluster::dropped_shards`]).  Without
+    /// degrade mode every slot is `Some`.  The `count_out` closure tells
+    /// the accounting how many items each output contributes to the next
+    /// shuffle.
     ///
     /// # Errors
     ///
@@ -210,113 +161,46 @@ impl Cluster {
     ///   than machines.
     /// * [`MapReduceError::CapacityExceeded`] if any partition exceeds the
     ///   per-machine capacity (only when capacity is enforced).
-    /// * [`MapReduceError::RoundFailed`] if fault injection is active and a
-    ///   partition fails every attempt the policy allows.
+    /// * [`MapReduceError::RoundFailed`] if fault injection is active
+    ///   without degrade mode and a partition fails every attempt the
+    ///   policy allows.
     pub fn run_round<T, R, F, C>(
         &mut self,
         label: &str,
         partitions: &[Vec<T>],
         reduce: F,
         count_out: C,
-    ) -> Result<Vec<R>, MapReduceError>
+    ) -> Result<Vec<Option<R>>, MapReduceError>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &[T]) -> R + Sync,
         C: Fn(&R) -> usize,
     {
-        let out = self.run_round_impl(label, partitions, &reduce, &count_out, None, false)?;
-        out.outputs
-            .into_iter()
-            .map(|o| {
-                o.ok_or(MapReduceError::MissingOutput {
-                    label: label.to_string(),
-                })
-            })
-            .collect()
+        let degrade = self.faults.as_ref().is_some_and(|f| f.degrade);
+        self.execute(label, partitions, &reduce, &count_out, degrade)
     }
 
-    /// Like [`Cluster::run_round`], with a per-round output
-    /// validator: `validate(i, &output)` returning `false` rejects reducer
-    /// `i`'s output as corrupt, which counts as a failed attempt and
-    /// triggers a retry.  Injected [`FaultKind::Corrupt`] faults are
-    /// detected the same way (modelling a checksum the validator embodies).
-    pub fn run_round_validated<T, R, F, C, V>(
-        &mut self,
-        label: &str,
-        partitions: &[Vec<T>],
-        reduce: F,
-        count_out: C,
-        validate: V,
-    ) -> Result<Vec<R>, MapReduceError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-        C: Fn(&R) -> usize,
-        V: Fn(usize, &R) -> bool + Sync,
-    {
-        let out = self.run_round_impl(
-            label,
-            partitions,
-            &reduce,
-            &count_out,
-            Some(&validate),
-            false,
-        )?;
-        out.outputs
-            .into_iter()
-            .map(|o| {
-                o.ok_or(MapReduceError::MissingOutput {
-                    label: label.to_string(),
-                })
-            })
-            .collect()
-    }
-
-    /// Executes a round that is allowed to **degrade**: a partition that
-    /// exhausts its attempt budget is dropped instead of failing the round,
-    /// and the caller receives `None` in its slot plus a [`DroppedShard`]
-    /// provenance record.  The caller owns the semantic consequences — any
-    /// certificate it reports must be restated over the surviving items.
-    ///
-    /// Without fault injection this behaves exactly like
-    /// [`Cluster::run_round`] (every slot `Some`, no drops).
-    pub fn run_round_degradable<T, R, F, C>(
-        &mut self,
-        label: &str,
-        partitions: &[Vec<T>],
-        reduce: F,
-        count_out: C,
-    ) -> Result<DegradableOutputs<R>, MapReduceError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-        C: Fn(&R) -> usize,
-    {
-        self.run_round_impl(label, partitions, &reduce, &count_out, None, true)
-    }
-
-    /// The round engine behind the public `run_round*` entry points.
+    /// The round engine behind [`Cluster::run_round`] and
+    /// [`Cluster::run_single`].
     ///
     /// Executes attempt waves on the active executor: wave 0 runs every
     /// partition; each further wave re-runs the still-failed partitions
-    /// (ascending partition index) until they succeed, exhaust the
-    /// policy's attempt budget, or — when `degrade` is false — fail the
-    /// round.  Straggler speculation runs after the waves, racing a
-    /// speculative copy against each over-median machine — on the
-    /// simulated clock under [`Executor::Simulated`], on the measured
-    /// wall clock under [`Executor::Threads`].
-    fn run_round_impl<T, R, F, C>(
+    /// (ascending partition index) until they succeed or exhaust the
+    /// policy's attempt budget.  Straggler speculation runs after the
+    /// waves, racing a speculative copy against each over-median machine —
+    /// on the simulated clock under [`Executor::Simulated`], on the
+    /// measured wall clock under [`Executor::Threads`].  A partition still
+    /// dead after that is dropped when `degrade` is set and fails the
+    /// round otherwise.
+    fn execute<T, R, F, C>(
         &mut self,
         label: &str,
         partitions: &[Vec<T>],
         reduce: &F,
         count_out: &C,
-        validate: OutputValidator<'_, R>,
         degrade: bool,
-    ) -> Result<DegradableOutputs<R>, MapReduceError>
+    ) -> Result<Vec<Option<R>>, MapReduceError>
     where
         T: Sync,
         R: Send,
@@ -367,7 +251,7 @@ impl Cluster {
         let outcomes: Vec<AttemptOutcome<R>> = run_wave(
             executor,
             partitions.iter().enumerate().collect(),
-            |(i, part)| execute_attempt(i, 0, part, reduce, plan, validate, round),
+            |(i, part)| execute_attempt(i, 0, part, reduce, plan, round),
         );
         let mut runs: Vec<MachineRun<R>> = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
@@ -399,8 +283,7 @@ impl Cluster {
             let retried: Vec<(usize, usize, Duration, AttemptOutcome<R>)> =
                 run_wave(executor, pending, |(i, attempt)| {
                     let backoff = policy.backoff.delay(attempt);
-                    let outcome =
-                        execute_attempt(i, attempt, &partitions[i], reduce, plan, validate, round);
+                    let outcome = execute_attempt(i, attempt, &partitions[i], reduce, plan, round);
                     (i, attempt, backoff, outcome)
                 });
             for (i, attempt, backoff, outcome) in retried {
@@ -454,15 +337,7 @@ impl Cluster {
                         (
                             i,
                             attempt,
-                            execute_attempt(
-                                i,
-                                attempt,
-                                &partitions[i],
-                                reduce,
-                                plan,
-                                validate,
-                                round,
-                            ),
+                            execute_attempt(i, attempt, &partitions[i], reduce, plan, round),
                         )
                     });
                 for (i, attempt, outcome) in raced {
@@ -507,32 +382,26 @@ impl Cluster {
         }
         let wall_time = wall_start.elapsed();
 
-        // Dead shards: degrade drops them with provenance, otherwise the
-        // round fails on the first one.
-        let mut dropped = Vec::new();
+        // Dead shards: degrade mode drops them into the ledger, otherwise
+        // the round fails on the first one.
         for (i, run) in runs.iter().enumerate() {
             if run.output.is_none() {
-                let cause = run.cause.unwrap_or(FaultCause::Crashed);
-                if !degrade {
-                    return Err(MapReduceError::RoundFailed {
-                        round,
-                        machine: i,
-                        attempts: run.attempts,
-                        source: cause,
-                    });
-                }
-                log.push(FaultEvent::ShardDropped {
-                    machine: i,
-                    attempts: run.attempts,
-                    items: partitions[i].len(),
-                });
-                dropped.push(DroppedShard {
+                let shard = DroppedShard {
                     round,
                     machine: i,
                     attempts: run.attempts,
                     items: partitions[i].len(),
-                    cause,
+                    cause: run.cause.unwrap_or(FaultCause::Crashed),
+                };
+                if !degrade {
+                    return Err(MapReduceError::from(&shard));
+                }
+                log.push(FaultEvent::ShardDropped {
+                    machine: i,
+                    attempts: shard.attempts,
+                    items: shard.items,
                 });
+                self.dropped.push(shard);
             }
         }
 
@@ -562,7 +431,7 @@ impl Cluster {
             attempts,
             faults: log,
         });
-        Ok(DegradableOutputs { outputs, dropped })
+        Ok(outputs)
     }
 
     /// Attaches (or accumulates into) a named work counter on the round
@@ -579,13 +448,15 @@ impl Cluster {
 
     /// Executes a round whose input all goes to a **single** reducer — the
     /// final aggregation step of MRG and EIM ("the mapper sends all points
-    /// in S to a single reducer").
+    /// in S to a single reducer").  This round never degrades: without its
+    /// one output there is nothing to go on with, so an exhausted reducer
+    /// fails the round even in degrade mode.
     ///
     /// # Errors
     ///
-    /// Everything [`Cluster::run_round`] can raise, plus
-    /// [`MapReduceError::MissingOutput`] if the substrate invariant of one
-    /// output per partition is ever violated.
+    /// Everything [`Cluster::run_round`] can raise (`RoundFailed` also in
+    /// degrade mode), plus [`MapReduceError::MissingOutput`] if the
+    /// substrate invariant of one output per partition is ever violated.
     pub fn run_single<T, R, F, C>(
         &mut self,
         label: &str,
@@ -600,8 +471,14 @@ impl Cluster {
         C: Fn(&R) -> usize,
     {
         let partitions = vec![items];
-        let mut out = self.run_round(label, &partitions, |_, part| reduce(part), count_out)?;
-        out.pop().ok_or(MapReduceError::MissingOutput {
+        let mut out = self.execute(
+            label,
+            &partitions,
+            &|_, part: &[T]| reduce(part),
+            &count_out,
+            false,
+        )?;
+        out.pop().flatten().ok_or(MapReduceError::MissingOutput {
             label: label.to_string(),
         })
     }
@@ -618,15 +495,14 @@ impl Cluster {
     }
 }
 
-/// Runs one reducer execution: times the pure reduce, applies the planned
-/// fault for `(round, machine, attempt)`, and validates the output.
+/// Runs one reducer execution: times the pure reduce and applies the
+/// planned fault for `(round, machine, attempt)`.
 fn execute_attempt<T, R, F>(
     machine: usize,
     attempt: usize,
     part: &[T],
     reduce: &F,
     plan: Option<&crate::faults::FaultPlan>,
-    validate: OutputValidator<'_, R>,
     round: usize,
 ) -> AttemptOutcome<R>
 where
@@ -657,30 +533,9 @@ where
                 attempt,
                 factor,
             });
-            let charged = work.mul_f64(factor.max(0.0));
-            match validate {
-                Some(v) if !v(machine, &out) => {
-                    events.push(FaultEvent::Rejected {
-                        machine,
-                        attempt,
-                        cause: FaultCause::ValidationFailed,
-                    });
-                    (None, charged, Some(FaultCause::ValidationFailed))
-                }
-                _ => (Some(out), charged, None),
-            }
+            (Some(out), work.mul_f64(factor.max(0.0)), None)
         }
-        None => match validate {
-            Some(v) if !v(machine, &out) => {
-                events.push(FaultEvent::Rejected {
-                    machine,
-                    attempt,
-                    cause: FaultCause::ValidationFailed,
-                });
-                (None, work, Some(FaultCause::ValidationFailed))
-            }
-            _ => (Some(out), work, None),
-        },
+        None => (Some(out), work, None),
     };
     AttemptOutcome {
         output,
@@ -703,12 +558,12 @@ mod tests {
 
     #[test]
     fn run_round_returns_outputs_in_partition_order() {
-        let mut cluster = SimulatedCluster::new(config(4, 100));
+        let mut cluster = Cluster::new(config(4, 100));
         let parts: Vec<Vec<u64>> = vec![vec![1, 2], vec![3], vec![4, 5, 6]];
         let sums = cluster
             .run_round("sum", &parts, |_, xs| xs.iter().sum::<u64>(), |_| 1)
             .unwrap();
-        assert_eq!(sums, vec![3, 3, 15]);
+        assert_eq!(sums, vec![Some(3), Some(3), Some(15)]);
         let stats = cluster.stats();
         assert_eq!(stats.num_rounds(), 1);
         let r = &stats.rounds()[0];
@@ -723,7 +578,7 @@ mod tests {
 
     #[test]
     fn run_round_rejects_empty_input() {
-        let mut cluster = SimulatedCluster::new(config(2, 10));
+        let mut cluster = Cluster::new(config(2, 10));
         let err = cluster
             .run_round::<u32, u32, _, _>("x", &[], |_, _| 0, |_| 0)
             .unwrap_err();
@@ -732,7 +587,7 @@ mod tests {
 
     #[test]
     fn run_round_rejects_too_many_partitions() {
-        let mut cluster = SimulatedCluster::new(config(2, 10));
+        let mut cluster = Cluster::new(config(2, 10));
         let parts = vec![vec![1], vec![2], vec![3]];
         let err = cluster
             .run_round("x", &parts, |_, xs: &[i32]| xs.len(), |_| 0)
@@ -748,7 +603,7 @@ mod tests {
 
     #[test]
     fn run_round_enforces_capacity() {
-        let mut cluster = SimulatedCluster::new(config(2, 2));
+        let mut cluster = Cluster::new(config(2, 2));
         let parts = vec![vec![1, 2, 3]];
         let err = cluster
             .run_round("x", &parts, |_, xs: &[i32]| xs.len(), |_| 0)
@@ -765,19 +620,18 @@ mod tests {
 
     #[test]
     fn unchecked_cluster_ignores_capacity() {
-        let mut cluster = SimulatedCluster::unchecked(config(2, 2));
-        assert!(!cluster.enforces_capacity());
+        let mut cluster = Cluster::unchecked(config(2, 2));
         let parts = vec![vec![1, 2, 3, 4, 5]];
         let out = cluster
             .run_round("x", &parts, |_, xs: &[i32]| xs.len(), |_| 0)
             .unwrap();
-        assert_eq!(out, vec![5]);
+        assert_eq!(out, vec![Some(5)]);
         assert!(cluster.check_fits(1_000_000).is_ok());
     }
 
     #[test]
     fn run_single_funnels_everything_to_one_reducer() {
-        let mut cluster = SimulatedCluster::new(config(8, 100));
+        let mut cluster = Cluster::new(config(8, 100));
         let total = cluster
             .run_single(
                 "final",
@@ -792,7 +646,7 @@ mod tests {
 
     #[test]
     fn check_fits_detects_undersized_cluster() {
-        let cluster = SimulatedCluster::new(config(2, 3));
+        let cluster = Cluster::new(config(2, 3));
         assert!(cluster.check_fits(6).is_ok());
         assert_eq!(
             cluster.check_fits(7).unwrap_err(),
@@ -805,7 +659,7 @@ mod tests {
 
     #[test]
     fn simulated_time_is_at_most_sequential_time() {
-        let mut cluster = SimulatedCluster::new(config(8, 100_000));
+        let mut cluster = Cluster::new(config(8, 100_000));
         let items: Vec<u64> = (0..80_000).collect();
         let parts = partition::chunks(&items, 8);
         cluster
@@ -823,14 +677,19 @@ mod tests {
 
     #[test]
     fn multi_round_job_accumulates_stats() {
-        let mut cluster = SimulatedCluster::new(config(4, 1000));
+        let mut cluster = Cluster::new(config(4, 1000));
         let items: Vec<u64> = (0..1000).collect();
         let parts = partition::chunks(&items, 4);
         let partials = cluster
             .run_round("sum parts", &parts, |_, xs| xs.iter().sum::<u64>(), |_| 1)
             .unwrap();
         let total = cluster
-            .run_single("combine", partials, |xs| xs.iter().sum::<u64>(), |_| 1)
+            .run_single(
+                "combine",
+                partials.into_iter().flatten().collect(),
+                |xs| xs.iter().sum::<u64>(),
+                |_| 1,
+            )
             .unwrap();
         assert_eq!(total, 499_500);
         assert_eq!(cluster.stats().num_rounds(), 2);
@@ -841,15 +700,15 @@ mod tests {
 
     #[test]
     fn reducer_index_is_passed_through() {
-        let mut cluster = SimulatedCluster::new(config(3, 10));
+        let mut cluster = Cluster::new(config(3, 10));
         let parts = vec![vec![0u8], vec![0u8], vec![0u8]];
         let ids = cluster.run_round("ids", &parts, |i, _| i, |_| 0).unwrap();
-        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!(ids, vec![Some(0), Some(1), Some(2)]);
     }
 
     #[test]
     fn round_index_matches_job_position() {
-        let mut cluster = SimulatedCluster::new(config(2, 10));
+        let mut cluster = Cluster::new(config(2, 10));
         for _ in 0..3 {
             cluster
                 .run_round("r", &[vec![1u8]], |_, xs| xs.len(), |_| 0)
@@ -869,13 +728,12 @@ mod tests {
             attempt: 0,
             kind: FaultKind::Crash,
         }]);
-        let mut cluster =
-            SimulatedCluster::new(config(4, 100)).with_fault_injection(FaultConfig::new(plan));
+        let mut cluster = Cluster::new(config(4, 100)).with_fault_injection(FaultConfig::new(plan));
         let parts: Vec<Vec<u64>> = vec![vec![1, 2], vec![3, 4], vec![5]];
         let sums = cluster
             .run_round("sum", &parts, |_, xs| xs.iter().sum::<u64>(), |_| 1)
             .unwrap();
-        assert_eq!(sums, vec![3, 7, 5]);
+        assert_eq!(sums, vec![Some(3), Some(7), Some(5)]);
         let r = &cluster.stats().rounds()[0];
         assert_eq!(r.attempts, 4);
         assert_eq!(r.faults.crashes(), 1);
@@ -895,7 +753,7 @@ mod tests {
                 .collect(),
         );
         let faults = FaultConfig::new(plan).with_policy(FaultPolicy::with_max_attempts(2));
-        let mut cluster = SimulatedCluster::new(config(2, 100)).with_fault_injection(faults);
+        let mut cluster = Cluster::new(config(2, 100)).with_fault_injection(faults);
         let err = cluster
             .run_round("sum", &[vec![1u64]], |_, xs| xs.iter().sum::<u64>(), |_| 1)
             .unwrap_err();
@@ -922,17 +780,15 @@ mod tests {
                 })
                 .collect(),
         );
-        let mut cluster =
-            SimulatedCluster::new(config(4, 100)).with_fault_injection(FaultConfig::new(plan));
+        let mut cluster = Cluster::new(config(4, 100))
+            .with_fault_injection(FaultConfig::new(plan).with_degrade(true));
         let parts: Vec<Vec<u64>> = vec![vec![1, 2], vec![3, 4, 5], vec![6]];
         let out = cluster
-            .run_round_degradable("sum", &parts, |_, xs| xs.iter().sum::<u64>(), |_| 1)
+            .run_round("sum", &parts, |_, xs| xs.iter().sum::<u64>(), |_| 1)
             .unwrap();
-        assert_eq!(out.outputs[0], Some(3));
-        assert_eq!(out.outputs[1], None);
-        assert_eq!(out.outputs[2], Some(6));
-        assert_eq!(out.dropped.len(), 1);
-        let shard = &out.dropped[0];
+        assert_eq!(out, vec![Some(3), None, Some(6)]);
+        assert_eq!(cluster.dropped_shards().len(), 1);
+        let shard = &cluster.dropped_shards()[0];
         assert_eq!(shard.machine, 1);
         assert_eq!(shard.items, 3);
         assert_eq!(shard.attempts, 3);
@@ -953,7 +809,7 @@ mod tests {
             kind: FaultKind::Straggle { factor: 100.0 },
         }]);
         let mut cluster =
-            SimulatedCluster::new(config(2, 100_000)).with_fault_injection(FaultConfig::new(plan));
+            Cluster::new(config(2, 100_000)).with_fault_injection(FaultConfig::new(plan));
         let items: Vec<u64> = (0..40_000).collect();
         let parts = partition::chunks(&items, 2);
         let sums = cluster
@@ -964,7 +820,7 @@ mod tests {
                 |_| 1,
             )
             .unwrap();
-        assert_eq!(sums.len(), 2);
+        assert!(sums.iter().all(Option::is_some));
         let r = &cluster.stats().rounds()[0];
         assert_eq!(r.faults.stragglers(), 1);
         // The straggler's inflated time dominates the charged round time
@@ -988,7 +844,7 @@ mod tests {
             },
             speculation: None,
         };
-        let mut cluster = SimulatedCluster::new(config(2, 100))
+        let mut cluster = Cluster::new(config(2, 100))
             .with_fault_injection(FaultConfig::new(plan).with_policy(policy));
         cluster
             .run_round("sum", &[vec![1u64]], |_, xs| xs.iter().sum::<u64>(), |_| 1)
@@ -998,33 +854,6 @@ mod tests {
         // include it, the real work time must not.
         assert!(r.simulated_time >= Duration::from_secs(60));
         assert!(r.sequential_time < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn validator_rejection_triggers_retry_and_then_failure() {
-        // No injected faults at all: the validator itself rejects machine
-        // 0's output every time.
-        let faults = FaultConfig::new(FaultPlan::explicit(vec![]))
-            .with_policy(FaultPolicy::with_max_attempts(2));
-        let mut cluster = SimulatedCluster::new(config(2, 100)).with_fault_injection(faults);
-        let err = cluster
-            .run_round_validated(
-                "sum",
-                &[vec![1u64], vec![2u64]],
-                |_, xs| xs.iter().sum::<u64>(),
-                |_| 1,
-                |i, _| i != 0,
-            )
-            .unwrap_err();
-        assert_eq!(
-            err,
-            MapReduceError::RoundFailed {
-                round: 0,
-                machine: 0,
-                attempts: 2,
-                source: FaultCause::ValidationFailed,
-            }
-        );
     }
 
     #[test]
@@ -1042,7 +871,7 @@ mod tests {
             backoff: crate::faults::Backoff::NONE,
             speculation: Some(crate::faults::Speculation { threshold: 2.0 }),
         };
-        let mut cluster = SimulatedCluster::new(config(4, 100_000))
+        let mut cluster = Cluster::new(config(4, 100_000))
             .with_fault_injection(FaultConfig::new(plan).with_policy(policy));
         let items: Vec<u64> = (0..80_000).collect();
         let parts = partition::chunks(&items, 4);
@@ -1055,9 +884,9 @@ mod tests {
             )
             .unwrap();
         // Outputs are bit-identical regardless of who won the race.
-        let expected: Vec<u64> = parts
+        let expected: Vec<Option<u64>> = parts
             .iter()
-            .map(|xs| xs.iter().map(|x| x.wrapping_mul(2654435761)).sum::<u64>())
+            .map(|xs| Some(xs.iter().map(|x| x.wrapping_mul(2654435761)).sum::<u64>()))
             .collect();
         assert_eq!(sums, expected);
         let r = &cluster.stats().rounds()[0];
@@ -1077,8 +906,8 @@ mod tests {
         assert_eq!(simulated.stats().rounds()[0].executor, Executor::Simulated);
 
         for threads in [1, 2, 3, 8] {
-            let mut threaded = Cluster::threaded(config(8, 10_000), threads);
-            assert_eq!(threaded.executor(), Executor::threads(threads));
+            let mut threaded =
+                Cluster::new(config(8, 10_000)).with_executor(Executor::threads(threads));
             let out = threaded.run_round("sum", &parts, reduce, |_| 1).unwrap();
             assert_eq!(out, expected, "threads = {threads}");
             let r = &threaded.stats().rounds()[0];
@@ -1102,7 +931,9 @@ mod tests {
         // fault-free simulated round bit for bit.
         let faults = FaultConfig::new(FaultPlan::seeded(1234))
             .with_policy(FaultPolicy::with_max_attempts(64));
-        let mut chaotic = Cluster::threaded(config(8, 10_000), 4).with_fault_injection(faults);
+        let mut chaotic = Cluster::new(config(8, 10_000))
+            .with_executor(Executor::threads(4))
+            .with_fault_injection(faults);
         let chaotic_out = chaotic.run_round("sum", &parts, reduce, |_| 1).unwrap();
         assert_eq!(clean_out, chaotic_out);
         let summary = chaotic.stats().fault_summary();
@@ -1121,16 +952,18 @@ mod tests {
                 })
                 .collect(),
         );
-        let mut cluster =
-            Cluster::threaded(config(4, 100), 3).with_fault_injection(FaultConfig::new(plan));
+        let mut cluster = Cluster::new(config(4, 100))
+            .with_executor(Executor::threads(3))
+            .with_fault_injection(FaultConfig::new(plan).with_degrade(true));
         let parts: Vec<Vec<u64>> = vec![vec![1, 2], vec![3, 4, 5], vec![6]];
         let out = cluster
-            .run_round_degradable("sum", &parts, |_, xs| xs.iter().sum::<u64>(), |_| 1)
+            .run_round("sum", &parts, |_, xs| xs.iter().sum::<u64>(), |_| 1)
             .unwrap();
-        assert_eq!(out.outputs, vec![Some(3), None, Some(6)]);
-        assert_eq!(out.dropped.len(), 1);
-        assert_eq!(out.dropped[0].machine, 1);
-        assert_eq!(out.dropped[0].cause, FaultCause::Crashed);
+        assert_eq!(out, vec![Some(3), None, Some(6)]);
+        let dropped = cluster.dropped_shards();
+        assert_eq!(dropped.len(), 1);
+        assert_eq!(dropped[0].machine, 1);
+        assert_eq!(dropped[0].cause, FaultCause::Crashed);
     }
 
     #[test]
@@ -1139,14 +972,14 @@ mod tests {
         let parts = partition::chunks(&items, 8);
         let reduce = |_: usize, xs: &[u64]| xs.iter().map(|x| x.wrapping_mul(31)).sum::<u64>();
 
-        let mut clean = SimulatedCluster::new(config(8, 10_000));
+        let mut clean = Cluster::new(config(8, 10_000));
         let clean_out = clean.run_round("sum", &parts, reduce, |_| 1).unwrap();
 
         // Default seeded rates with a deep attempt budget: every partition
         // succeeds eventually, outputs must match bit-for-bit.
         let faults = FaultConfig::new(FaultPlan::seeded(1234))
             .with_policy(FaultPolicy::with_max_attempts(64));
-        let mut chaotic = SimulatedCluster::new(config(8, 10_000)).with_fault_injection(faults);
+        let mut chaotic = Cluster::new(config(8, 10_000)).with_fault_injection(faults);
         let chaotic_out = chaotic.run_round("sum", &parts, reduce, |_| 1).unwrap();
         assert_eq!(clean_out, chaotic_out);
     }

@@ -1,6 +1,6 @@
 //! Error types for the simulated MapReduce substrate.
 
-use crate::faults::FaultCause;
+use crate::faults::{DroppedShard, FaultCause};
 use std::fmt;
 
 /// Errors raised by the simulated cluster.
@@ -94,6 +94,20 @@ impl fmt::Display for MapReduceError {
                 f,
                 "round {label:?} did not produce one output per partition"
             ),
+        }
+    }
+}
+
+impl From<&DroppedShard> for MapReduceError {
+    /// The error of a shard that exhausted its attempts where nothing may
+    /// be dropped: a round without degrade mode, a single-reducer round,
+    /// or a degraded job left with no survivors to go on with.
+    fn from(shard: &DroppedShard) -> Self {
+        MapReduceError::RoundFailed {
+            round: shard.round,
+            machine: shard.machine,
+            attempts: shard.attempts,
+            source: shard.cause,
         }
     }
 }

@@ -39,11 +39,12 @@
 //!   deterministic given the measured times.  (Which machines get
 //!   speculative copies depends on measured wall times and is therefore
 //!   not deterministic across hosts — but the outputs are.)
-//! * Only **degrade mode** (see `SimulatedCluster::run_round_degradable`)
-//!   changes results: a partition that exhausts its attempts is dropped and
-//!   the caller receives an explicit [`DroppedShard`] record, so any
-//!   certificate it reports can be restated over the surviving subset —
-//!   never silently claimed over the full input.
+//! * Only **degrade mode** ([`FaultConfig::degrade`], acted on by
+//!   `Cluster::run_round`) changes results: a partition that exhausts its
+//!   attempts is dropped, its output slot comes back `None`, and the
+//!   cluster records an explicit [`DroppedShard`] in its ledger, so any
+//!   certificate the caller reports can be restated over the surviving
+//!   subset — never silently claimed over the full input.
 
 use crate::executor::Executor;
 use std::fmt;
@@ -62,9 +63,9 @@ pub enum FaultKind {
         /// sensible plan, but not enforced).
         factor: f64,
     },
-    /// The attempt returns detectably-corrupt output: the round's output
-    /// validator rejects it, the time is charged, and the partition is
-    /// retried like a crash.
+    /// The attempt returns detectably-corrupt output: the cluster rejects
+    /// it (modelling a checksum mismatch), the time is charged, and the
+    /// partition is retried like a crash.
     Corrupt,
 }
 
@@ -475,10 +476,12 @@ pub struct FaultConfig {
     pub plan: FaultPlan,
     /// Retry/backoff/speculation policy.
     pub policy: FaultPolicy,
-    /// Whether round-running *drivers* (MRG, EIM, the coreset builders) may
-    /// drop a partition that exhausts its attempts and continue on the
-    /// survivors with an explicitly partial certificate.  Without this, an
-    /// exhausted partition fails the job with
+    /// Whether the cluster may drop a partition that exhausts its attempts
+    /// in a multi-reducer round (`Cluster::run_round`) and hand the caller
+    /// the survivors, recording the drop in its ledger; the drivers (MRG,
+    /// EIM, the coreset builders) then report an explicitly partial
+    /// certificate.  Without this, and always in a single-reducer round
+    /// (`Cluster::run_single`), an exhausted partition fails the job with
     /// `MapReduceError::RoundFailed`.
     pub degrade: bool,
 }
@@ -512,10 +515,12 @@ impl FaultConfig {
 pub enum FaultCause {
     /// The reducer crashed (injected [`FaultKind::Crash`]).
     Crashed,
-    /// The reducer returned output the validator flagged as corrupt
+    /// The reducer returned output the cluster rejected as corrupt
     /// (injected [`FaultKind::Corrupt`]).
     CorruptOutput,
-    /// The caller-supplied output validator rejected a genuine output.
+    /// A genuine output failed validation.  No round produces this cause;
+    /// it stays because the KCWC coreset format decodes its tag (2) to it,
+    /// so files that carry it still load.
     ValidationFailed,
 }
 
@@ -552,8 +557,7 @@ pub enum FaultEvent {
         /// The slowdown factor that was applied.
         factor: f64,
     },
-    /// An attempt's output was rejected (injected corruption or a
-    /// caller-validator failure — see `cause`).
+    /// An attempt's output was rejected as corrupt (see `cause`).
     Rejected {
         /// Machine index.
         machine: usize,
@@ -684,8 +688,7 @@ impl FaultLog {
         self.count(|e| matches!(e, FaultEvent::Crashed { .. }))
     }
 
-    /// Number of rejected outputs (injected corruption + validator
-    /// failures).
+    /// Number of rejected (corrupt) outputs.
     pub fn rejections(&self) -> usize {
         self.count(|e| matches!(e, FaultEvent::Rejected { .. }))
     }
@@ -783,7 +786,7 @@ pub struct FaultSummary {
     pub retries: usize,
     /// Crashed attempts.
     pub crashes: usize,
-    /// Rejected outputs (injected corruption + validator failures).
+    /// Rejected (corrupt) outputs.
     pub rejections: usize,
     /// Straggling attempts.
     pub stragglers: usize,

@@ -30,9 +30,13 @@
 //!   producing results a real cluster could not have produced;
 //! * [`faults`] adds deterministic fault injection on top: a reproducible
 //!   [`FaultPlan`] can crash reducers, slow them down, or corrupt their
-//!   output, and the cluster retries, speculates, and — when the caller
-//!   opts in — degrades gracefully, with every event accounted in the
-//!   round statistics.
+//!   output, and the cluster retries, speculates, and — when the
+//!   [`FaultConfig`] opts into degrade mode — degrades gracefully, with
+//!   every event accounted in the round statistics.  The cluster alone
+//!   makes that drop-or-fail choice: [`Cluster::run_round`] hands back
+//!   `None` for a dropped shard and records it in
+//!   [`Cluster::dropped_shards`], while [`Cluster::run_single`] never
+//!   drops.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +49,7 @@ pub mod faults;
 pub mod partition;
 pub mod stats;
 
-pub use cluster::{Cluster, DegradableOutputs, SimulatedCluster, ThreadedCluster};
+pub use cluster::Cluster;
 pub use config::ClusterConfig;
 pub use error::MapReduceError;
 pub use executor::{

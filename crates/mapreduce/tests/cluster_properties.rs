@@ -2,7 +2,7 @@
 //! cover their input exactly once within the size bound, and the simulated
 //! cluster's accounting must be internally consistent.
 
-use kcenter_mapreduce::{partition, ClusterConfig, SimulatedCluster};
+use kcenter_mapreduce::{partition, Cluster, ClusterConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -41,12 +41,12 @@ proptest! {
         machines in 1usize..50
     ) {
         let config = ClusterConfig::new(machines, items.len().max(1));
-        let mut cluster = SimulatedCluster::new(config);
+        let mut cluster = Cluster::new(config);
         let parts = partition::chunks(&items, machines);
         let outputs = cluster
             .run_round("identity", &parts, |_, xs| xs.to_vec(), |v| v.len())
             .unwrap();
-        let mut flattened: Vec<u32> = outputs.into_iter().flatten().collect();
+        let mut flattened: Vec<u32> = outputs.into_iter().flatten().flatten().collect();
         let mut expected = items.clone();
         flattened.sort_unstable();
         expected.sort_unstable();
@@ -70,7 +70,7 @@ proptest! {
         let items: Vec<u32> = (0..n as u32).collect();
         let parts = partition::chunks(&items, machines);
         let max_part = parts.iter().map(Vec::len).max().unwrap_or(0);
-        let mut cluster = SimulatedCluster::new(ClusterConfig::new(machines, capacity));
+        let mut cluster = Cluster::new(ClusterConfig::new(machines, capacity));
         let result = cluster.run_round("check", &parts, |_, xs| xs.len(), |_| 0);
         if max_part <= capacity {
             prop_assert!(result.is_ok());

@@ -47,7 +47,7 @@ pub mod prelude {
         DatasetSpec, DupGenerator, ExpGenerator, GauGenerator, KddCupSim, PlantedOutlierGenerator,
         PointGenerator, PokerHandSim, UnbGenerator, UnifGenerator,
     };
-    pub use kcenter_mapreduce::{Cluster, ClusterConfig, Executor, JobStats, SimulatedCluster};
+    pub use kcenter_mapreduce::{Cluster, ClusterConfig, Executor, JobStats};
     pub use kcenter_metric::{
         AssignChoice, AssignMode, Distance, Euclidean, FlatPoints, KernelBackend, KernelChoice,
         MetricSpace, Point, PointId, Precision, Scalar, VecSpace,
