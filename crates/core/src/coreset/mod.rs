@@ -1134,23 +1134,48 @@ mod tests {
 
     #[test]
     fn zero_weight_representatives_are_never_selected() {
-        // Hand-build a coreset-like situation through the public solver
-        // path: weight the far cluster to zero via a merged coreset whose
-        // weights we tamper with is not possible publicly, so check the
-        // weighted solver contract directly on the coreset space.
-        let space = cloud(500, 9);
-        let coreset = GonzalezCoresetConfig::new(10).build(&space).unwrap();
-        let ids: Vec<PointId> = (0..coreset.len()).collect();
-        let mut weights = coreset.weights().to_vec();
-        weights[3] = 0;
-        let centers = SequentialSolver::Gonzalez.select_centers_weighted(
-            coreset.space(),
-            &ids,
-            &weights,
-            10,
-            FirstCenter::default(),
+        use kcenter_mapreduce::{FaultKind, FaultPlan, FaultPolicy, ScheduledFault};
+        // With t >= n every point is a representative; losing machine 3 of
+        // the weights round (round index 2, 4 machines x 20 points) leaves
+        // representatives 60..80 covering no surviving point.
+        let space = cloud(80, 9);
+        let plan = FaultPlan::explicit(
+            (0..2)
+                .map(|attempt| ScheduledFault {
+                    round: 2,
+                    machine: 3,
+                    attempt,
+                    kind: FaultKind::Crash,
+                })
+                .collect(),
         );
-        assert!(!centers.contains(&3));
+        let faults = FaultConfig::new(plan)
+            .with_policy(FaultPolicy::with_max_attempts(2))
+            .with_degrade(true);
+        let coreset = GonzalezCoresetConfig::new(100)
+            .with_machines(4)
+            .with_faults(faults)
+            .build(&space)
+            .unwrap();
+        let weights = coreset.weights();
+        let zero: Vec<PointId> = (0..coreset.len()).filter(|&i| weights[i] == 0).collect();
+        assert_eq!(zero, (60..80).collect::<Vec<_>>());
+        for solver in [SequentialSolver::Gonzalez, SequentialSolver::HochbaumShmoys] {
+            for k in [3, 20, 60, 80] {
+                let sol = coreset.solve(k, solver, FirstCenter::default()).unwrap();
+                assert!(
+                    sol.local_centers.iter().all(|c| !zero.contains(c)),
+                    "{} k={k} picked a zero-weight representative",
+                    solver.name()
+                );
+                // From k = 60 on every positive-weight representative is a
+                // center, and zero-weight rows need no covering.
+                if k >= 60 {
+                    assert_eq!(sol.local_centers.len(), 60);
+                    assert_eq!(sol.coreset_radius, 0.0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 use kcenter_core::hash::Fnv;
 use kcenter_core::prelude::*;
 use kcenter_mapreduce::{
-    DroppedShard, Executor, FaultCause, FaultConfig, FaultKind, FaultPlan, FaultPolicy, FaultRates,
-    JobStats, MapReduceError, ScheduledFault,
+    Cluster, ClusterConfig, DroppedShard, Executor, FaultCause, FaultConfig, FaultKind, FaultPlan,
+    FaultPolicy, FaultRates, JobStats, MapReduceError, ScheduledFault,
 };
 use kcenter_metric::{Point, VecSpace};
 use proptest::prelude::*;
@@ -601,4 +601,60 @@ fn degrade_mode_never_drops_a_single_reducer_round() {
             .build(&space);
         assert_eq!(coreset.unwrap_err(), failed(1));
     }
+}
+
+/// With `t >= n` every point is a representative, and losing the weights
+/// round's machine 5 leaves representatives 50..59 with weight 0: no
+/// surviving point is nearest to them.  Both solvers must neither pick
+/// them as centers nor count them as coverage obligations, on and off the
+/// cluster, and recompress must keep none of them.  An unfiltered GON at
+/// k = 12 would pick 54, 56 and 59.
+const ZERO_WEIGHT_PIN: &str = r#"gonzalez k=3 centers [0, 47, 48] radius 0x40833b3e94d83545
+gonzalez k=12 centers [0, 47, 48, 30, 4, 39, 20, 9, 22, 1, 21, 12] radius 0x406934a9cfbd4371
+hochbaum-shmoys k=3 centers [0, 11, 15] radius 0x4082380fcecb0925
+hochbaum-shmoys k=12 centers [0, 2, 4, 5, 9, 20, 23, 24] radius 0x40702c4ab1e86637
+recompress 20 source ids [0, 47, 48, 30, 4, 39, 20, 9, 22, 1, 21, 12, 11, 25, 44, 31, 17, 18, 36, 13]
+weights [3, 2, 2, 1, 4, 3, 2, 3, 1, 3, 2, 4, 2, 3, 3, 3, 1, 2, 4, 2]
+radius 0x4065f06edb2b01b8
+"#;
+
+#[test]
+fn zero_weight_representatives_are_pinned() {
+    let space = integer_cloud(60, 56);
+    let coreset = GonzalezCoresetConfig::new(64)
+        .with_machines(6)
+        .with_faults(dropping(&[(2, 5)]))
+        .build(&space)
+        .unwrap();
+    let mut unit_then_zero = vec![1u64; 50];
+    unit_then_zero.resize(60, 0);
+    assert_eq!(coreset.weights(), &unit_then_zero[..]);
+
+    let mut got = String::new();
+    let mut cluster = Cluster::unchecked(ClusterConfig::new(1, coreset.len()));
+    for solver in [SequentialSolver::Gonzalez, SequentialSolver::HochbaumShmoys] {
+        for k in [3, 12] {
+            let first = FirstCenter::default();
+            let sol = coreset.solve(k, solver, first).unwrap();
+            let label = format!("sweep solve {} k={k}", solver.name());
+            let charged = coreset
+                .solve_on_cluster(k, solver, first, &mut cluster, &label)
+                .unwrap();
+            assert_eq!(sol, charged, "{label}");
+            got += &format!(
+                "{} k={k} centers {:?} radius {:#018x}\n",
+                solver.name(),
+                sol.local_centers,
+                sol.coreset_radius.to_bits()
+            );
+        }
+    }
+    let squeezed = coreset.recompress(20).unwrap();
+    got += &format!(
+        "recompress 20 source ids {:?}\nweights {:?}\nradius {:#018x}\n",
+        squeezed.source_ids(),
+        squeezed.weights(),
+        squeezed.construction_radius().to_bits()
+    );
+    assert_eq!(got, ZERO_WEIGHT_PIN);
 }
