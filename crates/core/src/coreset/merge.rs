@@ -12,11 +12,11 @@
 //!   still reaches a representative within its own builder's radius, so the
 //!   composed certificate is `max(r_a, r_b)` — no slack is added.
 //! * **[`WeightedCoreset::recompress`]** — when the accumulated summary
-//!   exceeds a budget, re-run a weighted farthest-point selection *on the
-//!   representatives themselves* and fold each old representative's weight
-//!   into its nearest survivor.  A source point now pays two hops (to its
-//!   old representative, then to that representative's survivor), so the
-//!   certificate composes **additively**: `r_new = r_old + r_compress`,
+//!   exceeds a budget, re-run a farthest-point selection *on the
+//!   positive-weight representatives* and fold each old representative's
+//!   weight into its nearest survivor.  A source point now pays two hops
+//!   (to its old representative, then to that representative's survivor),
+//!   so the certificate composes **additively**: `r_new = r_old + r_compress`,
 //!   where `r_compress` is the certified covering radius of the survivors
 //!   over the positive-weight old representatives.
 //! * **[`WeightedCoreset::absorb_reingested`]** — a degraded batch build
@@ -28,13 +28,14 @@
 //!   representatives directly.
 //!
 //! All three are deterministic per `(seed, precision, kernel, assign)`:
-//! the only selection they run is the same weighted Gonzalez traversal the
-//! sweep path uses, and every reported radius is certified with the
-//! `wide_cmp_*` (`f64`-accumulating) discipline.
+//! the only selection they run is the same Gonzalez traversal over the
+//! positive-weight representatives that the sweep path uses, and every
+//! reported radius is certified with the `wide_cmp_*` (`f64`-accumulating)
+//! discipline.
 
 use super::{gather_rows, CoresetBuilder, CoresetCoverage, WeightedCoreset};
 use crate::error::KCenterError;
-use crate::evaluate::{assign, weighted_covering_radius};
+use crate::evaluate::{assign, covering_radius_subset};
 use crate::gonzalez::FirstCenter;
 use crate::solver::SequentialSolver;
 use kcenter_metric::distance::Distance;
@@ -133,18 +134,18 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
     }
 
     /// Shrinks the summary to at most `budget` representatives by a
-    /// weighted farthest-point selection **on the representatives
-    /// themselves**, folding each old representative's weight into its
-    /// nearest survivor (the [`assign`] convention: comparison-space
-    /// argmin, ties to the smaller survivor position).
+    /// farthest-point selection **on the positive-weight representatives**,
+    /// folding each old representative's weight into its nearest survivor
+    /// (the [`assign`] convention: comparison-space argmin, ties to the
+    /// smaller survivor position).
     ///
     /// The certificate composes additively: a covered source point reaches
     /// its old representative within `r_old` and that representative
     /// reaches its survivor within the certified compression radius, so
     /// `r_new = r_old + r_compress`.  `r_compress` is the `f64`-certified
-    /// weighted covering radius of the survivors over the old
-    /// representatives (zero-weight rows drop out of both candidacy and
-    /// the radius, as everywhere else).
+    /// covering radius of the survivors over the positive-weight old
+    /// representatives (a zero-weight row is neither a candidate nor an
+    /// obligation, as in every solve).
     ///
     /// Returns a clone when the summary already fits the budget.
     ///
@@ -162,15 +163,14 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
             return Ok(self.clone());
         }
 
-        let ids: Vec<PointId> = (0..self.len()).collect();
-        let survivors = SequentialSolver::Gonzalez.select_centers_weighted(
+        let support = self.support();
+        let survivors = SequentialSolver::Gonzalez.select_centers(
             &self.space,
-            &ids,
-            &self.weights,
+            &support,
             budget,
             FirstCenter::default(),
         );
-        let r_compress = weighted_covering_radius(&self.space, &self.weights, &survivors);
+        let r_compress = covering_radius_subset(&self.space, &support, &survivors);
 
         // Fold every old representative's weight into its nearest survivor.
         let assignment = assign(&self.space, &survivors);

@@ -54,13 +54,18 @@
 //!   `k' ≤ k`, since the sampling probabilities and the loop threshold are
 //!   monotone in `k`.
 //!
-//! Solving on the coreset goes through the weight-aware sequential entry
-//! points ([`SequentialSolver::select_centers_weighted`]): positive
-//! multiplicities leave the max-radius objective untouched, zero-weight
-//! summary rows (possible after merges) drop out of both candidacy and
-//! coverage, and the weighted covering radius is certified with the same
-//! `wide_cmp_*` (`f64`-accumulating) discipline as every other reported
-//! number in this workspace.
+//! For the max-radius objective a weight matters only as zero or
+//! positive, so a solve runs the plain sequential solver
+//! ([`SequentialSolver::select_centers`]) on the coreset's *support* — the
+//! representatives with positive weight — and certifies its covering
+//! radius over that same support with the `wide_cmp_*`
+//! (`f64`-accumulating) discipline of every other reported number in this
+//! workspace.  A representative gets weight 0 only from a degraded weights
+//! round: its own point sat in a dropped chunk and no surviving point is
+//! nearest to it.  Such a row stands for no source point, so it is neither
+//! a candidate center nor a coverage obligation.  [`WeightedCoreset::merge`]
+//! and [`WeightedCoreset::absorb_reingested`] keep it (they concatenate
+//! weights), and [`WeightedCoreset::recompress`] never picks it.
 //!
 //! # Streaming composition and persistence
 //!
@@ -85,9 +90,7 @@ pub use persist::PersistError;
 
 use crate::eim::{sampling_phase, EimConfig};
 use crate::error::KCenterError;
-use crate::evaluate::{
-    covering_radius, covering_radius_subset, surviving_ids, weighted_covering_radius,
-};
+use crate::evaluate::{covering_radius, covering_radius_subset, surviving_ids};
 use crate::gonzalez::{self, FirstCenter};
 use crate::solution::KCenterSolution;
 use crate::solver::SequentialSolver;
@@ -339,11 +342,17 @@ impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
         &self.stats
     }
 
-    /// Solves a `k`-center instance **on the coreset** with a weight-aware
-    /// sequential solver and returns the solution together with its quality
-    /// certificate.  Cost is `O(k · t)` for Gonzalez on `t` representatives
-    /// — independent of the source size, which is what makes a `(k, φ)`
-    /// sweep over one coreset cheap.
+    /// The ascending local ids of the representatives with positive weight:
+    /// the rows a solve selects from and certifies over (module docs).
+    fn support(&self) -> Vec<PointId> {
+        (0..self.len()).filter(|&i| self.weights[i] > 0).collect()
+    }
+
+    /// Solves a `k`-center instance **on the coreset** with a sequential
+    /// solver over the positive-weight representatives and returns the
+    /// solution together with its quality certificate.  Cost is `O(k · t)`
+    /// for Gonzalez on `t` representatives — independent of the source
+    /// size, which is what makes a `(k, φ)` sweep over one coreset cheap.
     pub fn solve(
         &self,
         k: usize,
@@ -356,10 +365,9 @@ impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
         if k == 0 {
             return Err(KCenterError::ZeroK);
         }
-        let local_ids: Vec<PointId> = (0..self.len()).collect();
-        let local_centers =
-            solver.select_centers_weighted(&self.space, &local_ids, &self.weights, k, first);
-        Ok(self.package_solution(k, local_centers))
+        let support = self.support();
+        let local_centers = solver.select_centers(&self.space, &support, k, first);
+        Ok(self.package_solution(k, &support, local_centers))
     }
 
     /// Like [`WeightedCoreset::solve`], but charges the selection to one
@@ -380,20 +388,24 @@ impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
         if k == 0 {
             return Err(KCenterError::ZeroK);
         }
-        let local_ids: Vec<PointId> = (0..self.len()).collect();
-        let weights = &self.weights;
+        let support = self.support();
         let space = &self.space;
         let local_centers = cluster.run_single(
             label,
-            local_ids,
-            |ids| solver.select_centers_weighted(space, ids, weights, k, first),
+            support.clone(),
+            |ids| solver.select_centers(space, ids, k, first),
             Vec::len,
         )?;
-        Ok(self.package_solution(k, local_centers))
+        Ok(self.package_solution(k, &support, local_centers))
     }
 
-    fn package_solution(&self, k: usize, local_centers: Vec<PointId>) -> CoresetSolution {
-        let coreset_radius = weighted_covering_radius(&self.space, &self.weights, &local_centers);
+    fn package_solution(
+        &self,
+        k: usize,
+        support: &[PointId],
+        local_centers: Vec<PointId>,
+    ) -> CoresetSolution {
+        let coreset_radius = covering_radius_subset(&self.space, support, &local_centers);
         let centers: Vec<PointId> = local_centers.iter().map(|&c| self.source_ids[c]).collect();
         CoresetSolution {
             k,
@@ -431,7 +443,8 @@ pub struct CoresetSolution {
     /// The same centers as **source-space** point ids — directly comparable
     /// to any solution computed on the raw space.
     pub centers: Vec<PointId>,
-    /// The weighted covering radius over the coreset (certified in `f64`).
+    /// The covering radius over the coreset's positive-weight
+    /// representatives (certified in `f64`).
     pub coreset_radius: f64,
     /// The triangle-inequality certificate:
     /// `coreset_radius + construction_radius` is an upper bound on the

@@ -123,111 +123,6 @@ pub(crate) fn certify_survivors<S: MetricSpace + ?Sized>(
     (radius, degraded)
 }
 
-/// Weighted max-of-mins over one contiguous block of `(point, weight)`
-/// pairs, in certification space.  A zero weight means "this row represents
-/// no source points" (it can arise when weighted summaries are merged), so
-/// such rows impose no coverage obligation and are skipped.
-fn wide_weighted_radius_block<S: MetricSpace + ?Sized>(
-    space: &S,
-    block: &[PointId],
-    block_weights: &[u64],
-    centers: &[PointId],
-) -> f64 {
-    let mut max = f64::NEG_INFINITY;
-    for (&p, &w) in block.iter().zip(block_weights) {
-        if w == 0 {
-            continue;
-        }
-        let d = space.wide_cmp_distance_to_set_bounded(p, centers, max);
-        if d > max {
-            max = d;
-        }
-    }
-    max
-}
-
-/// The weighted covering radius of `centers` over the whole space:
-/// `weights[i]` is the multiplicity of point `i` (the number of source
-/// points a coreset representative stands for).  For the k-center
-/// (max-radius) objective a positive multiplicity does not move the
-/// maximum, so this equals the unweighted covering radius over the
-/// positive-weight support — the weights matter exactly where a summary
-/// row covers nothing (`weights[i] == 0`), which drops the row from the
-/// obligation set.  Runs in certification space (`wide_cmp_*`, `f64`
-/// accumulation) like [`covering_radius`].
-///
-/// # Panics
-///
-/// Panics if `weights` and the space disagree on length.
-pub fn weighted_covering_radius<S: MetricSpace + ?Sized>(
-    space: &S,
-    weights: &[u64],
-    centers: &[PointId],
-) -> f64 {
-    let ids: Vec<PointId> = (0..space.len()).collect();
-    weighted_covering_radius_subset(space, &ids, weights, centers)
-}
-
-/// The weighted covering radius over an explicit subset: `weights[i]` is
-/// the multiplicity of `subset[i]`.  See [`weighted_covering_radius`].
-///
-/// # Panics
-///
-/// Panics if `subset` and `weights` have different lengths.
-pub fn weighted_covering_radius_subset<S: MetricSpace + ?Sized>(
-    space: &S,
-    subset: &[PointId],
-    weights: &[u64],
-    centers: &[PointId],
-) -> f64 {
-    assert_eq!(
-        subset.len(),
-        weights.len(),
-        "subset/weights length mismatch"
-    );
-    if subset.is_empty() || weights.iter().all(|&w| w == 0) {
-        return 0.0;
-    }
-    if centers.is_empty() {
-        return f64::INFINITY;
-    }
-    let work = subset.len().saturating_mul(centers.len());
-    let wide_max = if work >= PARALLEL_THRESHOLD {
-        subset
-            .par_chunks(1 << 12)
-            .zip(weights.par_chunks(1 << 12))
-            .map(|(block, block_weights)| {
-                wide_weighted_radius_block(space, block, block_weights, centers)
-            })
-            .reduce(|| f64::NEG_INFINITY, f64::max)
-    } else {
-        wide_weighted_radius_block(space, subset, weights, centers)
-    };
-    space.wide_cmp_to_distance(wide_max.max(0.0))
-}
-
-/// Total source-point weight assigned to each center, given an assignment
-/// produced by [`assign`] and the per-point multiplicities: the weighted
-/// analogue of [`cluster_sizes`].  This is how a coreset solution reports
-/// full-data cluster populations without rescanning the source points.
-pub fn weighted_cluster_sizes(
-    assignment: &[usize],
-    weights: &[u64],
-    num_centers: usize,
-) -> Vec<u64> {
-    assert_eq!(
-        assignment.len(),
-        weights.len(),
-        "assignment/weights length mismatch"
-    );
-    let mut sizes = vec![0u64; num_centers];
-    for (&a, &w) in assignment.iter().zip(weights) {
-        assert!(a < num_centers, "assignment index out of range");
-        sizes[a] += w;
-    }
-    sizes
-}
-
 /// Whether every point of the space lies within `radius` of some center —
 /// the coverage check behind the approximation-factor probes.  Runs in
 /// certification space (`f64`-accumulated regardless of storage precision)
@@ -399,70 +294,6 @@ mod tests {
             .map(|p| s.distance_to_set(p, &centers))
             .fold(0.0, f64::max);
         assert!((par - seq).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_covering_radius_with_unit_weights_matches_unweighted() {
-        let s = line(11);
-        let centers = vec![0, 10];
-        let ones = vec![1u64; 11];
-        assert_eq!(
-            weighted_covering_radius(&s, &ones, &centers),
-            covering_radius(&s, &centers)
-        );
-    }
-
-    #[test]
-    fn zero_weight_points_impose_no_coverage_obligation() {
-        let s = line(11);
-        // Point 10 is far from the single center but carries weight 0.
-        let mut w = vec![1u64; 11];
-        w[10] = 0;
-        w[9] = 0;
-        let r = weighted_covering_radius(&s, &w, &[0]);
-        assert!((r - 8.0).abs() < 1e-12);
-        // All-zero weights mean nothing needs covering at all.
-        assert_eq!(weighted_covering_radius(&s, &[0u64; 11], &[]), 0.0);
-    }
-
-    #[test]
-    fn weighted_covering_radius_empty_center_set_is_infinite() {
-        let s = line(3);
-        assert!(weighted_covering_radius(&s, &[1, 1, 1], &[]).is_infinite());
-    }
-
-    #[test]
-    fn weighted_parallel_and_sequential_paths_agree() {
-        let s = line(20_000);
-        let centers = vec![0, 10_000, 19_999];
-        let mut w = vec![1u64; 20_000];
-        for i in (0..20_000).step_by(7) {
-            w[i] = 0;
-        }
-        let par = weighted_covering_radius(&s, &w, &centers);
-        let seq: f64 = (0..20_000)
-            .filter(|i| w[*i] > 0)
-            .map(|p| s.distance_to_set(p, &centers))
-            .fold(0.0, f64::max);
-        assert!((par - seq).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "subset/weights length mismatch")]
-    fn weighted_covering_radius_rejects_length_mismatch() {
-        weighted_covering_radius(&line(3), &[1, 1], &[0]);
-    }
-
-    #[test]
-    fn weighted_cluster_sizes_sums_multiplicities() {
-        let sizes = weighted_cluster_sizes(&[0, 0, 1, 2, 1, 0], &[5, 1, 2, 7, 0, 3], 3);
-        assert_eq!(sizes, vec![9, 2, 7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn weighted_cluster_sizes_rejects_bad_assignment() {
-        weighted_cluster_sizes(&[0, 5], &[1, 1], 2);
     }
 
     #[test]

@@ -222,46 +222,6 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
     centers
 }
 
-/// Runs the greedy farthest-point selection on a **weighted** subset:
-/// `weights[i]` is the multiplicity of `subset[i]` (how many source points
-/// a coreset representative stands for).
-///
-/// For the k-center (max-radius) objective a positive multiplicity never
-/// moves the farthest point, so the traversal is exactly the unweighted one
-/// over the positive-weight support: with all weights positive (in
-/// particular, all-unit weights) the result is **bit-for-bit identical** to
-/// [`select_centers`] at any storage precision.  Zero-weight entries —
-/// summary rows that cover no source points — are excluded both as center
-/// candidates and as coverage obligations.
-///
-/// # Panics
-///
-/// Panics if `subset` and `weights` have different lengths.
-pub fn select_centers_weighted<S: MetricSpace + ?Sized>(
-    space: &S,
-    subset: &[PointId],
-    weights: &[u64],
-    k: usize,
-    first: FirstCenter,
-    parallel_scan: bool,
-) -> Vec<PointId> {
-    assert_eq!(
-        subset.len(),
-        weights.len(),
-        "subset/weights length mismatch"
-    );
-    if weights.iter().all(|&w| w > 0) {
-        return select_centers(space, subset, k, first, parallel_scan);
-    }
-    let support: Vec<PointId> = subset
-        .iter()
-        .zip(weights)
-        .filter(|&(_, &w)| w > 0)
-        .map(|(&p, _)| p)
-        .collect();
-    select_centers(space, &support, k, first, parallel_scan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,42 +341,6 @@ mod tests {
         let centers = select_centers(&space, &subset, 2, FirstCenter::default(), false);
         assert!(centers.iter().all(|c| subset.contains(c)));
         assert_eq!(centers.len(), 2);
-    }
-
-    #[test]
-    fn weighted_selection_with_positive_weights_is_bit_identical() {
-        let space = two_clusters();
-        let subset: Vec<usize> = (0..space.len()).collect();
-        let ones = vec![1u64; subset.len()];
-        let heavy = vec![7u64, 1, 3, 2, 9, 1];
-        let plain = select_centers(&space, &subset, 3, FirstCenter::default(), false);
-        for weights in [&ones, &heavy] {
-            let weighted =
-                select_centers_weighted(&space, &subset, weights, 3, FirstCenter::default(), false);
-            assert_eq!(weighted, plain);
-        }
-    }
-
-    #[test]
-    fn weighted_selection_skips_zero_weight_entries() {
-        let space = two_clusters();
-        let subset: Vec<usize> = (0..space.len()).collect();
-        // The whole far cluster carries weight 0: it must neither seed nor
-        // attract a center.
-        let weights = vec![1u64, 1, 1, 0, 0, 0];
-        let centers =
-            select_centers_weighted(&space, &subset, &weights, 2, FirstCenter::default(), false);
-        assert!(
-            centers.iter().all(|&c| c < 3),
-            "picked a zero-weight center"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "subset/weights length mismatch")]
-    fn weighted_selection_rejects_length_mismatch() {
-        let space = two_clusters();
-        select_centers_weighted(&space, &[0, 1], &[1], 1, FirstCenter::default(), false);
     }
 
     #[test]

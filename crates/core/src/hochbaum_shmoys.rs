@@ -137,44 +137,6 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
     best.unwrap_or_else(|| vec![subset[0]])
 }
 
-/// Selects at most `k` centers from a **weighted** subset: `weights[i]` is
-/// the multiplicity of `subset[i]`.
-///
-/// The bottleneck search minimises the *maximum* covering distance, and a
-/// positive multiplicity cannot move a maximum, so the candidate radii, the
-/// greedy covering counts and the binary search are exactly those of the
-/// unweighted instance over the positive-weight support — all-positive (in
-/// particular all-unit) weights reproduce [`select_centers`] bit-for-bit.
-/// Zero-weight rows drop out entirely: they neither need covering (they
-/// stand for no source points) nor become centers, and their pairwise
-/// distances do not enter the candidate-threshold list.
-///
-/// # Panics
-///
-/// Panics if `subset` and `weights` have different lengths.
-pub fn select_centers_weighted<S: MetricSpace + ?Sized>(
-    space: &S,
-    subset: &[PointId],
-    weights: &[u64],
-    k: usize,
-) -> Vec<PointId> {
-    assert_eq!(
-        subset.len(),
-        weights.len(),
-        "subset/weights length mismatch"
-    );
-    if weights.iter().all(|&w| w > 0) {
-        return select_centers(space, subset, k);
-    }
-    let support: Vec<PointId> = subset
-        .iter()
-        .zip(weights)
-        .filter(|&(_, &w)| w > 0)
-        .map(|(&p, _)| p)
-        .collect();
-    select_centers(space, &support, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,29 +241,6 @@ mod tests {
         let chosen = select_centers(&s, &[0, 1, 2], 1);
         assert_eq!(chosen.len(), 1);
         assert!([0usize, 1, 2].contains(&chosen[0]));
-    }
-
-    #[test]
-    fn weighted_selection_matches_unweighted_on_positive_weights() {
-        let s = grid(4);
-        let subset: Vec<usize> = (0..s.len()).collect();
-        let ones = vec![1u64; subset.len()];
-        let varied: Vec<u64> = (0..subset.len() as u64).map(|i| i % 5 + 1).collect();
-        let plain = select_centers(&s, &subset, 3);
-        assert_eq!(select_centers_weighted(&s, &subset, &ones, 3), plain);
-        assert_eq!(select_centers_weighted(&s, &subset, &varied, 3), plain);
-    }
-
-    #[test]
-    fn weighted_selection_ignores_zero_weight_rows() {
-        let s = VecSpace::new(vec![
-            Point::xy(0.0, 0.0),
-            Point::xy(1.0, 0.0),
-            Point::xy(100.0, 0.0), // weight 0: an empty summary row
-        ]);
-        let centers = select_centers_weighted(&s, &[0, 1, 2], &[1, 1, 0], 1);
-        assert_eq!(centers.len(), 1);
-        assert!(centers[0] < 2, "zero-weight row became a center");
     }
 
     #[test]

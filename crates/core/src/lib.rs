@@ -15,8 +15,8 @@
 //!   paper lists as future work, usable as the final-round sub-procedure;
 //! * [`coreset`] — reusable weighted coresets (Gonzalez-seeded or
 //!   EIM-sampled) with an additive quality certificate: build the summary
-//!   once, then sweep many `(k, φ)` instances on it through the
-//!   weight-aware solver entry points;
+//!   once, then sweep many `(k, φ)` instances on it with the plain
+//!   sequential solvers over its positive-weight representatives;
 //! * [`brute_force`] — exact optimum for tiny instances, used to verify the
 //!   approximation factors in tests;
 //! * [`evaluate`] — covering radius / assignment evaluation (the paper's

@@ -38,35 +38,6 @@ impl SequentialSolver {
         }
     }
 
-    /// Selects at most `k` centers from a **weighted** subset, where
-    /// `weights[i]` is the multiplicity of `subset[i]` (the number of
-    /// source points a coreset representative covers).  This is the entry
-    /// point the coreset layer routes through: positive multiplicities
-    /// leave the max-radius objective untouched (all-unit weights are
-    /// bit-for-bit the unweighted selection), while zero-weight summary
-    /// rows are excluded from both candidacy and coverage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subset` and `weights` have different lengths.
-    pub fn select_centers_weighted<S: MetricSpace + ?Sized>(
-        &self,
-        space: &S,
-        subset: &[PointId],
-        weights: &[u64],
-        k: usize,
-        first: FirstCenter,
-    ) -> Vec<PointId> {
-        match self {
-            SequentialSolver::Gonzalez => {
-                gonzalez::select_centers_weighted(space, subset, weights, k, first, false)
-            }
-            SequentialSolver::HochbaumShmoys => {
-                hochbaum_shmoys::select_centers_weighted(space, subset, weights, k)
-            }
-        }
-    }
-
     /// Name used in experiment reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -106,25 +77,6 @@ mod tests {
                 "{}",
                 solver.name()
             );
-        }
-    }
-
-    #[test]
-    fn weighted_dispatch_matches_unweighted_on_unit_weights() {
-        let space = VecSpace::new(vec![
-            Point::xy(0.0, 0.0),
-            Point::xy(1.0, 0.0),
-            Point::xy(10.0, 0.0),
-            Point::xy(11.0, 0.0),
-            Point::xy(20.0, 0.0),
-        ]);
-        let subset = vec![0, 1, 2, 3, 4];
-        let ones = vec![1u64; subset.len()];
-        for solver in [SequentialSolver::Gonzalez, SequentialSolver::HochbaumShmoys] {
-            let plain = solver.select_centers(&space, &subset, 2, FirstCenter::default());
-            let weighted =
-                solver.select_centers_weighted(&space, &subset, &ones, 2, FirstCenter::default());
-            assert_eq!(plain, weighted, "{}", solver.name());
         }
     }
 }

@@ -6,20 +6,16 @@
 //!    of the solution's own coreset radius (the exact triangle-inequality
 //!    form), and bounded against the raw-space solution by the provable
 //!    `2·r_raw + 3·r_t` composition bound.
-//! 2. **Unit weights** — the weighted solver entry points reproduce the
-//!    unweighted solvers bit-for-bit, at both `f32` and `f64` storage.
-//! 3. **Determinism** — EIM-built coresets are identical per
+//! 2. **Determinism** — EIM-built coresets are identical per
 //!    `(seed, precision)` pair and differ across seeds.
 
 use kcenter_core::coreset::GonzalezCoresetConfig;
-use kcenter_core::evaluate::weighted_covering_radius_subset;
 use kcenter_core::prelude::*;
-use kcenter_core::{gonzalez, hochbaum_shmoys};
 use kcenter_metric::{Euclidean, FlatPoints, MetricSpace as _, Scalar, VecSpace};
 use proptest::prelude::*;
 
 /// Strategy: an f64 coordinate cloud (n in 24..=120, dim in 1..=4) plus its
-/// dimension — small enough for Hochbaum–Shmoys' quadratic candidate list.
+/// dimension.
 fn cloud() -> impl Strategy<Value = (Vec<f64>, usize)> {
     (1usize..=4, 24usize..=120).prop_flat_map(|(dim, n)| {
         prop::collection::vec(-500.0f64..500.0, dim * n).prop_map(move |coords| (coords, dim))
@@ -72,50 +68,9 @@ proptest! {
             raw.radius
         );
     }
-
-    /// Satellite (b): unit weights reproduce the unweighted solvers
-    /// bit-for-bit at both storage precisions.
-    #[test]
-    fn unit_weights_reproduce_unweighted_solvers_bit_for_bit(
-        (coords, dim) in cloud(),
-        k in 1usize..=5,
-    ) {
-        let flat64 = FlatPoints::<f64>::from_coords(coords, dim).unwrap();
-        let flat32 = flat64.to_precision::<f32>();
-
-        fn check<S: Scalar>(space: &VecSpace<Euclidean, S>, k: usize) {
-            let subset: Vec<usize> = (0..space.len()).collect();
-            let ones = vec![1u64; subset.len()];
-            let gon_plain =
-                gonzalez::select_centers(space, &subset, k, FirstCenter::default(), false);
-            let gon_weighted = gonzalez::select_centers_weighted(
-                space, &subset, &ones, k, FirstCenter::default(), false,
-            );
-            prop_assert_eq!(gon_plain, gon_weighted, "GON diverged at {}", S::NAME);
-            let hs_plain = hochbaum_shmoys::select_centers(space, &subset, k);
-            let hs_weighted = hochbaum_shmoys::select_centers_weighted(space, &subset, &ones, k);
-            prop_assert_eq!(hs_plain, hs_weighted, "HS diverged at {}", S::NAME);
-        }
-        check(&VecSpace::from_flat(flat64), k);
-        check(&VecSpace::from_flat(flat32), k);
-    }
-
-    /// The weighted covering radius with unit weights is exactly the
-    /// unweighted one (same wide_cmp certification scan).
-    #[test]
-    fn unit_weighted_covering_radius_matches_unweighted((coords, dim) in cloud()) {
-        let space = space_of(coords, dim);
-        let n = kcenter_metric::MetricSpace::len(&space);
-        let subset: Vec<usize> = (0..n).collect();
-        let ones = vec![1u64; n];
-        let centers = vec![0, n / 2];
-        let weighted = weighted_covering_radius_subset(&space, &subset, &ones, &centers);
-        let plain = covering_radius(&space, &centers);
-        prop_assert_eq!(weighted, plain);
-    }
 }
 
-/// Satellite (c): EIM-built coresets are deterministic per
+/// EIM-built coresets are deterministic per
 /// `(seed, precision)` and respond to the seed.
 #[test]
 fn eim_coresets_are_deterministic_per_seed_and_precision() {

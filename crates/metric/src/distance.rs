@@ -34,7 +34,7 @@
 //! [`Distance::distance_to_surrogate`] converts a distance threshold into
 //! surrogate space for early-exit scans.
 
-use crate::kernel::{self, dist2_auto, dist2_wide, dist2_wide_auto};
+use crate::kernel::{self, dist2_auto, dist2_wide};
 use crate::point::Point;
 use crate::scalar::Scalar;
 
@@ -104,19 +104,6 @@ pub trait Distance: Send + Sync {
     #[inline]
     fn wide_surrogate<S: Scalar>(&self, a: &[S], b: &[S]) -> f64 {
         self.distance_slices(a, b)
-    }
-
-    /// [`Distance::wide_surrogate`] through the dispatched kernel backend
-    /// (`kernel::simd`): the same `f64`-accumulated quantity, but an SIMD
-    /// backend may sum it in its own pinned order, so values are
-    /// bit-deterministic per `(precision, kernel)` rather than per
-    /// precision alone.  The batch *reporting* path behind the lower-bound
-    /// scans (`MetricSpace::wide_cmp_distances_from`) rides this; the
-    /// `wide_cmp_*` certification scans keep using
-    /// [`Distance::wide_surrogate`].  Defaults to the undispatched value.
-    #[inline]
-    fn wide_surrogate_auto<S: Scalar>(&self, a: &[S], b: &[S]) -> f64 {
-        self.wide_surrogate(a, b)
     }
 
     /// Maps a wide-surrogate value back to the distance it stands for.
@@ -222,13 +209,6 @@ impl Distance for Euclidean {
     #[inline]
     fn wide_surrogate<S: Scalar>(&self, a: &[S], b: &[S]) -> f64 {
         dist2_wide(a, b)
-    }
-
-    /// Squared distance accumulated in `f64` through the dispatched kernel
-    /// backend — the batch-reporting fast path.
-    #[inline]
-    fn wide_surrogate_auto<S: Scalar>(&self, a: &[S], b: &[S]) -> f64 {
-        dist2_wide_auto(a, b)
     }
 
     #[inline]

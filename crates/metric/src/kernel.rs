@@ -62,15 +62,16 @@
 //! # SIMD dispatch
 //!
 //! The hot entry points ([`relax_max_rows_coords`], [`relax_max_ids_coords`],
-//! [`dist2_auto`], [`dist2_wide_auto`]) consult the [`simd`] dispatch table:
+//! [`dist2_auto`]) consult the [`simd`] dispatch table:
 //! a backend ([`simd::KernelBackend`]) selected once at startup —
 //! `KCENTER_KERNEL={auto,scalar,portable,avx2}`, the CLI `--kernel` flag, or
 //! [`simd::set_active`] — provides width-pinned (AVX2+FMA or portable-lane)
 //! kernels where the row shape supports them and falls back to the scalar
 //! kernels below one vector of coordinates.  The plain kernels ([`dist2`],
-//! [`dist2_wide`]) remain the fixed scalar implementations: the `wide_cmp_*`
-//! certification scans build on them so reported quality numbers never
-//! depend on the dispatched backend (see the [`simd`] module docs).
+//! [`dist2_wide`]) remain the fixed scalar implementations: every
+//! `wide_cmp_*` scan (certification and the instance lower bounds) builds
+//! on them, so reported numbers never depend on the dispatched backend
+//! (see the [`simd`] module docs).
 //!
 //! # Determinism
 //!
@@ -205,20 +206,6 @@ pub fn dist2_auto<S: Scalar>(a: &[S], b: &[S]) -> S {
     match S::simd_dist2(simd::active(), a, b) {
         Some(v) => v,
         None => dist2(a, b),
-    }
-}
-
-/// [`dist2_wide`] through the dispatched kernel backend (`f64` lanes fed
-/// from the `S` rows).  The batch *reporting* helper behind the lower-bound
-/// scans (`MetricSpace::wide_cmp_distances_from`) rides this; the
-/// `wide_cmp_*` certification scans deliberately keep calling the scalar
-/// [`dist2_wide`] so certified quality numbers never depend on the
-/// dispatched backend.
-#[inline]
-pub fn dist2_wide_auto<S: Scalar>(a: &[S], b: &[S]) -> f64 {
-    match S::simd_dist2_wide(simd::active(), a, b) {
-        Some(v) => v,
-        None => dist2_wide(a, b),
     }
 }
 

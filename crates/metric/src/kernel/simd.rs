@@ -79,11 +79,9 @@
 //! computed the comparison-space scans.  Whenever two dispatch arms select
 //! the same centers — always, on instances without sub-ulp ties — their
 //! certified radii are bit-identical, which is what the dispatch parity
-//! tests pin down.  The batch *reporting* helper behind the lower-bound
-//! scans ([`crate::MetricSpace::wide_cmp_distances_from`]) does ride the
-//! dispatched lanes via the `wide`-accumulating SIMD kernels
-//! ([`crate::kernel::dist2_wide_auto`]), and is documented as
-//! deterministic per `(precision, kernel)`.
+//! tests pin down.  The instance lower bounds ([`crate::lower_bound`]) scan
+//! on the same kernels, so they too give the same bits under every
+//! backend; no backend carries a wide kernel of its own.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -322,10 +320,6 @@ pub trait SimdScalar: Copy + Sized + Send + Sync + 'static {
     /// Squared Euclidean distance accumulated in `Self` under `backend`.
     fn simd_dist2(backend: KernelBackend, a: &[Self], b: &[Self]) -> Option<Self>;
 
-    /// Squared Euclidean distance accumulated in `f64` (each coordinate
-    /// widened before subtracting) under `backend`.
-    fn simd_dist2_wide(backend: KernelBackend, a: &[Self], b: &[Self]) -> Option<f64>;
-
     /// The fused relax + argmax pass over contiguous rows under `backend`
     /// (see [`crate::kernel::relax_max_rows_coords`] for the contract).
     fn simd_relax_rows_max(
@@ -393,30 +387,6 @@ mod portable {
         let mut tail = S::ZERO;
         while i < n {
             let d = a[i] - b[i];
-            tail += d * d;
-            i += 1;
-        }
-        reduce_lanes(acc) + tail
-    }
-
-    /// [`dist2`] accumulated in `f64` from the `S` rows (the wide /
-    /// certification-space shape), `W` lanes.
-    #[inline]
-    pub fn dist2_wide<S: Scalar, const W: usize>(a: &[S], b: &[S]) -> f64 {
-        let n = a.len().min(b.len());
-        let (a, b) = (&a[..n], &b[..n]);
-        let mut acc = [0.0f64; W];
-        let mut i = 0;
-        while i + W <= n {
-            for (l, slot) in acc.iter_mut().enumerate() {
-                let d = a[i + l].to_f64() - b[i + l].to_f64();
-                *slot += d * d;
-            }
-            i += W;
-        }
-        let mut tail = 0.0f64;
-        while i < n {
-            let d = a[i].to_f64() - b[i].to_f64();
             tail += d * d;
             i += 1;
         }
@@ -576,48 +546,6 @@ mod avx2 {
         let mut sum = hsum_pd(_mm256_add_pd(acc0, acc1));
         while i < n {
             let d = a[i] - b[i];
-            sum += d * d;
-            i += 1;
-        }
-        sum
-    }
-
-    /// 4-lane FMA squared distance over `f32` rows accumulated in `f64`
-    /// (each 4-float block widened with `vcvtps2pd` before subtracting) —
-    /// the wide / certification-space shape.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA support; reads stay within the shorter slice.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dist2_wide_f32_impl(a: &[f32], b: &[f32]) -> f64 {
-        let n = a.len().min(b.len());
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            let a0 = _mm256_cvtps_pd(_mm_loadu_ps(ap.add(i)));
-            let b0 = _mm256_cvtps_pd(_mm_loadu_ps(bp.add(i)));
-            let a1 = _mm256_cvtps_pd(_mm_loadu_ps(ap.add(i + 4)));
-            let b1 = _mm256_cvtps_pd(_mm_loadu_ps(bp.add(i + 4)));
-            let d0 = _mm256_sub_pd(a0, b0);
-            let d1 = _mm256_sub_pd(a1, b1);
-            acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-            acc1 = _mm256_fmadd_pd(d1, d1, acc1);
-            i += 8;
-        }
-        if i + 4 <= n {
-            let d = _mm256_sub_pd(
-                _mm256_cvtps_pd(_mm_loadu_ps(ap.add(i))),
-                _mm256_cvtps_pd(_mm_loadu_ps(bp.add(i))),
-            );
-            acc0 = _mm256_fmadd_pd(d, d, acc0);
-            i += 4;
-        }
-        let mut sum = hsum_pd(_mm256_add_pd(acc0, acc1));
-        while i < n {
-            let d = a[i] as f64 - b[i] as f64;
             sum += d * d;
             i += 1;
         }
@@ -943,17 +871,6 @@ mod avx2 {
         // SAFETY: AVX2+FMA support was just confirmed.
         Some(unsafe { dist2_f64_impl(a, b) })
     }
-
-    /// Runtime-checked safe entry for the wide (`f64`-accumulating) squared
-    /// distance over `f32` rows.
-    #[inline]
-    pub fn dist2_wide_f32(a: &[f32], b: &[f32]) -> Option<f64> {
-        if !detected() {
-            return None;
-        }
-        // SAFETY: AVX2+FMA support was just confirmed.
-        Some(unsafe { dist2_wide_f32_impl(a, b) })
-    }
 }
 
 /// Compile-time stub: without the `simd` feature (or off `x86_64`) the AVX2
@@ -967,9 +884,6 @@ mod avx2 {
         None
     }
     pub fn dist2_f64(a: &[f64], b: &[f64]) -> Option<f64> {
-        None
-    }
-    pub fn dist2_wide_f32(a: &[f32], b: &[f32]) -> Option<f64> {
         None
     }
     pub fn relax_rows_max_f32(
@@ -1020,19 +934,6 @@ impl SimdScalar for f32 {
             KernelBackend::Scalar => None,
             KernelBackend::Portable => Some(portable::dist2::<f32, 8>(a, b)),
             KernelBackend::Avx2 => avx2::dist2_f32(a, b),
-        }
-    }
-
-    #[inline]
-    fn simd_dist2_wide(backend: KernelBackend, a: &[f32], b: &[f32]) -> Option<f64> {
-        // The wide kernels widen to f64 lanes, so the pinned width is 4.
-        if a.len().min(b.len()) < 4 {
-            return None;
-        }
-        match backend {
-            KernelBackend::Scalar => None,
-            KernelBackend::Portable => Some(portable::dist2_wide::<f32, 4>(a, b)),
-            KernelBackend::Avx2 => avx2::dist2_wide_f32(a, b),
         }
     }
 
@@ -1096,13 +997,6 @@ impl SimdScalar for f64 {
     }
 
     #[inline]
-    fn simd_dist2_wide(backend: KernelBackend, a: &[f64], b: &[f64]) -> Option<f64> {
-        // f64 rows already accumulate in f64: the wide kernel *is* the
-        // narrow one, mirroring the scalar kernels' bit-identity contract.
-        Self::simd_dist2(backend, a, b)
-    }
-
-    #[inline]
     fn simd_relax_rows_max(
         backend: KernelBackend,
         coords: &[f64],
@@ -1158,7 +1052,7 @@ pub fn available_backends() -> Vec<KernelBackend> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{dist2, dist2_wide};
+    use crate::kernel::dist2;
 
     /// Multiples of 1/8 in [-16, 16): squared differences are multiples of
     /// 1/64 bounded by 1024, so any sum of up to 64 of them stays below
@@ -1233,13 +1127,6 @@ mod tests {
                 dist2(&a, &b),
                 "dim {dim}"
             );
-            let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-            let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-            assert_eq!(
-                portable::dist2_wide::<f32, 4>(&a32, &b32),
-                dist2_wide(&a32, &b32),
-                "dim {dim}"
-            );
         }
     }
 
@@ -1280,9 +1167,6 @@ mod tests {
                 let got32 = <f32 as SimdScalar>::simd_dist2(k, &a32, &b32).unwrap_or(want32);
                 assert_eq!(got64, want64, "{k} dim {dim}");
                 assert_eq!(got32, want32, "{k} dim {dim}");
-                let wide = <f32 as SimdScalar>::simd_dist2_wide(k, &a32, &b32)
-                    .unwrap_or_else(|| dist2_wide(&a32, &b32));
-                assert_eq!(wide, dist2_wide(&a32, &b32), "{k} dim {dim} wide");
             }
         }
     }

@@ -25,16 +25,16 @@ pub fn pairwise_lower_bound<S: MetricSpace + ?Sized>(space: &S, witness: &[Point
         return 0.0;
     }
     // The scan runs in certification space (`wide_cmp_*`: an
-    // order-equivalent surrogate accumulated in `f64` from the stored rows,
-    // squared for Euclidean spaces), so a reduced-precision store streams
-    // its narrow rows while the bound stays exact — and only the winning
-    // pair pays the conversion back to a real distance (one `sqrt` total
-    // instead of one per pair).  Each witness row is compared against the
-    // rest through the batch `wide_cmp_distances_from`, which rides the
-    // dispatched kernel backend on coordinate-backed spaces.
+    // order-equivalent surrogate accumulated in `f64` from the stored rows
+    // by the fixed scalar kernel, squared for Euclidean spaces), so a
+    // reduced-precision store streams its narrow rows while the bound stays
+    // exact and independent of the dispatched kernel backend — and only the
+    // winning pair pays the conversion back to a real distance (one `sqrt`
+    // total instead of one per pair).
     let mut min = f64::INFINITY;
     for (idx, &a) in witness.iter().enumerate() {
-        for d in space.wide_cmp_distances_from(a, &witness[idx + 1..]) {
+        for &b in &witness[idx + 1..] {
+            let d = space.wide_cmp_distance(a, b);
             if d < min {
                 min = d;
             }
@@ -58,12 +58,9 @@ pub fn scaled_diameter_lower_bound<S: MetricSpace + ?Sized>(space: &S, k: usize)
     // O(n) approximation of the diameter is enough for a lower bound: the
     // distance from an arbitrary point to its farthest point is at least
     // half the diameter, so dividing by 2 again stays valid.  As above, the
-    // scan stays in certification space (batched through the dispatched
-    // kernels) and converts only the winner.
-    let targets: Vec<PointId> = (1..n).collect();
-    let far = space
-        .wide_cmp_distances_from(0, &targets)
-        .into_iter()
+    // scan stays in certification space and converts only the winner.
+    let far = (1..n)
+        .map(|t| space.wide_cmp_distance(0, t))
         .fold(0.0, f64::max);
     space.wide_cmp_to_distance(far) / 2.0
 }

@@ -82,14 +82,6 @@ pub trait MetricSpace: Send + Sync {
     /// ([`crate::distance::Distance::supports_grid`]).
     fn grid_compatible(&self) -> bool;
 
-    /// For each point in `targets`, its certification-space
-    /// ([`MetricSpace::wide_cmp_distance`]) value to point `from`.
-    ///
-    /// This is a batch *reporting* helper that rides the dispatched kernel
-    /// backend (the lower-bound scans use it); the `wide_cmp_*` max/min
-    /// certification scans do not go through it.
-    fn wide_cmp_distances_from(&self, from: PointId, targets: &[PointId]) -> Vec<f64>;
-
     /// Minimum distance from point `from` to any point in `to`.
     ///
     /// Returns `f64::INFINITY` when `to` is empty (no center yet covers the
@@ -337,14 +329,6 @@ impl<D: Distance, S: Scalar> MetricSpace for VecSpace<D, S> {
 
     fn grid_compatible(&self) -> bool {
         self.dist.supports_grid()
-    }
-
-    fn wide_cmp_distances_from(&self, from: PointId, targets: &[PointId]) -> Vec<f64> {
-        let row = self.points.row(from);
-        targets
-            .iter()
-            .map(|&t| self.dist.wide_surrogate_auto(row, self.points.row(t)))
-            .collect()
     }
 
     #[inline]

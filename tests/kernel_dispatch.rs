@@ -19,6 +19,7 @@
 
 use kcenter::prelude::*;
 use kcenter_metric::kernel::simd;
+use kcenter_metric::{pairwise_lower_bound, scaled_diameter_lower_bound};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serialises backend overrides within this test binary.
@@ -174,4 +175,35 @@ fn environment_parsing_matches_flag_parsing() {
         }
         Err(e) => assert!(e.to_string().contains("unknown kernel")),
     }
+}
+
+/// The instance lower bounds scan on the fixed scalar certification kernel,
+/// so they give the same bits under every backend, also where the
+/// backends' own sums differ: 64 `f32` rows at dimension 16 with
+/// non-integer coordinates.
+#[test]
+fn lower_bounds_are_bit_identical_across_dispatch_arms() {
+    let _guard = dispatch_lock();
+    let prior = simd::active();
+    let coords: Vec<f64> = (0..64 * 16)
+        .map(|i| (0.7317 * i as f64).sin() * 97.3)
+        .collect();
+    let space = space_at::<f32>(&coords, 16);
+    let witness: Vec<PointId> = (0..64).collect();
+    let bounds = || {
+        (
+            scaled_diameter_lower_bound(&space, 1).to_bits(),
+            pairwise_lower_bound(&space, &witness).to_bits(),
+        )
+    };
+
+    simd::set_active(KernelBackend::Scalar).unwrap();
+    let reference = bounds();
+    assert_eq!(reference.0, 0x4071_3b16_1722_9964);
+    for arm in simd::available_backends() {
+        simd::set_active(arm).unwrap();
+        assert_eq!(bounds(), reference, "{arm}");
+    }
+
+    simd::set_active(prior).unwrap();
 }
