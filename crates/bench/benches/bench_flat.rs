@@ -1,5 +1,5 @@
-//! Flat SoA layout vs the old pointer-chasing `Vec<Point>` layout on the
-//! hot nearest-center scan (one Gonzalez iteration: relax + argmax).
+//! The flat SoA kernels on the hot nearest-center scan (one Gonzalez
+//! iteration: relax + argmax).
 //!
 //! Grid: n ∈ {10k, 100k, 1M} × d ∈ {2, 16}, plus the chunked-parallel flat
 //! variant and the `f32`-storage rows (same seed, half the bytes per
@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcenter_bench::flatbench::{
     clustered_flat, dense_assign_scan, flat_iteration_under, flat_par_iteration, gonzalez_centers,
-    grid_assign_scan, old_iteration,
+    grid_assign_scan,
 };
 use kcenter_core::coreset::GonzalezCoresetConfig;
 use kcenter_core::prelude::*;
@@ -36,15 +36,10 @@ fn bench_nearest_center_scan(c: &mut Criterion) {
             let generator = UnifGenerator::with_dim_and_side(n, dim, 1000.0);
             let flat = generator.generate_flat(42);
             let flat32 = generator.generate_flat_at::<f32>(42);
-            let points = flat.to_points();
             let space = VecSpace::from_flat(flat);
             let space32 = VecSpace::from_flat(flat32);
             let label = format!("n{n}_d{dim}");
 
-            group.bench_with_input(BenchmarkId::new("old_vec_point", &label), &n, |b, _| {
-                let mut nearest = vec![f64::INFINITY; n];
-                b.iter(|| black_box(old_iteration(&points, 0, &mut nearest)))
-            });
             group.bench_with_input(BenchmarkId::new("flat", &label), &n, |b, _| {
                 let mut nearest = vec![f64::INFINITY; n];
                 b.iter(|| {

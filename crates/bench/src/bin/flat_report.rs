@@ -1,16 +1,13 @@
 //! Writes `BENCH_flat.json`: throughput of the hot nearest-center scan on
-//! the old `Vec<Point>` layout vs the new flat SoA kernels, at both storage
-//! precisions (`f64` and `f32`).
+//! the flat SoA kernels, at both storage precisions (`f64` and `f32`),
+//! sequential and chunked-parallel, under the scalar kernels and the
+//! dispatched SIMD backend.
 //!
 //! Usage: `cargo run --release -p kcenter-bench --bin flat_report [out.json]`
 //!
 //! Each configuration is warmed up, then measured as the best-of-`REPEATS`
 //! wall time of one full scan (relax + argmax over all n points), matching
-//! the `bench_flat` Criterion bench.  Both `Vec<Point>` baselines are kept
-//! (ROADMAP "heap-layout honesty"): *fresh* heaps allocate the per-point
-//! Vecs sequentially — the allocator best case — while *aged* heaps shuffle
-//! the allocation order the way parallel generators and long-lived
-//! processes do.
+//! the `bench_flat` Criterion bench.
 //!
 //! The assignment sections time one nearest-center assignment scan on the
 //! dense arm vs the spatial-grid arm: `assign_results` at n = 1M, and
@@ -33,7 +30,7 @@
 use kcenter_bench::execbench::{run_executor_comparison, ExecutorComparison};
 use kcenter_bench::flatbench::{
     clustered_flat, crossover_k, dense_assign_scan, flat_iteration_under, flat_par_iteration,
-    gonzalez_centers, grid_assign_scan, old_iteration, to_points_aged_heap,
+    gonzalez_centers, grid_assign_scan,
 };
 use kcenter_bench::sweepbench::{run_sweep_comparison, SweepBuilder, SweepComparison};
 use kcenter_core::gonzalez::{self, FirstCenter};
@@ -79,7 +76,7 @@ const ASSIGN_REPEATS: usize = 3;
 const SCANS: usize = 8;
 
 /// Best-of-`REPEATS` wall times of the scan variants, measured
-/// **interleaved** (old, flat64, flat32, old, flat64, flat32, …) after
+/// **interleaved** (flat64, flat32, flat64, flat32, …) after
 /// `WARMUP` untimed rounds.  Interleaving plus best-of damps the scheduling
 /// and bandwidth noise of shared machines, which would otherwise skew a
 /// ratio whose sides were measured at different times.
@@ -132,11 +129,6 @@ fn main() {
             let flat = generator.generate_flat(42);
             // Same seed at f32: identical geometry, half the bytes per row.
             let flat32 = generator.generate_flat_at::<f32>(42);
-            // "fresh": per-point Vecs allocated sequentially (the best case
-            // for the old layout); "aged": allocation order shuffled, the
-            // layout a parallel generator / long-lived heap produces.
-            let points_fresh = flat.to_points();
-            let points_aged = to_points_aged_heap(&flat, 7);
             let space = VecSpace::from_flat(flat);
             let space32 = VecSpace::from_flat(flat32);
             let nearest = std::cell::RefCell::new(vec![f64::INFINITY; n]);
@@ -161,16 +153,6 @@ fn main() {
                 }
             };
             let timed = best_interleaved(&mut [
-                &mut || {
-                    block64(&mut |c| {
-                        black_box(old_iteration(&points_fresh, c, &mut nearest.borrow_mut()));
-                    })
-                },
-                &mut || {
-                    block64(&mut |c| {
-                        black_box(old_iteration(&points_aged, c, &mut nearest.borrow_mut()));
-                    })
-                },
                 &mut || {
                     block64(&mut |c| {
                         black_box(flat_iteration_under(
@@ -225,23 +207,19 @@ fn main() {
                 },
             ]);
             let per_scan: Vec<u128> = timed.iter().map(|t| t / SCANS as u128).collect();
-            let (fresh_ns, aged_ns, flat_ns, par_ns, f32_ns, f32_par_ns, simd_ns, f32_simd_ns) = (
+            let (flat_ns, par_ns, f32_ns, f32_par_ns, simd_ns, f32_simd_ns) = (
                 per_scan[0],
                 per_scan[1],
                 per_scan[2],
                 per_scan[3],
                 per_scan[4],
                 per_scan[5],
-                per_scan[6],
-                per_scan[7],
             );
 
             let mpts = |ns: u128| n as f64 / (ns as f64 / 1e9) / 1e6;
             eprintln!(
-                "n={n:>9} d={dim:>2}  old_fresh {:>9} ns ({:>6.1} Mpt/s)  old_aged {:>9} ns  flat64 {:>9} ns ({:>6.1} Mpt/s, {:.2}x/{:.2}x)  flat32 {:>9} ns ({:>6.1} Mpt/s, {:.2}x vs flat64)  simd64 {:>9} ns  simd32 {:>9} ns ({:.2}x vs scalar flat64)  par64 {:>9} ns  par32 {:>9} ns",
-                fresh_ns, mpts(fresh_ns), aged_ns, flat_ns, mpts(flat_ns),
-                fresh_ns as f64 / flat_ns as f64,
-                aged_ns as f64 / flat_ns as f64,
+                "n={n:>9} d={dim:>2}  flat64 {:>9} ns ({:>6.1} Mpt/s)  flat32 {:>9} ns ({:>6.1} Mpt/s, {:.2}x vs flat64)  simd64 {:>9} ns  simd32 {:>9} ns ({:.2}x vs scalar flat64)  par64 {:>9} ns  par32 {:>9} ns",
+                flat_ns, mpts(flat_ns),
                 f32_ns, mpts(f32_ns),
                 flat_ns as f64 / f32_ns as f64,
                 simd_ns,
@@ -253,8 +231,6 @@ fn main() {
             rows.push((
                 n,
                 dim,
-                fresh_ns,
-                aged_ns,
                 flat_ns,
                 par_ns,
                 f32_ns,
@@ -384,8 +360,6 @@ fn main() {
     json.push_str(
         "  \"benchmark\": \"nearest-center scan (relax + argmax, one Gonzalez iteration)\",\n",
     );
-    json.push_str("  \"baseline_fresh\": \"Vec<Point>, per-point heap Vecs allocated sequentially (allocator best case), sqrt per pair, two passes\",\n");
-    json.push_str("  \"baseline_aged\": \"Vec<Point>, allocation order shuffled (parallel-generator / aged-heap layout), sqrt per pair, two passes\",\n");
     json.push_str("  \"candidate\": \"FlatPoints SoA rows, fused squared-distance kernel (relax_max), f64 and f32 storage; *_simd columns rerun the same scan under the dispatched width-pinned kernel backend\",\n");
     let _ = writeln!(
         json,
@@ -400,17 +374,12 @@ fn main() {
         "  \"kernel\": \"{simd_kernel}\",\n  \"kernel_note\": \"dispatched backend of the *_simd_ns columns (KCENTER_KERNEL resolution; flat_ns/flat_f32_ns pin the scalar kernels)\","
     );
     json.push_str("  \"results\": [\n");
-    for (
-        i,
-        (n, dim, fresh_ns, aged_ns, flat_ns, par_ns, f32_ns, f32_par_ns, simd_ns, f32_simd_ns),
-    ) in rows.iter().enumerate()
+    for (i, (n, dim, flat_ns, par_ns, f32_ns, f32_par_ns, simd_ns, f32_simd_ns)) in
+        rows.iter().enumerate()
     {
         let _ = write!(
             json,
-            "    {{\"n\": {n}, \"dim\": {dim}, \"old_fresh_ns\": {fresh_ns}, \"old_aged_ns\": {aged_ns}, \"flat_ns\": {flat_ns}, \"flat_par_ns\": {par_ns}, \"flat_f32_ns\": {f32_ns}, \"flat_f32_par_ns\": {f32_par_ns}, \"flat_simd_ns\": {simd_ns}, \"flat_f32_simd_ns\": {f32_simd_ns}, \"speedup_vs_fresh\": {:.3}, \"speedup_vs_aged\": {:.3}, \"speedup_par_vs_aged\": {:.3}, \"speedup_f32_vs_f64\": {:.3}, \"speedup_simd_vs_scalar\": {:.3}, \"speedup_f32_simd_vs_f64_scalar\": {:.3}}}",
-            *fresh_ns as f64 / *flat_ns as f64,
-            *aged_ns as f64 / *flat_ns as f64,
-            *aged_ns as f64 / *par_ns as f64,
+            "    {{\"n\": {n}, \"dim\": {dim}, \"flat_ns\": {flat_ns}, \"flat_par_ns\": {par_ns}, \"flat_f32_ns\": {f32_ns}, \"flat_f32_par_ns\": {f32_par_ns}, \"flat_simd_ns\": {simd_ns}, \"flat_f32_simd_ns\": {f32_simd_ns}, \"speedup_f32_vs_f64\": {:.3}, \"speedup_simd_vs_scalar\": {:.3}, \"speedup_f32_simd_vs_f64_scalar\": {:.3}}}",
             *flat_ns as f64 / *f32_ns as f64,
             *flat_ns as f64 / *simd_ns as f64,
             *flat_ns as f64 / *f32_simd_ns as f64,
@@ -461,8 +430,7 @@ fn main() {
 
     // ---- Sweep-via-coreset vs per-cell EIM reruns (build once, solve a
     // (k, phi) grid).  Both sides are charged in the paper's simulated-time
-    // metric; the scan rows above keep their fresh/aged heap baselines
-    // untouched (ROADMAP "heap-layout honesty").
+    // metric.
     let mut sweeps: Vec<SweepComparison> = Vec::new();
     let gau100k = DatasetSpec::Gau {
         n: 100_000,

@@ -1,19 +1,14 @@
-//! The flat-layout micro-benchmark: old pointer-chasing scan vs the new
-//! SoA kernels.
+//! The flat-layout micro-benchmark.
 //!
 //! Both `bench_flat` (Criterion) and the `flat_report` binary (which writes
 //! `BENCH_flat.json`) measure the same operation — one Gonzalez iteration,
 //! i.e. one "relax nearest-center distances against a new center" pass plus
-//! the farthest-point argmax — on the two layouts:
-//!
-//! * **old**: `Vec<Point>` (one heap allocation per point), Euclidean
-//!   distance with a `sqrt` per point-center pair, separate relax and
-//!   argmax passes — a faithful replica of the pre-flat implementation;
-//! * **flat**: the fused `relax_max` pass over [`FlatPoints`] rows
-//!   in squared space — exactly what `select_centers` now runs — plus the
-//!   chunked-parallel variant, at **both storage precisions** (`f64` and
-//!   `f32`; the scan is DRAM-bound at n = 1M, so the halved bytes of the
-//!   `f32` rows are the measurement that justifies the precision mode).
+//! the farthest-point argmax: the fused `relax_max` pass over
+//! [`FlatPoints`] rows in squared space — exactly what `select_centers`
+//! runs — plus the chunked-parallel variant, at **both storage precisions**
+//! (`f64` and `f32`; the scan is DRAM-bound at n = 1M, so the halved bytes
+//! of the `f32` rows are the measurement that justifies the precision
+//! mode).
 //!
 //! The assignment arms ([`dense_assign_scan`] vs the spatial-grid
 //! [`grid_assign_scan`], on [`clustered_flat`] data with
@@ -24,72 +19,8 @@
 //! reduce their timings to one threshold with [`crossover_k`].
 
 use kcenter_metric::grid::{SpatialGrid, NEAREST_OCCUPANCY};
-use kcenter_metric::kernel::{self, simd};
-use kcenter_metric::{
-    Distance, Euclidean, FlatPoints, KernelBackend, MetricSpace, Point, Scalar, VecSpace,
-};
-
-/// Materialises the rows of `flat` as owned `Point`s whose heap allocations
-/// happen in a (deterministically) shuffled order, while the resulting
-/// vector stays in row order.
-///
-/// A freshly built `Vec<Point>` gets its coordinate buffers laid out
-/// sequentially by the allocator — the best possible case for the old
-/// layout, and not the one a real run sees: the seed generators allocated
-/// points from parallel workers (interleaving per-thread arenas), and any
-/// long-lived process ages its heap.  Scanning shuffled-order allocations
-/// shows the pointer-chasing cost the flat store removes by construction.
-pub fn to_points_aged_heap(flat: &FlatPoints, seed: u64) -> Vec<Point> {
-    let n = flat.len();
-    let mut perm: Vec<usize> = (0..n).collect();
-    // Deterministic Fisher–Yates on a SplitMix64 stream.
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    for i in (1..n).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
-    }
-    let mut slots: Vec<Option<Point>> = (0..n).map(|_| None).collect();
-    for &row in &perm {
-        slots[row] = Some(flat.point(row));
-    }
-    slots
-        .into_iter()
-        .map(|p| p.expect("every row placed"))
-        .collect()
-}
-
-/// The old-layout scan: for every point, re-derive its distance to the new
-/// center through the per-point `Vec<f64>` and a `sqrt`, and relax the
-/// running nearest-center array.  The center is re-indexed per pair, just
-/// as the pre-flat `space.distance(p, new_center)` call did.
-pub fn old_relax_nearest(points: &[Point], center: usize, nearest: &mut [f64]) {
-    for (slot, p) in nearest.iter_mut().zip(points) {
-        let d = Euclidean.distance(p, &points[center]);
-        if d < *slot {
-            *slot = d;
-        }
-    }
-}
-
-/// The old-layout argmax (identical logic to [`kernel::argmax`]; the layout
-/// difference is entirely in the relaxation scan).
-pub fn old_argmax(nearest: &[f64]) -> Option<(usize, f64)> {
-    kernel::argmax(nearest)
-}
-
-/// One Gonzalez iteration on the old layout (two passes); returns the
-/// farthest point so the compiler cannot discard the work.
-pub fn old_iteration(points: &[Point], center: usize, nearest: &mut [f64]) -> (usize, f64) {
-    old_relax_nearest(points, center, nearest);
-    old_argmax(nearest).expect("non-empty scan")
-}
+use kcenter_metric::kernel::simd;
+use kcenter_metric::{Euclidean, FlatPoints, KernelBackend, MetricSpace, Scalar, VecSpace};
 
 /// One Gonzalez iteration on the flat layout: the fused row-streaming pass
 /// `select_centers` runs on the full space, at whatever storage precision
@@ -179,22 +110,14 @@ pub fn gonzalez_centers<S: Scalar>(space: &VecSpace<Euclidean, S>, k: usize) -> 
 }
 
 /// One dense assignment scan: per-point argmin over `centers` with
-/// smallest-position tie-breaking — the dense arm of `evaluate::assign`
-/// and the coreset weights round.  Returns a label checksum so the work
-/// cannot be discarded.
+/// smallest-position tie-breaking, through the fused
+/// [`MetricSpace::nearest`] scan — the dense arm of `evaluate::assign` and
+/// the coreset weights round.  Returns a label checksum so the work cannot
+/// be discarded.
 pub fn dense_assign_scan<S: Scalar>(space: &VecSpace<Euclidean, S>, centers: &[usize]) -> u64 {
     let mut acc = 0u64;
     for p in 0..space.len() {
-        let mut best = 0usize;
-        let mut best_d = space.cmp_distance(p, centers[0]);
-        for (i, &c) in centers.iter().enumerate().skip(1) {
-            let d = space.cmp_distance(p, c);
-            if d < best_d {
-                best = i;
-                best_d = d;
-            }
-        }
-        acc = acc.wrapping_add(best as u64);
+        acc = acc.wrapping_add(space.nearest(p, centers).0 as u64);
     }
     acc
 }
@@ -234,25 +157,7 @@ pub fn crossover_k(ks: &[usize], dense_ns: &[u128], grid_ns: &[u128]) -> Option<
 mod tests {
     use super::*;
     use kcenter_data::{PointGenerator, UnifGenerator};
-
-    #[test]
-    fn old_and_flat_iterations_pick_the_same_farthest_point() {
-        let g = UnifGenerator::with_dim_and_side(2_000, 3, 100.0);
-        let flat = g.generate_flat(5);
-        let points = flat.to_points();
-        let space = VecSpace::from_flat(flat);
-        let mut old_nearest = vec![f64::INFINITY; points.len()];
-        let mut flat_nearest = vec![f64::INFINITY; points.len()];
-        let (old_far, old_d) = old_iteration(&points, 0, &mut old_nearest);
-        let (flat_far, flat_d) = flat_iteration(&space, 0, &mut flat_nearest);
-        assert_eq!(old_far, flat_far, "layouts disagree on the farthest point");
-        // Old scan reports a distance, flat scan a squared distance.
-        assert!((old_d * old_d - flat_d).abs() <= 1e-9 * (1.0 + flat_d));
-        let mut par_nearest = vec![f64::INFINITY; points.len()];
-        let (par_far, par_d) = flat_par_iteration(&space, 0, &mut par_nearest);
-        assert_eq!((flat_far, flat_d), (par_far, par_d));
-        assert_eq!(flat_nearest, par_nearest);
-    }
+    use kcenter_metric::kernel;
 
     #[test]
     fn f32_iteration_picks_the_same_farthest_point_as_f64() {

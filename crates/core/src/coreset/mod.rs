@@ -769,6 +769,11 @@ pub const PRUNED_PAIRS_COUNTER: &str = "weights round pruned pairs";
 /// makes EIM-built coresets (where `|reps|` is tens of thousands at large
 /// `k`) cheap to weigh.  The number of pairs skipped this way lands in the
 /// round's [`JobStats`] under [`PRUNED_PAIRS_COUNTER`].
+///
+/// On the dense arm both scans are single space calls per point — the
+/// fused [`MetricSpace::nearest`] argmin and the fused bounded wide scan —
+/// with the per-pair values of the pair-by-pair loops, so weights, radius
+/// and the pruned-pairs count are the same as theirs, on either arm.
 fn weight_and_certify_round<Sp: MetricSpace + ?Sized>(
     cluster: &mut Cluster,
     space: &Sp,
@@ -815,18 +820,7 @@ fn weight_and_certify_round<Sp: MetricSpace + ?Sized>(
         for &x in chunk {
             let (best, _) = match &rep_grid {
                 Some(g) => g.nearest_member(space, reps, x),
-                None => {
-                    let mut best = 0usize;
-                    let mut best_d = <Sp::Cmp as Scalar>::INFINITY;
-                    for (ri, &r) in reps.iter().enumerate() {
-                        let d = space.cmp_distance(x, r);
-                        if d < best_d {
-                            best_d = d;
-                            best = ri;
-                        }
-                    }
-                    (best, best_d)
-                }
+                None => space.nearest(x, reps),
             };
             counts[best] += 1;
             // wide_min(x) <= wide(x, assigned rep): within the running

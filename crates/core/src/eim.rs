@@ -494,14 +494,12 @@ fn distance_with_additions<S: MetricSpace + ?Sized>(
     cached: S::Cmp,
     additions: &[PointId],
 ) -> S::Cmp {
-    let mut best = cached;
-    for &y in additions {
-        let d = space.cmp_distance(x, y);
-        if d < best {
-            best = d;
-        }
+    let (_, d) = space.nearest(x, additions);
+    if d < cached {
+        d
+    } else {
+        cached
     }
-    best
 }
 
 /// SplitMix64-style mixing used to derive per-iteration / per-machine seeds.

@@ -26,10 +26,20 @@
 //! can stop scanning centers — it cannot raise the maximum.  The winner is
 //! converted back to a real distance once at the end, so exactly one `sqrt`
 //! is taken per evaluation.
+//!
+//! # One fused scan per point
+//!
+//! Every scan here asks one question per point of the whole center list,
+//! through one space call: `wide_cmp_distance_to_set{,_bounded}` for the
+//! certified numbers and [`MetricSpace::nearest`] for [`assign`]'s dense
+//! arm.  On a Euclidean space each is one fused, dimension-specialised
+//! kernel call (`kcenter_metric::kernel::{wide_nearest_ids, nearest_ids}`)
+//! rather than one distance call per pair; the per-pair arithmetic is the
+//! same, so every radius bit and label is too.
 
 use kcenter_mapreduce::{DegradedRun, DroppedShard};
 use kcenter_metric::grid::{self, SpatialGrid};
-use kcenter_metric::{MetricSpace, PointId, Scalar};
+use kcenter_metric::{MetricSpace, PointId};
 use rayon::prelude::*;
 
 /// Below this many (point, center) pairs the sequential scan is used; above
@@ -136,7 +146,9 @@ pub fn covered_within<S: MetricSpace + ?Sized>(
     if space.len() == 0 {
         return true;
     }
-    if centers.is_empty() {
+    // Distances are non-negative, so a negative radius covers no point —
+    // and mapping it through e.g. `d*d` would flip its sign.
+    if centers.is_empty() || radius < 0.0 {
         return false;
     }
     let wide_radius = space.distance_to_wide_cmp(radius);
@@ -190,20 +202,9 @@ pub fn assign<S: MetricSpace + ?Sized>(space: &S, centers: &[PointId]) -> Vec<us
     } else {
         grid::AssignMode::Dense
     });
-    let assign_one = |p: PointId| -> usize {
-        if let Some(g) = &center_grid {
-            return g.nearest_member(space, centers, p).0;
-        }
-        let mut best = 0usize;
-        let mut best_d = <S::Cmp as Scalar>::INFINITY;
-        for (ci, &c) in centers.iter().enumerate() {
-            let d = space.cmp_distance(p, c);
-            if d < best_d {
-                best_d = d;
-                best = ci;
-            }
-        }
-        best
+    let assign_one = |p: PointId| match &center_grid {
+        Some(g) => g.nearest_member(space, centers, p).0,
+        None => space.nearest(p, centers).0,
     };
     let work = space.len().saturating_mul(centers.len());
     if work >= PARALLEL_THRESHOLD {
@@ -294,6 +295,17 @@ mod tests {
             .map(|p| s.distance_to_set(p, &centers))
             .fold(0.0, f64::max);
         assert!((par - seq).abs() < 1e-9);
+    }
+
+    #[test]
+    fn covered_within_rejects_a_negative_radius() {
+        let s = line(2);
+        assert!(covered_within(&s, &[0], 1.0));
+        assert!(!covered_within(&s, &[0], -1.0));
+        // Even the points that are centers: no distance is negative.
+        assert!(!covered_within(&s, &[0, 1], -1.0));
+        // An empty space is covered by anything.
+        assert!(covered_within(&VecSpace::new(vec![]), &[], -1.0));
     }
 
     #[test]

@@ -342,3 +342,61 @@ fn small_parallel_selection_follows_the_relax_crossover() {
     );
     assert_eq!(auto, dense, "k = {k}");
 }
+
+/// Above the vector width (d = 16: four `f64` lanes, two `f32` vectors)
+/// the dense arm's fused nearest scan runs the backend's own pairwise
+/// kernel and the certification its const-length wide kernel.  Both arms
+/// must still give the pair-by-pair answers: the argmin over
+/// `cmp_distance` for `assign`, and the max-of-mins over
+/// `wide_cmp_distance` for `covering_radius`, on continuous coordinates
+/// whose sums round differently in any other summation order.
+#[test]
+fn assign_above_the_vector_width_matches_the_pairwise_oracle() {
+    const DIM: usize = 16;
+    let mut state = 0x5851_f42d_4c95_7f2du64;
+    let coords: Vec<f64> = (0..300 * DIM)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2000.0 - 1000.0
+        })
+        .collect();
+    fn oracle<S: Scalar>(space: &VecSpace<Euclidean, S>, centers: &[usize]) -> (Vec<usize>, f64) {
+        let mut labels = Vec::new();
+        let mut wide_max = f64::NEG_INFINITY;
+        for p in 0..space.len() {
+            let mut best = (0, S::INFINITY);
+            let mut wide = f64::INFINITY;
+            for (i, &c) in centers.iter().enumerate() {
+                let d = space.cmp_distance(p, c);
+                if d < best.1 {
+                    best = (i, d);
+                }
+                wide = wide.min(space.wide_cmp_distance(p, c));
+            }
+            labels.push(best.0);
+            wide_max = wide_max.max(wide);
+        }
+        (labels, space.wide_cmp_to_distance(wide_max))
+    }
+    let f64_space = space_of::<f64>(&coords, DIM);
+    let f32_space = space_of::<f32>(&coords, DIM);
+    for centers in [vec![0usize, 7, 99, 7, 250], (0..300).step_by(11).collect()] {
+        let want = (oracle(&f64_space, &centers), oracle(&f32_space, &centers));
+        let (d, g) = both_arms(|| {
+            (
+                (
+                    evaluate::assign(&f64_space, &centers),
+                    evaluate::covering_radius(&f64_space, &centers),
+                ),
+                (
+                    evaluate::assign(&f32_space, &centers),
+                    evaluate::covering_radius(&f32_space, &centers),
+                ),
+            )
+        });
+        assert_eq!(d, want, "dense arm, {} centers", centers.len());
+        assert_eq!(g, want, "grid arm, {} centers", centers.len());
+    }
+}

@@ -154,6 +154,44 @@ pub trait Distance: Send + Sync {
         })
     }
 
+    /// The nearest candidate in surrogate space: the position (into
+    /// `candidates`) and value of the minimum `surrogate(row, row_c)` over
+    /// the rows `candidates[i]` of `coords`, ties toward the smaller
+    /// position; `(0, +inf)` when `candidates` is empty.
+    ///
+    /// [`Euclidean`] runs the fused, dimension-specialised
+    /// [`kernel::nearest_ids`]; the default scans [`Distance::surrogate`]
+    /// pair by pair.
+    fn nearest_ids<S: Scalar>(
+        &self,
+        coords: &[S],
+        dim: usize,
+        candidates: &[usize],
+        row: &[S],
+    ) -> (usize, S) {
+        kernel::nearest_scan(coords, dim, candidates, |c| self.surrogate(row, c))
+    }
+
+    /// The minimum [`Distance::wide_surrogate`] from `row` to the rows
+    /// `candidates[i]` of `coords` (`+inf` when there are none), stopping
+    /// as soon as it drops to `stop_below` or less: exact whenever it
+    /// exceeds `stop_below`.
+    ///
+    /// [`Euclidean`] runs the fused [`kernel::wide_nearest_ids`]; the
+    /// default scans [`Distance::wide_surrogate`] pair by pair.
+    fn wide_nearest_ids<S: Scalar>(
+        &self,
+        coords: &[S],
+        dim: usize,
+        candidates: &[usize],
+        row: &[S],
+        stop_below: f64,
+    ) -> f64 {
+        kernel::wide_nearest_scan(coords, dim, candidates, stop_below, |c| {
+            self.wide_surrogate(row, c)
+        })
+    }
+
     /// Whether this distance satisfies the triangle inequality.
     ///
     /// The k-center algorithms assert this before running, since their
@@ -240,6 +278,27 @@ impl Distance for Euclidean {
         nearest: &mut [S],
     ) -> (usize, S) {
         kernel::relax_max_ids_coords(coords, dim, subset, center_row, nearest)
+    }
+
+    fn nearest_ids<S: Scalar>(
+        &self,
+        coords: &[S],
+        dim: usize,
+        candidates: &[usize],
+        row: &[S],
+    ) -> (usize, S) {
+        kernel::nearest_ids(coords, dim, candidates, row)
+    }
+
+    fn wide_nearest_ids<S: Scalar>(
+        &self,
+        coords: &[S],
+        dim: usize,
+        candidates: &[usize],
+        row: &[S],
+        stop_below: f64,
+    ) -> f64 {
+        kernel::wide_nearest_ids(coords, dim, candidates, row, stop_below)
     }
 
     fn name(&self) -> &'static str {

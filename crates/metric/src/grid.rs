@@ -57,9 +57,10 @@
 //! * Pruning never changes a value: a cell is skipped only when a
 //!   conservative rounding-slack margin (`(d + 8) · 4 · u` for storage
 //!   unit roundoff `u`) proves every member comparison in it is a no-op.
-//!   Comparison-space distances themselves come from the same per-pair
-//!   [`MetricSpace::cmp_distance`] path as the dense argmin, and the
-//!   `wide_cmp_*` f64 certification scans stay ground truth.
+//!   Comparison-space distances themselves are the per-pair
+//!   [`MetricSpace::cmp_distance`] values the dense argmin
+//!   ([`MetricSpace::nearest`]) computes, and the `wide_cmp_*` f64
+//!   certification scans stay ground truth.
 //! * The per-pair comparison values match the dense fused relax kernels
 //!   bit-for-bit under the `scalar` and `portable` backends (identical
 //!   summation order); the AVX2 fused-rows kernels use a different
@@ -287,18 +288,18 @@ pub struct ScanShape {
 /// probed count).  Sorted by `n`, then `dim`.  A `kcenter-bench` test fails
 /// when this table and the committed records disagree.
 pub const ASSIGN_CROSSOVER: [(usize, usize, Option<usize>); 15] = [
-    (1 << 12, 2, Some(24)),
-    (1 << 12, 3, Some(32)),
+    (1 << 12, 2, Some(96)),
+    (1 << 12, 3, Some(128)),
     (1 << 12, 4, Some(64)),
     (1 << 12, 8, Some(1024)),
-    (1 << 12, 16, None),
-    (1 << 15, 2, Some(24)),
-    (1 << 15, 3, Some(32)),
+    (1 << 12, 16, Some(1024)),
+    (1 << 15, 2, Some(64)),
+    (1 << 15, 3, Some(96)),
     (1 << 15, 4, Some(64)),
     (1 << 15, 8, Some(1024)),
     (1 << 15, 16, None),
-    (1 << 18, 2, Some(24)),
-    (1 << 18, 3, Some(32)),
+    (1 << 18, 2, Some(96)),
+    (1 << 18, 3, Some(96)),
     (1 << 18, 4, Some(64)),
     (1 << 18, 8, Some(1024)),
     (1 << 18, 16, None),
@@ -312,17 +313,17 @@ pub const RELAX_CROSSOVER: [(usize, usize, Option<usize>); 15] = [
     (1 << 12, 2, Some(96)),
     (1 << 12, 3, Some(96)),
     (1 << 12, 4, Some(192)),
-    (1 << 12, 8, Some(256)),
+    (1 << 12, 8, Some(128)),
     (1 << 12, 16, None),
-    (1 << 15, 2, Some(128)),
+    (1 << 15, 2, Some(96)),
     (1 << 15, 3, Some(96)),
     (1 << 15, 4, Some(192)),
-    (1 << 15, 8, Some(128)),
+    (1 << 15, 8, Some(192)),
     (1 << 15, 16, None),
-    (1 << 18, 2, Some(192)),
-    (1 << 18, 3, Some(256)),
-    (1 << 18, 4, Some(256)),
-    (1 << 18, 8, Some(384)),
+    (1 << 18, 2, Some(512)),
+    (1 << 18, 3, Some(1024)),
+    (1 << 18, 4, None),
+    (1 << 18, 8, Some(192)),
     (1 << 18, 16, None),
 ];
 

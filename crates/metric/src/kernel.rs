@@ -11,6 +11,8 @@
 //!   nearest chosen center" and track the farthest survivor in one linear
 //!   walk, with **no** square roots (comparisons happen in squared space;
 //!   callers take one `sqrt` per final winner, not one per pair);
+//! * [`nearest_ids`] / [`wide_nearest_ids`] — the fused nearest-center
+//!   scans (below);
 //! * [`relax_nearest`] and [`argmax`] — the same step as two plain passes,
 //!   kept as the reference the fused kernels are tested against.
 //!
@@ -38,6 +40,23 @@
 //! portable paths and both the rows and subset shapes; other dimensions
 //! take the dynamic-length distance.
 //!
+//! # The fused nearest scans
+//!
+//! Assignment and certification both come down to one query row against a
+//! candidate id list.  [`nearest_ids`] is the comparison-space argmin
+//! (`evaluate::assign`, the coreset weights round, a re-compression's
+//! fold): a strict `<`, so ties go to the smaller position.  It resolves
+//! the dispatched backend once per call instead of once per pair; the
+//! scalar backend, and every backend on rows shorter than one vector, runs
+//! the const-dimension [`dist2`], and the others run their own pairwise
+//! kernel per candidate, so each pair keeps the bits [`dist2_auto`] gives
+//! it.  [`wide_nearest_ids`] is the certification-space minimum with the
+//! early exit of `distance_to_set_bounded` (covering radii, coverage
+//! checks, every certificate): a const-dimension instantiation of
+//! [`dist2_wide`]'s summation order, which consults no backend.  Both
+//! change only how the loop is driven, never a pair's arithmetic, so every
+//! assignment and certified bit equals the pair-by-pair scan's.
+//!
 //! # Scalar genericity and the two accumulation modes
 //!
 //! Every kernel is generic over [`Scalar`] (`f64` or `f32`) and
@@ -62,16 +81,17 @@
 //! # SIMD dispatch
 //!
 //! The hot entry points ([`relax_max_rows_coords`], [`relax_max_ids_coords`],
-//! [`dist2_auto`]) consult the [`simd`] dispatch table:
+//! [`nearest_ids`], [`dist2_auto`]) consult the [`simd`] dispatch table:
 //! a backend ([`simd::KernelBackend`]) selected once at startup —
 //! `KCENTER_KERNEL={auto,scalar,portable,avx2}`, the CLI `--kernel` flag, or
 //! [`simd::set_active`] — provides width-pinned (AVX2+FMA or portable-lane)
 //! kernels where the row shape supports them and falls back to the scalar
 //! kernels below one vector of coordinates.  The plain kernels ([`dist2`],
 //! [`dist2_wide`]) remain the fixed scalar implementations: every
-//! `wide_cmp_*` scan (certification and the instance lower bounds) builds
-//! on them, so reported numbers never depend on the dispatched backend
-//! (see the [`simd`] module docs).
+//! `wide_cmp_*` scan (certification through [`wide_nearest_ids`], and the
+//! instance lower bounds) runs [`dist2_wide`] or its const-dimension
+//! instantiation, so reported numbers never depend on the dispatched
+//! backend (see the [`simd`] module docs).
 //!
 //! # Determinism
 //!
@@ -403,6 +423,112 @@ pub(crate) fn relax_ids<S: Scalar>(
     )
 }
 
+/// The comparison-space nearest candidate to `row`: the position (into
+/// `candidates`) and value of the minimum [`dist2_auto`] over the rows
+/// `candidates[i]` of `coords`, ties toward the smaller position (strict
+/// `<`); `(0, +inf)` when `candidates` is empty.  This is the kernel
+/// behind `Distance::nearest_ids` for the Euclidean metric, i.e.
+/// [`crate::MetricSpace::nearest`].
+pub fn nearest_ids<S: Scalar>(
+    coords: &[S],
+    dim: usize,
+    candidates: &[PointId],
+    row: &[S],
+) -> (usize, S) {
+    nearest_ids_with(simd::active(), coords, dim, candidates, row)
+}
+
+/// [`nearest_ids`] under an explicit kernel backend, resolved once per
+/// call.  The scalar backend, and every backend on rows shorter than one
+/// vector, runs the dimension-specialised scalar distance; other backends
+/// run their own pairwise kernel per candidate, so each pair keeps the
+/// bits [`dist2_auto`] gives it under that backend.
+pub fn nearest_ids_with<S: Scalar>(
+    backend: KernelBackend,
+    coords: &[S],
+    dim: usize,
+    candidates: &[PointId],
+    row: &[S],
+) -> (usize, S) {
+    if backend == KernelBackend::Scalar || dim < S::LANES {
+        return with_const_dim!(dim, D => {
+            let row = fixed_row::<S, D>(row);
+            nearest_scan(coords, D, candidates, |c| dist2_arrays(row, fixed_row(c)))
+        }, _ => nearest_scan(coords, dim, candidates, |c| dist2(row, c)));
+    }
+    nearest_scan(coords, dim, candidates, |c| {
+        S::simd_dist2(backend, row, c).unwrap_or_else(|| dist2(row, c))
+    })
+}
+
+/// The certification-space distance from `row` to its nearest candidate:
+/// the minimum [`dist2_wide`] over the rows `candidates[i]` of `coords`,
+/// `+inf` when `candidates` is empty.  The scan stops as soon as the
+/// running minimum drops to `stop_below` or less, so the result is exact
+/// whenever it exceeds `stop_below` and at most `stop_below` otherwise.
+///
+/// Specialised dimensions run a const-length instantiation of
+/// [`dist2_wide`]'s summation order, so every pair keeps its bits; no
+/// backend is consulted.  This is the kernel behind
+/// `Distance::wide_nearest_ids` for the Euclidean metric, i.e.
+/// [`crate::MetricSpace::wide_cmp_distance_to_set_bounded`].
+pub fn wide_nearest_ids<S: Scalar>(
+    coords: &[S],
+    dim: usize,
+    candidates: &[PointId],
+    row: &[S],
+    stop_below: f64,
+) -> f64 {
+    with_const_dim!(dim, D => {
+        let row = fixed_row::<S, D>(row);
+        wide_nearest_scan(coords, D, candidates, stop_below, |c| {
+            dist2_wide_arrays(row, fixed_row(c))
+        })
+    }, _ => wide_nearest_scan(coords, dim, candidates, stop_below, |c| dist2_wide(row, c)))
+}
+
+/// The argmin loop of [`nearest_ids`]: `dist` maps a candidate row to its
+/// comparison-space distance from the query row.
+#[inline(always)]
+pub(crate) fn nearest_scan<S: Scalar>(
+    coords: &[S],
+    dim: usize,
+    candidates: &[PointId],
+    dist: impl Fn(&[S]) -> S,
+) -> (usize, S) {
+    let mut best = (0usize, S::INFINITY);
+    for (i, &c) in candidates.iter().enumerate() {
+        let d = dist(&coords[c * dim..c * dim + dim]);
+        if d < best.1 {
+            best = (i, d);
+        }
+    }
+    best
+}
+
+/// The early-exit minimum loop of [`wide_nearest_ids`]: `dist` maps a
+/// candidate row to its certification-space distance from the query row.
+#[inline(always)]
+pub(crate) fn wide_nearest_scan<S: Scalar>(
+    coords: &[S],
+    dim: usize,
+    candidates: &[PointId],
+    stop_below: f64,
+    dist: impl Fn(&[S]) -> f64,
+) -> f64 {
+    let mut best = f64::INFINITY;
+    for &c in candidates {
+        let d = dist(&coords[c * dim..c * dim + dim]);
+        if d < best {
+            best = d;
+            if best <= stop_below {
+                break;
+            }
+        }
+    }
+    best
+}
+
 /// `row` as a fixed-length array reference, for the const-`D` kernels.
 ///
 /// # Panics
@@ -435,6 +561,34 @@ fn dist2_arrays<S: Scalar, const D: usize>(a: &[S; D], b: &[S; D]) -> S {
     }
     while i < D {
         let d = a[i] - b[i];
+        s0 += d * d;
+        i += 1;
+    }
+    (s0 + s1) + (s2 + s3)
+}
+
+/// [`dist2_wide`] between two fixed-size rows: the same widening and
+/// summation order, fully unrolled.
+#[inline]
+fn dist2_wide_arrays<S: Scalar, const D: usize>(a: &[S; D], b: &[S; D]) -> f64 {
+    let mut s0 = 0.0f64;
+    let mut s1 = 0.0f64;
+    let mut s2 = 0.0f64;
+    let mut s3 = 0.0f64;
+    let mut i = 0;
+    while i + 4 <= D {
+        let d0 = a[i].to_f64() - b[i].to_f64();
+        let d1 = a[i + 1].to_f64() - b[i + 1].to_f64();
+        let d2 = a[i + 2].to_f64() - b[i + 2].to_f64();
+        let d3 = a[i + 3].to_f64() - b[i + 3].to_f64();
+        s0 += d0 * d0;
+        s1 += d1 * d1;
+        s2 += d2 * d2;
+        s3 += d3 * d3;
+        i += 4;
+    }
+    while i < D {
+        let d = a[i].to_f64() - b[i].to_f64();
         s0 += d * d;
         i += 1;
     }

@@ -73,10 +73,13 @@
 //!
 //! The `wide_cmp_*` certification scans (covering radius, coverage checks —
 //! every *reported* quality number) deliberately keep using the scalar
-//! `f64`-accumulating kernels ([`crate::kernel::dist2_wide`]): they are the
+//! `f64`-accumulating kernel ([`crate::kernel::dist2_wide`]): they are the
 //! quality ground truth, and keeping them fixed means a certified radius
 //! depends only on *which centers were selected*, never on which kernel
-//! computed the comparison-space scans.  Whenever two dispatch arms select
+//! computed the comparison-space scans.  Their fused scan,
+//! [`crate::kernel::wide_nearest_ids`], runs a const-dimension
+//! instantiation of that same summation order and never consults this
+//! table, so fusing the loop changed no certified bit.  Whenever two dispatch arms select
 //! the same centers — always, on instances without sub-ulp ties — their
 //! certified radii are bit-identical, which is what the dispatch parity
 //! tests pin down.  The instance lower bounds ([`crate::lower_bound`]) scan

@@ -19,7 +19,9 @@
 //! these scans entirely in `f32` (squared Euclidean, no `sqrt` per pair) —
 //! and [`MetricSpace::cmp_to_distance`] converts a final winner back to a
 //! real distance.  [`MetricSpace::relax_max`] is the one Gonzalez relax
-//! step, over the whole space or a subset, sequential or chunked-parallel.
+//! step, over the whole space or a subset, sequential or chunked-parallel,
+//! and [`MetricSpace::nearest`] the one nearest-candidate scan (the
+//! assignment argmin).
 //!
 //! Evaluation is different: a covering radius is a *reported* number, so
 //! the verifiers use the `wide_cmp_*` family instead, which is also
@@ -138,16 +140,30 @@ pub trait MetricSpace: Send + Sync {
     /// [`MetricSpace::wide_cmp_to_distance`] on non-negative values).
     fn distance_to_wide_cmp(&self, d: f64) -> f64;
 
-    /// Certification-space [`MetricSpace::distance_to_set`].
-    fn wide_cmp_distance_to_set(&self, from: PointId, to: &[PointId]) -> f64;
+    /// Certification-space [`MetricSpace::distance_to_set`]: the bounded
+    /// scan that never stops early.
+    fn wide_cmp_distance_to_set(&self, from: PointId, to: &[PointId]) -> f64 {
+        self.wide_cmp_distance_to_set_bounded(from, to, f64::NEG_INFINITY)
+    }
 
-    /// Certification-space [`MetricSpace::distance_to_set_bounded`].
+    /// Certification-space [`MetricSpace::distance_to_set_bounded`]: one
+    /// fused scan over `to` (`crate::kernel::wide_nearest_ids` for Euclidean
+    /// spaces).
     fn wide_cmp_distance_to_set_bounded(
         &self,
         from: PointId,
         to: &[PointId],
         stop_below: f64,
     ) -> f64;
+
+    /// The comparison-space nearest of `candidates` to point `p`: the
+    /// position (into `candidates`) and value of the minimum
+    /// [`MetricSpace::cmp_distance`], ties toward the smaller position;
+    /// `(0, +inf)` when `candidates` is empty.  One fused scan
+    /// (`crate::kernel::nearest_ids` for Euclidean spaces) with the
+    /// per-pair values of `cmp_distance`, so the result is bit-identical to
+    /// the pair-by-pair argmin.
+    fn nearest(&self, p: PointId, candidates: &[PointId]) -> (usize, Self::Cmp);
 
     /// One fused Gonzalez iteration in comparison space: lowers
     /// `nearest[i]` to `min(nearest[i], cmp_distance(p_i, center))` and
@@ -362,36 +378,21 @@ impl<D: Distance, S: Scalar> MetricSpace for VecSpace<D, S> {
         self.dist.distance_to_wide_surrogate(d)
     }
 
-    fn wide_cmp_distance_to_set(&self, from: PointId, to: &[PointId]) -> f64 {
-        let row = self.points.row(from);
-        let mut best = f64::INFINITY;
-        for &t in to {
-            let d = self.dist.wide_surrogate(row, self.points.row(t));
-            if d < best {
-                best = d;
-            }
-        }
-        best
-    }
-
     fn wide_cmp_distance_to_set_bounded(
         &self,
         from: PointId,
         to: &[PointId],
         stop_below: f64,
     ) -> f64 {
-        let row = self.points.row(from);
-        let mut best = f64::INFINITY;
-        for &t in to {
-            let d = self.dist.wide_surrogate(row, self.points.row(t));
-            if d < best {
-                best = d;
-                if best <= stop_below {
-                    break;
-                }
-            }
-        }
-        best
+        let flat = &*self.points;
+        self.dist
+            .wide_nearest_ids(flat.coords(), flat.dim(), to, flat.row(from), stop_below)
+    }
+
+    fn nearest(&self, p: PointId, candidates: &[PointId]) -> (usize, S) {
+        let flat = &*self.points;
+        self.dist
+            .nearest_ids(flat.coords(), flat.dim(), candidates, flat.row(p))
     }
 
     fn relax_max(

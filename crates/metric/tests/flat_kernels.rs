@@ -143,6 +143,35 @@ proptest! {
             prop_assert!(close(bounded, direct));
         }
     }
+
+    #[test]
+    fn space_nearest_scans_match_pairwise_scans(flat in flat_cloud()) {
+        // Euclidean runs the fused kernels, Manhattan the per-pair trait
+        // defaults: both must give the pair-by-pair bits.
+        macro_rules! check {
+            ($space:expr) => {{
+                let space = $space;
+                let centers: Vec<usize> = (0..space.len()).rev().step_by(3).collect();
+                for p in 0..space.len() {
+                    let mut want = (0, f64::INFINITY);
+                    for (i, &c) in centers.iter().enumerate() {
+                        let d = space.cmp_distance(p, c);
+                        if d < want.1 {
+                            want = (i, d);
+                        }
+                    }
+                    prop_assert_eq!(space.nearest(p, &centers), want);
+                    let wide = centers
+                        .iter()
+                        .map(|&c| space.wide_cmp_distance(p, c))
+                        .fold(f64::INFINITY, f64::min);
+                    prop_assert_eq!(space.wide_cmp_distance_to_set(p, &centers), wide);
+                }
+            }};
+        }
+        check!(VecSpace::from_flat(flat.clone()));
+        check!(VecSpace::from_flat_with_distance(flat, Manhattan));
+    }
 }
 
 /// Deterministic large clouds for the bit-for-bit parallel/sequential
@@ -449,6 +478,128 @@ mod blocked_relax {
                         check::<f32>(n, dim, Some((a, b)));
                     }
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The fused nearest scans against their per-pair oracles: the argmin over
+// the dispatched pairwise kernel (`dist2_auto`'s value under each backend)
+// and the minimum over `dist2_wide`.
+// ---------------------------------------------------------------------------
+
+mod nearest_scans {
+    use kcenter_metric::kernel::simd::available_backends;
+    use kcenter_metric::kernel::{
+        dist2, dist2_auto, dist2_wide, nearest_ids, nearest_ids_with, wide_nearest_ids,
+    };
+    use kcenter_metric::Scalar;
+
+    /// The specialised dimensions, then two that take the dynamic-length
+    /// loops.
+    const DIMS: [usize; 11] = [2, 3, 4, 8, 10, 16, 32, 38, 64, 5, 7];
+
+    /// Continuous coordinates in `[-100, 100)`: sums of their squared
+    /// differences round differently in different summation orders, so a
+    /// scan that ran another kernel would show in the bits.
+    fn coords<S: Scalar>(n: usize, dim: usize, seed: u64) -> Vec<S> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..n * dim)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                S::from_f64((state >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0)
+            })
+            .collect()
+    }
+
+    /// The per-pair argmin: `pair` gives each candidate's distance, and a
+    /// later candidate wins only when strictly nearer.
+    fn argmin<S: Scalar>(candidates: &[usize], pair: impl Fn(usize) -> S) -> (usize, S) {
+        let mut best = (0, S::INFINITY);
+        for (i, &c) in candidates.iter().enumerate() {
+            let d = pair(c);
+            if d < best.1 {
+                best = (i, d);
+            }
+        }
+        best
+    }
+
+    fn check<S: Scalar>(n: usize, dim: usize) {
+        // `n` candidate rows, then the query row; row `n - 1` repeats row
+        // 0, so two ids share a row.
+        let mut data = coords::<S>(n + 1, dim, (n * 131 + dim) as u64);
+        let first: Vec<S> = data[..dim].to_vec();
+        data[(n - 1) * dim..n * dim].copy_from_slice(&first);
+        let (rows, query) = data.split_at(n * dim);
+        let row = |c: usize| &rows[c * dim..(c + 1) * dim];
+        // Every id twice (ascending, then descending): whichever is
+        // nearest, its first position must win.
+        let mut lists: Vec<Vec<usize>> = vec![(0..n).chain((0..n).rev()).collect()];
+        lists.push((0..n).rev().step_by(3).collect());
+        lists.push(vec![n - 1, 0, 0, n - 1]);
+        for candidates in &lists {
+            let label = format!(
+                "{} dim {dim} n {n} candidates {}",
+                S::NAME,
+                candidates.len()
+            );
+            for backend in available_backends() {
+                let want = argmin(candidates, |c| {
+                    S::simd_dist2(backend, query, row(c)).unwrap_or_else(|| dist2(query, row(c)))
+                });
+                let got = nearest_ids_with(backend, rows, dim, candidates, query);
+                assert_eq!(got, want, "{backend} {label}");
+            }
+            // The dispatched entry matches the argmin over `dist2_auto`.
+            let want = argmin(candidates, |c| dist2_auto(query, row(c)));
+            assert_eq!(nearest_ids(rows, dim, candidates, query), want, "{label}");
+
+            let exact = candidates
+                .iter()
+                .map(|&c| dist2_wide(query, row(c)))
+                .fold(f64::INFINITY, f64::min);
+            let unbounded = wide_nearest_ids(rows, dim, candidates, query, f64::NEG_INFINITY);
+            assert_eq!(unbounded, exact, "{label}");
+            // Early exit: exact above `stop`, at most `stop` otherwise —
+            // and the running minimum at the first candidate within
+            // `stop`, as the pair-by-pair bounded scan returns it.
+            for stop in [0.0, exact * 0.5, exact, exact * 1.5, 1e300] {
+                let got = wide_nearest_ids(rows, dim, candidates, query, stop);
+                if exact > stop {
+                    assert_eq!(got, exact, "{label} stop {stop}");
+                } else {
+                    assert!(got <= stop && got >= exact, "{label} stop {stop}: {got}");
+                }
+                let mut want = f64::INFINITY;
+                for &c in candidates {
+                    want = want.min(dist2_wide(query, row(c)));
+                    if want <= stop {
+                        break;
+                    }
+                }
+                assert_eq!(got, want, "{label} stop {stop}");
+            }
+        }
+        // No candidates: no nearest.
+        for backend in available_backends() {
+            let got = nearest_ids_with(backend, rows, dim, &[], query);
+            assert_eq!(got, (0, S::INFINITY), "{backend}");
+        }
+        for stop in [f64::NEG_INFINITY, 0.0, 1e300] {
+            assert_eq!(wide_nearest_ids(rows, dim, &[], query, stop), f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn fused_nearest_scans_keep_the_per_pair_bits() {
+        for dim in DIMS {
+            for n in [1usize, 2, 5, 37] {
+                check::<f64>(n, dim);
+                check::<f32>(n, dim);
             }
         }
     }
