@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcenter_core::evaluate::covering_radius;
 use kcenter_data::{DatasetSpec, PointGenerator, UnifGenerator};
-use kcenter_metric::{Distance, Euclidean, Manhattan, MetricSpace, VecSpace};
+use kcenter_metric::{Distance, Euclidean, Manhattan, VecSpace};
 use std::hint::black_box;
 
 fn bench_pairwise_distance(c: &mut Criterion) {

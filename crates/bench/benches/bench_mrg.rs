@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kcenter_core::prelude::*;
 use kcenter_data::DatasetSpec;
-use kcenter_metric::{MetricSpace, VecSpace};
+use kcenter_metric::VecSpace;
 use std::hint::black_box;
 
 fn bench_mrg_vs_gon(c: &mut Criterion) {

@@ -20,7 +20,7 @@
 
 use kcenter_metric::grid::{SpatialGrid, NEAREST_OCCUPANCY};
 use kcenter_metric::kernel::simd;
-use kcenter_metric::{Euclidean, FlatPoints, KernelBackend, MetricSpace, Scalar, VecSpace};
+use kcenter_metric::{Euclidean, FlatPoints, KernelBackend, Scalar, VecSpace};
 
 /// One Gonzalez iteration on the flat layout: the fused row-streaming pass
 /// `select_centers` runs on the full space, at whatever storage precision
@@ -111,7 +111,7 @@ pub fn gonzalez_centers<S: Scalar>(space: &VecSpace<Euclidean, S>, k: usize) -> 
 
 /// One dense assignment scan: per-point argmin over `centers` with
 /// smallest-position tie-breaking, through the fused
-/// [`MetricSpace::nearest`] scan — the dense arm of `evaluate::assign` and
+/// [`VecSpace::nearest`] scan — the dense arm of `evaluate::assign` and
 /// the coreset weights round.  Returns a label checksum so the work cannot
 /// be discarded.
 pub fn dense_assign_scan<S: Scalar>(space: &VecSpace<Euclidean, S>, centers: &[usize]) -> u64 {

@@ -1,7 +1,7 @@
 //! Running one algorithm on one data set and recording the paper's metrics.
 
 use kcenter_core::prelude::*;
-use kcenter_metric::{MetricSpace, VecSpace};
+use kcenter_metric::VecSpace;
 use std::time::Instant;
 
 /// The algorithm families compared throughout the paper's evaluation.

@@ -15,8 +15,8 @@ use kcenter_mapreduce::{
 use kcenter_metric::grid;
 use kcenter_metric::kernel::simd;
 use kcenter_metric::{
-    AssignChoice, BoundingBox, Euclidean, KernelBackend, KernelChoice, MetricSpace, PointId,
-    Precision, Scalar, VecSpace, ASSIGN_ENV, KERNEL_ENV,
+    AssignChoice, BoundingBox, Euclidean, KernelBackend, KernelChoice, PointId, Precision, Scalar,
+    VecSpace, ASSIGN_ENV, KERNEL_ENV,
 };
 use kcenter_serve::{IngestConfig, IngestError, Ingestor, SnapshotCell, StreamConfig};
 use std::fmt;

@@ -9,7 +9,7 @@
 use crate::error::KCenterError;
 use crate::evaluate::covering_radius;
 use crate::solution::KCenterSolution;
-use kcenter_metric::{MetricSpace, PointId};
+use kcenter_metric::{Distance, PointId, Scalar, VecSpace};
 
 /// Hard cap on the instance size accepted by the brute-force solver; above
 /// this the search space explodes and the call is almost certainly a bug.
@@ -22,8 +22,8 @@ pub const MAX_BRUTE_FORCE_POINTS: usize = 24;
 /// * [`KCenterError::EmptyInput`] / [`KCenterError::ZeroK`] as usual.
 /// * [`KCenterError::InvalidParameter`] if the instance exceeds
 ///   [`MAX_BRUTE_FORCE_POINTS`].
-pub fn optimal_solution<S: MetricSpace + ?Sized>(
-    space: &S,
+pub fn optimal_solution<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     k: usize,
 ) -> Result<KCenterSolution, KCenterError> {
     let n = space.len();
@@ -62,12 +62,15 @@ pub fn optimal_solution<S: MetricSpace + ?Sized>(
 
 /// The optimal covering radius (convenience wrapper around
 /// [`optimal_solution`]).
-pub fn optimal_radius<S: MetricSpace + ?Sized>(space: &S, k: usize) -> Result<f64, KCenterError> {
+pub fn optimal_radius<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
+    k: usize,
+) -> Result<f64, KCenterError> {
     optimal_solution(space, k).map(|s| s.radius)
 }
 
-fn enumerate<S: MetricSpace + ?Sized>(
-    space: &S,
+fn enumerate<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     k: usize,
     start: PointId,
     current: &mut Vec<PointId>,

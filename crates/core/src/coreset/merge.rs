@@ -39,7 +39,7 @@ use crate::evaluate::{assign, covering_radius_subset};
 use crate::gonzalez::FirstCenter;
 use crate::solver::SequentialSolver;
 use kcenter_metric::distance::Distance;
-use kcenter_metric::{MetricSpace, PointId, Scalar, VecSpace};
+use kcenter_metric::{PointId, Scalar, VecSpace};
 
 impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
     /// Composes this summary with a summary of the **next** `other.source_len()`
@@ -68,13 +68,13 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
                 message: "cannot merge an empty coreset".into(),
             });
         }
-        if self.space.distance_name() != other.space.distance_name() {
+        if self.space.metric().name() != other.space.metric().name() {
             return Err(KCenterError::InvalidParameter {
                 name: "merge",
                 message: format!(
                     "distance mismatch: {} vs {}",
-                    self.space.distance_name(),
-                    other.space.distance_name()
+                    self.space.metric().name(),
+                    other.space.metric().name()
                 ),
             });
         }
@@ -193,18 +193,6 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
         ))
     }
 
-    /// [`WeightedCoreset::merge`] followed by [`WeightedCoreset::recompress`]
-    /// whenever the merged summary exceeds `budget` — the periodic
-    /// re-compression step of a streaming fold.
-    pub fn merge_bounded(&self, other: &Self, budget: usize) -> Result<Self, KCenterError> {
-        let merged = self.merge(other)?;
-        if merged.len() > budget {
-            merged.recompress(budget)
-        } else {
-            Ok(merged)
-        }
-    }
-
     /// Heals a degraded summary by folding in a summary of its lost points
     /// — the re-replication a service performs from the source of record
     /// instead of PR 6's disclose-as-lost degradation.
@@ -244,7 +232,7 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
                 ),
             });
         }
-        if self.space.distance_name() != supplement.space.distance_name()
+        if self.space.metric().name() != supplement.space.metric().name()
             || (!supplement.is_empty() && self.space.dim() != supplement.space.dim())
         {
             return Err(KCenterError::InvalidParameter {
@@ -306,31 +294,6 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
     }
 }
 
-/// Folds an ordered sequence of batch summaries into one bounded summary:
-/// plain merge while the running summary fits `budget`, re-compression
-/// whenever it spills over.  Convenience wrapper over
-/// [`WeightedCoreset::merge_bounded`] for callers that already hold all
-/// batch summaries (streaming callers fold incrementally instead).
-///
-/// # Errors
-///
-/// [`KCenterError::EmptyInput`] on an empty sequence; otherwise whatever
-/// the pairwise merges return.
-pub fn merge_all<D: Distance + Clone, S: Scalar>(
-    batches: &[WeightedCoreset<D, S>],
-    budget: usize,
-) -> Result<WeightedCoreset<D, S>, KCenterError> {
-    let (first, rest) = batches.split_first().ok_or(KCenterError::EmptyInput)?;
-    let mut acc = first.clone();
-    if acc.len() > budget {
-        acc = acc.recompress(budget)?;
-    }
-    for batch in rest {
-        acc = acc.merge_bounded(batch, budget)?;
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::GonzalezCoresetConfig;
@@ -356,7 +319,7 @@ mod tests {
 
     /// Splits a cloud's rows into `parts` contiguous batches (as spaces).
     fn split(space: &VecSpace, parts: usize) -> Vec<VecSpace> {
-        let n = MetricSpace::len(space);
+        let n = space.len();
         let base = n / parts;
         let rem = n % parts;
         let mut out = Vec::with_capacity(parts);
@@ -406,7 +369,9 @@ mod tests {
             .iter()
             .map(|p| GonzalezCoresetConfig::new(64).build(p).unwrap())
             .collect();
-        let merged = merge_all(&summaries, usize::MAX).unwrap();
+        let merged = summaries[1..]
+            .iter()
+            .fold(summaries[0].clone(), |acc, s| acc.merge(s).unwrap());
         let sol = merged
             .solve(5, SequentialSolver::Gonzalez, FirstCenter::default())
             .unwrap();
@@ -458,7 +423,15 @@ mod tests {
                 .iter()
                 .map(|p| GonzalezCoresetConfig::new(40).build(p).unwrap())
                 .collect();
-            merge_all(&summaries, 90).unwrap()
+            // The ingest fold: merge, then re-compress over the budget.
+            let mut acc = summaries[0].clone();
+            for s in &summaries[1..] {
+                acc = acc.merge(s).unwrap();
+                if acc.len() > 90 {
+                    acc = acc.recompress(90).unwrap();
+                }
+            }
+            acc
         };
         let x = build();
         let y = build();
@@ -485,10 +458,6 @@ mod tests {
         assert!(matches!(
             a.recompress(0).unwrap_err(),
             KCenterError::InvalidParameter { name: "budget", .. }
-        ));
-        assert!(matches!(
-            merge_all::<kcenter_metric::Euclidean, f64>(&[], 10).unwrap_err(),
-            KCenterError::EmptyInput
         ));
     }
 

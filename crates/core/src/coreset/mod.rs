@@ -92,7 +92,6 @@ use crate::eim::{sampling_phase, EimConfig};
 use crate::error::KCenterError;
 use crate::evaluate::{covering_radius, covering_radius_subset, surviving_ids};
 use crate::gonzalez::{self, FirstCenter};
-use crate::solution::KCenterSolution;
 use crate::solver::SequentialSolver;
 use kcenter_mapreduce::{
     partition, Cluster, ClusterConfig, DroppedShard, Executor, FaultConfig, JobStats,
@@ -100,7 +99,7 @@ use kcenter_mapreduce::{
 };
 use kcenter_metric::distance::Distance;
 use kcenter_metric::grid::{self, SpatialGrid};
-use kcenter_metric::{Euclidean, FlatPoints, MetricSpace, PointId, Scalar, VecSpace};
+use kcenter_metric::{Euclidean, FlatPoints, PointId, Scalar, VecSpace};
 
 /// Which construction produced a coreset (recorded as provenance metadata).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,11 +309,7 @@ impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
     /// coreset this is the full-data radius ([`CoresetSolution::certify`]);
     /// for a partial one it scans only the surviving points, which is the
     /// honest counterpart of the partial [`CoresetSolution::radius_bound`].
-    pub fn certify_covered<Sp: MetricSpace + ?Sized>(
-        &self,
-        source: &Sp,
-        solution: &CoresetSolution,
-    ) -> f64 {
+    pub fn certify_covered(&self, source: &VecSpace<D, S>, solution: &CoresetSolution) -> f64 {
         if !self.is_partial() {
             return covering_radius(source, &solution.centers);
         }
@@ -473,15 +468,8 @@ impl CoresetSolution {
     /// the full source; for a partial coreset the bound does not speak for
     /// the lost points, so use [`WeightedCoreset::certify_covered`]
     /// instead.
-    pub fn certify<Sp: MetricSpace + ?Sized>(&self, source: &Sp) -> f64 {
+    pub fn certify<D: Distance, S: Scalar>(&self, source: &VecSpace<D, S>) -> f64 {
         covering_radius(source, &self.centers)
-    }
-
-    /// Packages the solution as a [`KCenterSolution`] whose radius is the
-    /// certified bound (use [`CoresetSolution::certify`] first for the
-    /// exact full-data radius when the source is available).
-    pub fn into_solution(self) -> KCenterSolution {
-        KCenterSolution::new(self.k, self.centers, self.radius_bound)
     }
 }
 
@@ -559,7 +547,7 @@ impl GonzalezCoresetConfig {
         &self,
         space: &VecSpace<D, S>,
     ) -> Result<WeightedCoreset<D, S>, KCenterError> {
-        let n = MetricSpace::len(space);
+        let n = space.len();
         if n == 0 {
             return Err(KCenterError::EmptyInput);
         }
@@ -575,11 +563,7 @@ impl GonzalezCoresetConfig {
                 message: "at least one machine is required".into(),
             });
         }
-        if !space.is_metric() {
-            return Err(KCenterError::NotAMetric {
-                distance: space.distance_name(),
-            });
-        }
+        KCenterError::require_metric(space.metric())?;
 
         let mut cluster = Cluster::unchecked(ClusterConfig::new(self.machines, n.max(1)))
             .with_executor(self.executor);
@@ -673,7 +657,7 @@ impl EimConfig {
         &self,
         space: &VecSpace<D, S>,
     ) -> Result<WeightedCoreset<D, S>, KCenterError> {
-        let n = MetricSpace::len(space);
+        let n = space.len();
         let (phase, mut cluster) = sampling_phase(self, space, "coreset ")?;
         let mut lost = phase.lost;
 
@@ -771,12 +755,12 @@ pub const PRUNED_PAIRS_COUNTER: &str = "weights round pruned pairs";
 /// round's [`JobStats`] under [`PRUNED_PAIRS_COUNTER`].
 ///
 /// On the dense arm both scans are single space calls per point — the
-/// fused [`MetricSpace::nearest`] argmin and the fused bounded wide scan —
+/// fused [`VecSpace::nearest`] argmin and the fused bounded wide scan —
 /// with the per-pair values of the pair-by-pair loops, so weights, radius
 /// and the pruned-pairs count are the same as theirs, on either arm.
-fn weight_and_certify_round<Sp: MetricSpace + ?Sized>(
+fn weight_and_certify_round<D: Distance, S: Scalar>(
     cluster: &mut Cluster,
-    space: &Sp,
+    space: &VecSpace<D, S>,
     reps: &[PointId],
     machines: usize,
     label: &str,
@@ -792,7 +776,7 @@ fn weight_and_certify_round<Sp: MetricSpace + ?Sized>(
     // exact-above-`wide_max` contract, and the assignment pair for the
     // weights histogram is never pruned — so weights, radius, and even the
     // pruned-pairs counter are arm-independent.
-    let dim = reps.first().map_or(0, |&r| space.coord_row(r).len());
+    let dim = reps.first().map_or(0, |&r| space.row(r).len());
     let shape = grid::ScanShape {
         kind: grid::ScanKind::Assign,
         points: ids.len(),
@@ -863,7 +847,8 @@ fn weight_and_certify_round<Sp: MetricSpace + ?Sized>(
         pruned_total += pruned;
     }
     cluster.record_counter(PRUNED_PAIRS_COUNTER, pruned_total);
-    Ok((weights, space.wide_cmp_to_distance(wide_max.max(0.0))))
+    let radius = space.metric().wide_surrogate_to_distance(wide_max.max(0.0));
+    Ok((weights, radius))
 }
 
 #[cfg(test)]

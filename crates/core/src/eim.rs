@@ -41,7 +41,7 @@ use crate::solver::SequentialSolver;
 use kcenter_mapreduce::{
     partition, Cluster, ClusterConfig, DegradedRun, Executor, FaultConfig, JobStats, MapReduceError,
 };
-use kcenter_metric::{MetricSpace, PointId, Scalar};
+use kcenter_metric::{Distance, PointId, Scalar, VecSpace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -203,7 +203,10 @@ impl EimConfig {
     }
 
     /// Runs EIM on the given space.
-    pub fn run<S: MetricSpace + ?Sized>(&self, space: &S) -> Result<EimResult, KCenterError> {
+    pub fn run<D: Distance, S: Scalar>(
+        &self,
+        space: &VecSpace<D, S>,
+    ) -> Result<EimResult, KCenterError> {
         let (phase, mut cluster) = sampling_phase(self, space, "")?;
         let SamplingPhase {
             sample,
@@ -286,18 +289,14 @@ pub(crate) struct SamplingPhase {
 /// Round labels are prefixed with `label_prefix` so a multi-phase job
 /// (e.g. the coreset builder) can slice the sampling cost back out of the
 /// stats.
-pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
+pub(crate) fn sampling_phase<D: Distance, S: Scalar>(
     config: &EimConfig,
-    space: &S,
+    space: &VecSpace<D, S>,
     label_prefix: &str,
 ) -> Result<(SamplingPhase, Cluster), KCenterError> {
     let n = space.len();
     config.validate(n)?;
-    if !space.is_metric() {
-        return Err(KCenterError::NotAMetric {
-            distance: space.distance_name(),
-        });
-    }
+    KCenterError::require_metric(space.metric())?;
 
     let nf = n.max(2) as f64;
     let log_n = nf.ln();
@@ -322,7 +321,7 @@ pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
     // reduced-precision store): Select and the round-3 filter only
     // ever *compare* these values, so the monotone surrogate gives the
     // same pivot and the same removals without a sqrt per pair.
-    let mut dist_to_sample: Vec<S::Cmp> = vec![<S::Cmp as Scalar>::INFINITY; n];
+    let mut dist_to_sample: Vec<S> = vec![S::INFINITY; n];
 
     let mut iterations = 0usize;
 
@@ -391,13 +390,13 @@ pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
         // ---- Round 2 (lines 5-6): a single reducer runs Select(H, S).
         let phi = config.phi;
         let additions_ref: &[PointId] = &additions;
-        let dist_ref: &[S::Cmp] = &dist_to_sample;
+        let dist_ref: &[S] = &dist_to_sample;
         let round2_label = format!(
             "{label_prefix}EIM iteration {} round 2: Select(H, S)",
             iterations + 1
         );
         let round2_reduce = |_: usize, h: &[PointId]| {
-            let with_dist: Vec<(PointId, S::Cmp)> = h
+            let with_dist: Vec<(PointId, S)> = h
                 .iter()
                 .map(|&x| {
                     (
@@ -408,7 +407,7 @@ pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
                 .collect();
             select_pivot(&with_dist, phi, n)
         };
-        let round2_count = |p: &Option<(PointId, S::Cmp)>| usize::from(p.is_some());
+        let round2_count = |p: &Option<(PointId, S)>| usize::from(p.is_some());
         // A one-partition round rather than `run_single`: a dead Select
         // round loses only the pivot, never any points, so degrade mode may
         // drop it and the iteration simply filters nothing beyond the
@@ -488,12 +487,12 @@ pub(crate) fn sampling_phase<S: MetricSpace + ?Sized>(
 
 /// Comparison-space `d(x, S ∪ additions)` given the cached value for `S`.
 #[inline]
-fn distance_with_additions<S: MetricSpace + ?Sized>(
-    space: &S,
+fn distance_with_additions<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     x: PointId,
-    cached: S::Cmp,
+    cached: S,
     additions: &[PointId],
-) -> S::Cmp {
+) -> S {
     let (_, d) = space.nearest(x, additions);
     if d < cached {
         d

@@ -1,6 +1,7 @@
 //! Error types shared by every k-center algorithm in this crate.
 
 use kcenter_mapreduce::MapReduceError;
+use kcenter_metric::Distance;
 use std::fmt;
 
 /// Errors raised by the k-center algorithms.
@@ -34,6 +35,22 @@ pub enum KCenterError {
         /// Description of the constraint that was violated.
         message: String,
     },
+}
+
+impl KCenterError {
+    /// `Ok` when `dist` satisfies the metric axioms, and otherwise the
+    /// [`KCenterError::NotAMetric`] naming it: the check every solver runs
+    /// first, since its approximation factor rests on the triangle
+    /// inequality.
+    pub(crate) fn require_metric<D: Distance>(dist: &D) -> Result<(), KCenterError> {
+        if dist.is_metric() {
+            Ok(())
+        } else {
+            Err(KCenterError::NotAMetric {
+                distance: dist.name(),
+            })
+        }
+    }
 }
 
 impl fmt::Display for KCenterError {

@@ -31,7 +31,7 @@
 //!
 //! Every scan here asks one question per point of the whole center list,
 //! through one space call: `wide_cmp_distance_to_set{,_bounded}` for the
-//! certified numbers and [`MetricSpace::nearest`] for [`assign`]'s dense
+//! certified numbers and [`VecSpace::nearest`] for [`assign`]'s dense
 //! arm.  On a Euclidean space each is one fused, dimension-specialised
 //! kernel call (`kcenter_metric::kernel::{wide_nearest_ids, nearest_ids}`)
 //! rather than one distance call per pair; the per-pair arithmetic is the
@@ -39,7 +39,7 @@
 
 use kcenter_mapreduce::{DegradedRun, DroppedShard};
 use kcenter_metric::grid::{self, SpatialGrid};
-use kcenter_metric::{MetricSpace, PointId};
+use kcenter_metric::{Distance, PointId, Scalar, VecSpace};
 use rayon::prelude::*;
 
 /// Below this many (point, center) pairs the sequential scan is used; above
@@ -49,7 +49,7 @@ const PARALLEL_THRESHOLD: usize = 1 << 14;
 /// The covering radius of `centers` over the entire space: the paper's
 /// solution value.  Returns `0.0` for an empty space and `f64::INFINITY`
 /// when `centers` is empty but the space is not.
-pub fn covering_radius<S: MetricSpace + ?Sized>(space: &S, centers: &[PointId]) -> f64 {
+pub fn covering_radius<D: Distance, S: Scalar>(space: &VecSpace<D, S>, centers: &[PointId]) -> f64 {
     let ids: Vec<PointId> = (0..space.len()).collect();
     covering_radius_subset(space, &ids, centers)
 }
@@ -57,8 +57,8 @@ pub fn covering_radius<S: MetricSpace + ?Sized>(space: &S, centers: &[PointId]) 
 /// Max-of-mins over one contiguous block of points, in certification
 /// (`f64`-accumulated) space, pruning each point's center scan at the
 /// block's running maximum.
-fn wide_radius_block<S: MetricSpace + ?Sized>(
-    space: &S,
+fn wide_radius_block<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     block: &[PointId],
     centers: &[PointId],
 ) -> f64 {
@@ -75,8 +75,8 @@ fn wide_radius_block<S: MetricSpace + ?Sized>(
 /// The covering radius of `centers` over an explicit subset of the space.
 /// Used by the multi-round algorithms, whose intermediate rounds only cover
 /// the points assigned to one machine.
-pub fn covering_radius_subset<S: MetricSpace + ?Sized>(
-    space: &S,
+pub fn covering_radius_subset<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     subset: &[PointId],
     centers: &[PointId],
 ) -> f64 {
@@ -95,7 +95,7 @@ pub fn covering_radius_subset<S: MetricSpace + ?Sized>(
     } else {
         wide_radius_block(space, subset, centers)
     };
-    space.wide_cmp_to_distance(wide_max.max(0.0))
+    space.metric().wide_surrogate_to_distance(wide_max.max(0.0))
 }
 
 /// The ascending ids in `0..n` not present in `lost` (which need not be
@@ -117,8 +117,8 @@ pub(crate) fn surviving_ids(n: usize, lost: &[PointId]) -> Vec<PointId> {
 /// when any shard was `dropped` — the partial-coverage disclosure the
 /// result must carry.  A radius is never silently claimed over the full
 /// input.
-pub(crate) fn certify_survivors<S: MetricSpace + ?Sized>(
-    space: &S,
+pub(crate) fn certify_survivors<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     centers: &[PointId],
     lost: &[PointId],
     dropped: &[DroppedShard],
@@ -138,12 +138,12 @@ pub(crate) fn certify_survivors<S: MetricSpace + ?Sized>(
 /// certification space (`f64`-accumulated regardless of storage precision)
 /// with the early-exit scan: each point stops at the first center within
 /// `radius`.
-pub fn covered_within<S: MetricSpace + ?Sized>(
-    space: &S,
+pub fn covered_within<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     centers: &[PointId],
     radius: f64,
 ) -> bool {
-    if space.len() == 0 {
+    if space.is_empty() {
         return true;
     }
     // Distances are non-negative, so a negative radius covers no point —
@@ -151,7 +151,7 @@ pub fn covered_within<S: MetricSpace + ?Sized>(
     if centers.is_empty() || radius < 0.0 {
         return false;
     }
-    let wide_radius = space.distance_to_wide_cmp(radius);
+    let wide_radius = space.metric().distance_to_wide_surrogate(radius);
     let check =
         |p: PointId| space.wide_cmp_distance_to_set_bounded(p, centers, wide_radius) <= wide_radius;
     if space.len().saturating_mul(centers.len()) >= PARALLEL_THRESHOLD {
@@ -170,8 +170,8 @@ pub fn covered_within<S: MetricSpace + ?Sized>(
 /// # Panics
 ///
 /// Panics if `centers` is empty while the space is not.
-pub fn assign<S: MetricSpace + ?Sized>(space: &S, centers: &[PointId]) -> Vec<usize> {
-    if space.len() == 0 {
+pub fn assign<D: Distance, S: Scalar>(space: &VecSpace<D, S>, centers: &[PointId]) -> Vec<usize> {
+    if space.is_empty() {
         return Vec::new();
     }
     assert!(
@@ -185,7 +185,7 @@ pub fn assign<S: MetricSpace + ?Sized>(space: &S, centers: &[PointId]) -> Vec<us
     // centers and probes cell rings per point — bit-identical to the dense
     // loop (see `kcenter_metric::grid`) — when the `--assign` dispatch and
     // the space allow it.
-    let dim = space.coord_row(centers[0]).len();
+    let dim = space.row(centers[0]).len();
     let shape = grid::ScanShape {
         kind: grid::ScanKind::Assign,
         points: space.len(),
@@ -227,14 +227,17 @@ pub fn cluster_sizes(assignment: &[usize], num_centers: usize) -> Vec<usize> {
 
 /// The per-point distance to the nearest center, for all points — useful for
 /// diagnostics and for the EIM distance cache tests.
-pub fn distances_to_centers<S: MetricSpace + ?Sized>(space: &S, centers: &[PointId]) -> Vec<f64> {
+pub fn distances_to_centers<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
+    centers: &[PointId],
+) -> Vec<f64> {
     let ids: Vec<PointId> = (0..space.len()).collect();
     if centers.is_empty() {
         return vec![f64::INFINITY; ids.len()];
     }
     // Min in certification space (these distances are reported), one
     // conversion per point at the end.
-    let one = |p: PointId| space.wide_cmp_to_distance(space.wide_cmp_distance_to_set(p, centers));
+    let one = |p: PointId| space.distance_to_set(p, centers);
     if ids.len().saturating_mul(centers.len()) >= PARALLEL_THRESHOLD {
         ids.par_iter().map(|&p| one(p)).collect()
     } else {

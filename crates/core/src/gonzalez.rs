@@ -18,7 +18,7 @@ use crate::solution::KCenterSolution;
 use kcenter_metric::grid::{self, AssignChoice, AssignMode, GridRelaxer};
 use kcenter_metric::kernel;
 use kcenter_metric::space::is_identity_subset;
-use kcenter_metric::{MetricSpace, PointId, Scalar};
+use kcenter_metric::{Distance, PointId, Scalar, VecSpace};
 
 /// How GON chooses its (arbitrary) first center.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,21 +108,17 @@ impl GonzalezConfig {
 
     /// Runs GON on the whole space and evaluates the covering radius over
     /// the whole space.
-    pub fn solve<S: MetricSpace + ?Sized>(
+    pub fn solve<D: Distance, S: Scalar>(
         &self,
-        space: &S,
+        space: &VecSpace<D, S>,
     ) -> Result<KCenterSolution, KCenterError> {
-        if space.len() == 0 {
+        if space.is_empty() {
             return Err(KCenterError::EmptyInput);
         }
         if self.k == 0 {
             return Err(KCenterError::ZeroK);
         }
-        if !space.is_metric() {
-            return Err(KCenterError::NotAMetric {
-                distance: space.distance_name(),
-            });
-        }
+        KCenterError::require_metric(space.metric())?;
         let ids: Vec<PointId> = (0..space.len()).collect();
         let centers = select_centers(space, &ids, self.k, self.first_center, self.parallel_scan);
         let radius = covering_radius(space, &centers);
@@ -138,8 +134,8 @@ impl GonzalezConfig {
 /// [`GonzalezConfig::solve`] calls it on the full space.
 ///
 /// If `k >= subset.len()` every subset point becomes a center.
-pub fn select_centers<S: MetricSpace + ?Sized>(
-    space: &S,
+pub fn select_centers<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     subset: &[PointId],
     k: usize,
     first: FirstCenter,
@@ -191,7 +187,7 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
             kind: grid::ScanKind::Relax,
             points: subset.len(),
             candidates: k,
-            dim: space.coord_row(subset[0]).len(),
+            dim: space.row(subset[0]).len(),
         }),
     };
     let mut relaxer = if mode == AssignMode::Grid {
@@ -204,7 +200,7 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
     } else {
         grid::AssignMode::Dense
     });
-    let mut nearest: Vec<S::Cmp> = vec![<S::Cmp as Scalar>::INFINITY; subset.len()];
+    let mut nearest: Vec<S> = vec![S::INFINITY; subset.len()];
     let mut newest = first_center;
     while centers.len() < k {
         let (far_pos, far_dist) = match relaxer.as_mut() {
@@ -213,7 +209,7 @@ pub fn select_centers<S: MetricSpace + ?Sized>(
         };
         // All remaining points coincide with existing centers: no point in
         // adding duplicates (the covering radius is already 0).
-        if far_dist <= <S::Cmp as Scalar>::ZERO {
+        if far_dist <= S::ZERO {
             break;
         }
         newest = subset[far_pos];

@@ -17,7 +17,7 @@
 use crate::error::KCenterError;
 use crate::evaluate::covering_radius;
 use crate::solution::KCenterSolution;
-use kcenter_metric::{MetricSpace, PointId};
+use kcenter_metric::{Distance, PointId, Scalar, VecSpace};
 
 /// Configuration of the Hochbaum–Shmoys solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,21 +33,17 @@ impl HochbaumShmoysConfig {
     }
 
     /// Runs the algorithm on the whole space.
-    pub fn solve<S: MetricSpace + ?Sized>(
+    pub fn solve<D: Distance, S: Scalar>(
         &self,
-        space: &S,
+        space: &VecSpace<D, S>,
     ) -> Result<KCenterSolution, KCenterError> {
-        if space.len() == 0 {
+        if space.is_empty() {
             return Err(KCenterError::EmptyInput);
         }
         if self.k == 0 {
             return Err(KCenterError::ZeroK);
         }
-        if !space.is_metric() {
-            return Err(KCenterError::NotAMetric {
-                distance: space.distance_name(),
-            });
-        }
+        KCenterError::require_metric(space.metric())?;
         let ids: Vec<PointId> = (0..space.len()).collect();
         let centers = select_centers(space, &ids, self.k);
         let radius = covering_radius(space, &centers);
@@ -58,8 +54,8 @@ impl HochbaumShmoysConfig {
 /// Greedy covering test: returns the centers chosen when every center covers
 /// all points within `threshold`, or `None` if more than `k` centers would
 /// be needed.
-fn greedy_cover<S: MetricSpace + ?Sized>(
-    space: &S,
+fn greedy_cover<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     subset: &[PointId],
     k: usize,
     threshold: f64,
@@ -87,8 +83,8 @@ fn greedy_cover<S: MetricSpace + ?Sized>(
 /// Selects at most `k` centers from `subset` using the bottleneck binary
 /// search.  This is the routine exposed to MRG/EIM as an alternative
 /// final-round sub-procedure.
-pub fn select_centers<S: MetricSpace + ?Sized>(
-    space: &S,
+pub fn select_centers<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     subset: &[PointId],
     k: usize,
 ) -> Vec<PointId> {

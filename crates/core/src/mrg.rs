@@ -20,7 +20,7 @@ use crate::solver::SequentialSolver;
 use kcenter_mapreduce::{
     partition, Cluster, ClusterConfig, DegradedRun, Executor, FaultConfig, JobStats, MapReduceError,
 };
-use kcenter_metric::{MetricSpace, PointId};
+use kcenter_metric::{Distance, PointId, Scalar, VecSpace};
 
 /// Configuration of the MRG algorithm.
 ///
@@ -134,7 +134,10 @@ impl MrgConfig {
     }
 
     /// Runs MRG on the given space.
-    pub fn run<S: MetricSpace + ?Sized>(&self, space: &S) -> Result<MrgResult, KCenterError> {
+    pub fn run<D: Distance, S: Scalar>(
+        &self,
+        space: &VecSpace<D, S>,
+    ) -> Result<MrgResult, KCenterError> {
         let n = space.len();
         if n == 0 {
             return Err(KCenterError::EmptyInput);
@@ -142,11 +145,7 @@ impl MrgConfig {
         if self.k == 0 {
             return Err(KCenterError::ZeroK);
         }
-        if !space.is_metric() {
-            return Err(KCenterError::NotAMetric {
-                distance: space.distance_name(),
-            });
-        }
+        KCenterError::require_metric(space.metric())?;
         if self.machines == 0 {
             return Err(KCenterError::InvalidParameter {
                 name: "machines",

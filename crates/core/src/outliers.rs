@@ -23,7 +23,7 @@
 //! values and convert once at the end (pinned by the outlier-parity tests).
 
 use crate::evaluate::covering_radius;
-use kcenter_metric::{MetricSpace, PointId};
+use kcenter_metric::{Distance, PointId, Scalar, VecSpace};
 use rayon::prelude::*;
 
 /// Below this many (point, center) pairs the per-point distance scan runs
@@ -63,8 +63,8 @@ impl OutlierEvaluation {
 ///
 /// Requesting `z >= n` drops everything and certifies a zero radius over
 /// the empty remainder.
-pub fn evaluate_with_outliers<S: MetricSpace + ?Sized>(
-    space: &S,
+pub fn evaluate_with_outliers<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
     centers: &[PointId],
     z: usize,
 ) -> OutlierEvaluation {
@@ -112,11 +112,12 @@ pub fn evaluate_with_outliers<S: MetricSpace + ?Sized>(
 
     let z = z.min(n);
     let dropped = order[..z].to_vec();
-    let full_radius = space.wide_cmp_to_distance(wide[order[0]].max(0.0));
+    let to_distance = |w: f64| space.metric().wide_surrogate_to_distance(w.max(0.0));
+    let full_radius = to_distance(wide[order[0]]);
     let radius = if z >= n {
         0.0
     } else {
-        space.wide_cmp_to_distance(wide[order[z]].max(0.0))
+        to_distance(wide[order[z]])
     };
     OutlierEvaluation {
         radius,

@@ -9,7 +9,7 @@
 
 use crate::gonzalez::{self, FirstCenter};
 use crate::hochbaum_shmoys;
-use kcenter_metric::{MetricSpace, PointId};
+use kcenter_metric::{Distance, PointId, Scalar, VecSpace};
 
 /// Which sequential k-center algorithm the parallel schemes use internally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,9 +25,9 @@ pub enum SequentialSolver {
 
 impl SequentialSolver {
     /// Selects at most `k` centers from `subset`.
-    pub fn select_centers<S: MetricSpace + ?Sized>(
+    pub fn select_centers<D: Distance, S: Scalar>(
         &self,
-        space: &S,
+        space: &VecSpace<D, S>,
         subset: &[PointId],
         k: usize,
         first: FirstCenter,

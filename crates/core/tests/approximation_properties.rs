@@ -7,7 +7,7 @@
 use kcenter_core::brute_force::optimal_radius;
 use kcenter_core::evaluate::{assign, covering_radius};
 use kcenter_core::prelude::*;
-use kcenter_metric::{pairwise_lower_bound, MetricSpace, Point, VecSpace};
+use kcenter_metric::{pairwise_lower_bound, Point, VecSpace};
 use proptest::prelude::*;
 
 /// A small random instance: 4..=16 points in a bounded 2-D square, plus a

@@ -21,7 +21,7 @@ use kcenter_core::coreset::GonzalezCoresetConfig;
 use kcenter_core::evaluate;
 use kcenter_core::prelude::*;
 use kcenter_metric::grid::{self, AssignChoice, AssignMode};
-use kcenter_metric::{Euclidean, FlatPoints, MetricSpace as _, Scalar, VecSpace};
+use kcenter_metric::{Distance, Euclidean, FlatPoints, Scalar, VecSpace};
 use proptest::prelude::*;
 
 /// Serialises every test that flips the process-global assignment arm.
@@ -378,7 +378,7 @@ fn assign_above_the_vector_width_matches_the_pairwise_oracle() {
             labels.push(best.0);
             wide_max = wide_max.max(wide);
         }
-        (labels, space.wide_cmp_to_distance(wide_max))
+        (labels, space.metric().wide_surrogate_to_distance(wide_max))
     }
     let f64_space = space_of::<f64>(&coords, DIM);
     let f32_space = space_of::<f32>(&coords, DIM);

@@ -15,7 +15,7 @@
 use kcenter_core::coreset::{GonzalezCoresetConfig, WeightedCoreset};
 use kcenter_core::prelude::*;
 use kcenter_core::PersistError;
-use kcenter_metric::{Euclidean, FlatPoints, MetricSpace as _, VecSpace};
+use kcenter_metric::{Euclidean, FlatPoints, VecSpace};
 use proptest::prelude::*;
 
 /// Strategy: an f64 coordinate cloud (n in 32..=96, dim in 1..=3) plus its

@@ -112,7 +112,6 @@ fn parallel_certified_radius_matches_sequential_at_both_precisions() {
     let centers = vec![0usize, 7_000, 19_999];
 
     fn seq_radius<S: Scalar>(space: &VecSpace<Euclidean, S>, centers: &[usize]) -> f64 {
-        use kcenter_metric::MetricSpace;
         (0..space.len())
             .map(|p| space.distance_to_set(p, centers))
             .fold(0.0f64, f64::max)

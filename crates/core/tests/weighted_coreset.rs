@@ -11,7 +11,7 @@
 
 use kcenter_core::coreset::GonzalezCoresetConfig;
 use kcenter_core::prelude::*;
-use kcenter_metric::{Euclidean, FlatPoints, MetricSpace as _, Scalar, VecSpace};
+use kcenter_metric::{Euclidean, FlatPoints, Scalar, VecSpace};
 use proptest::prelude::*;
 
 /// Strategy: an f64 coordinate cloud (n in 24..=120, dim in 1..=4) plus its

@@ -373,7 +373,7 @@ pub struct GeneratedDataset<S: Scalar = f64> {
 impl<S: Scalar> GeneratedDataset<S> {
     /// Number of generated points.
     pub fn len(&self) -> usize {
-        kcenter_metric::MetricSpace::len(&self.space)
+        self.space.len()
     }
 
     /// Whether the data set is empty.

@@ -697,8 +697,7 @@ mod tests {
     #[test]
     fn unif_points_stay_inside_square() {
         let g = UnifGenerator::with_dim_and_side(5000, 2, 100.0);
-        let pts = g.generate(2);
-        let bbox = BoundingBox::of(&pts).unwrap().unwrap();
+        let bbox = BoundingBox::of_flat(&g.generate_flat(2)).unwrap();
         assert!(bbox.min().iter().all(|&c| c >= 0.0));
         assert!(bbox.max().iter().all(|&c| c <= 100.0));
         // Uniform data should nearly fill the square.

@@ -7,31 +7,8 @@
 //! never exceed the box diagonal).
 
 use crate::flat::FlatPoints;
-use crate::point::Point;
 use crate::scalar::Scalar;
 use rayon::prelude::*;
-
-/// A [`Point`] slice handed to [`BoundingBox::of`] mixed coordinate
-/// dimensions: box corners would be meaningless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DimensionMismatch {
-    /// Dimension of the first point (the one the box was sized for).
-    pub expected: usize,
-    /// The offending point's dimension.
-    pub found: usize,
-}
-
-impl std::fmt::Display for DimensionMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "dimension mismatch in bounding box: expected {}, found {}",
-            self.expected, self.found
-        )
-    }
-}
-
-impl std::error::Error for DimensionMismatch {}
 
 /// An axis-aligned bounding box in `R^d`.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,68 +18,6 @@ pub struct BoundingBox {
 }
 
 impl BoundingBox {
-    /// Computes the bounding box of a non-empty point slice.
-    ///
-    /// Returns `Ok(None)` for an empty slice and a named
-    /// [`DimensionMismatch`] when the points do not share one dimension
-    /// (the flat-store variants cannot hit this — a [`FlatPoints`]
-    /// guarantees uniform rows).
-    pub fn of(points: &[Point]) -> Result<Option<Self>, DimensionMismatch> {
-        let Some(first) = points.first() else {
-            return Ok(None);
-        };
-        let dim = first.dim();
-        let mut min = first.coords().to_vec();
-        let mut max = first.coords().to_vec();
-        for p in &points[1..] {
-            if p.dim() != dim {
-                return Err(DimensionMismatch {
-                    expected: dim,
-                    found: p.dim(),
-                });
-            }
-            for (i, &c) in p.coords().iter().enumerate() {
-                if c < min[i] {
-                    min[i] = c;
-                }
-                if c > max[i] {
-                    max[i] = c;
-                }
-            }
-        }
-        Ok(Some(Self { min, max }))
-    }
-
-    /// Parallel variant of [`BoundingBox::of`] for large point sets.
-    pub fn par_of(points: &[Point]) -> Result<Option<Self>, DimensionMismatch> {
-        if points.is_empty() {
-            return Ok(None);
-        }
-        let expected = points[0].dim();
-        points
-            .par_chunks(4096)
-            .map(BoundingBox::of)
-            .reduce_with(|a, b| match (a?, b?) {
-                (Some(a), Some(b)) => {
-                    if a.dim() != b.dim() {
-                        // Chunk boundaries can split a mismatch that the
-                        // sequential scan would catch inside one chunk.
-                        return Err(DimensionMismatch {
-                            expected,
-                            found: if a.dim() == expected {
-                                b.dim()
-                            } else {
-                                a.dim()
-                            },
-                        });
-                    }
-                    Ok(Some(a.merged(&b)))
-                }
-                (a, b) => Ok(a.or(b)),
-            })
-            .unwrap_or(Ok(None))
-    }
-
     /// Computes the bounding box of a flat point store (at any storage
     /// precision; the box corners are widened to `f64`) in one contiguous
     /// scan.  Returns `None` for an empty store.
@@ -147,7 +62,7 @@ impl BoundingBox {
     }
 
     /// The smallest box containing both `self` and `other`.
-    pub fn merged(&self, other: &BoundingBox) -> BoundingBox {
+    fn merged(&self, other: &BoundingBox) -> BoundingBox {
         assert_eq!(self.dim(), other.dim(), "dimension mismatch in merge");
         BoundingBox {
             min: self
@@ -198,50 +113,26 @@ impl BoundingBox {
             .sum::<f64>()
             .sqrt()
     }
-
-    /// Whether the point lies inside (or on the boundary of) the box.
-    pub fn contains(&self, p: &Point) -> bool {
-        p.dim() == self.dim()
-            && p.coords()
-                .iter()
-                .enumerate()
-                .all(|(i, &c)| c >= self.min[i] - 1e-12 && c <= self.max[i] + 1e-12)
-    }
-
-    /// Center of the box.
-    pub fn center(&self) -> Point {
-        Point::new(
-            self.min
-                .iter()
-                .zip(self.max.iter())
-                .map(|(lo, hi)| (lo + hi) / 2.0)
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cloud() -> Vec<Point> {
-        vec![
-            Point::xy(0.0, 0.0),
-            Point::xy(2.0, 1.0),
-            Point::xy(-1.0, 3.0),
-            Point::xy(1.0, -2.0),
-        ]
+    fn flat(rows: &[[f64; 2]]) -> FlatPoints<f64> {
+        FlatPoints::from_coords(rows.concat(), 2).unwrap()
     }
 
     #[test]
     fn of_empty_is_none() {
-        assert_eq!(BoundingBox::of(&[]), Ok(None));
-        assert_eq!(BoundingBox::par_of(&[]), Ok(None));
+        let empty = FlatPoints::<f64>::new(2);
+        assert_eq!(BoundingBox::of_flat(&empty), None);
+        assert_eq!(BoundingBox::par_of_flat(&empty), None);
     }
 
     #[test]
     fn of_single_point_is_degenerate() {
-        let b = BoundingBox::of(&[Point::xy(1.0, 2.0)]).unwrap().unwrap();
+        let b = BoundingBox::of_flat(&flat(&[[1.0, 2.0]])).unwrap();
         assert_eq!(b.min(), &[1.0, 2.0]);
         assert_eq!(b.max(), &[1.0, 2.0]);
         assert_eq!(b.diagonal(), 0.0);
@@ -249,30 +140,28 @@ mod tests {
 
     #[test]
     fn of_covers_all_points() {
-        let pts = cloud();
-        let b = BoundingBox::of(&pts).unwrap().unwrap();
+        let b = BoundingBox::of_flat(&flat(&[[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0], [1.0, -2.0]]))
+            .unwrap();
         assert_eq!(b.min(), &[-1.0, -2.0]);
         assert_eq!(b.max(), &[2.0, 3.0]);
-        assert!(pts.iter().all(|p| b.contains(p)));
-        assert!(!b.contains(&Point::xy(10.0, 0.0)));
     }
 
     #[test]
     fn par_of_matches_sequential() {
-        let pts: Vec<Point> = (0..10_000)
-            .map(|i| Point::xy((i % 173) as f64, ((i * 7) % 311) as f64))
+        let rows: Vec<[f64; 2]> = (0..10_000)
+            .map(|i| [(i % 173) as f64, ((i * 7) % 311) as f64])
             .collect();
-        assert_eq!(BoundingBox::of(&pts), BoundingBox::par_of(&pts));
+        let points = flat(&rows);
+        assert_eq!(
+            BoundingBox::of_flat(&points),
+            BoundingBox::par_of_flat(&points)
+        );
     }
 
     #[test]
     fn merged_covers_both() {
-        let a = BoundingBox::of(&[Point::xy(0.0, 0.0), Point::xy(1.0, 1.0)])
-            .unwrap()
-            .unwrap();
-        let b = BoundingBox::of(&[Point::xy(-5.0, 2.0), Point::xy(0.5, 3.0)])
-            .unwrap()
-            .unwrap();
+        let a = BoundingBox::of_flat(&flat(&[[0.0, 0.0], [1.0, 1.0]])).unwrap();
+        let b = BoundingBox::of_flat(&flat(&[[-5.0, 2.0], [0.5, 3.0]])).unwrap();
         let m = a.merged(&b);
         assert_eq!(m.min(), &[-5.0, 0.0]);
         assert_eq!(m.max(), &[1.0, 3.0]);
@@ -280,37 +169,9 @@ mod tests {
 
     #[test]
     fn diagonal_and_extent() {
-        let b = BoundingBox::of(&[Point::xy(0.0, 0.0), Point::xy(3.0, 4.0)])
-            .unwrap()
-            .unwrap();
+        let b = BoundingBox::of_flat(&flat(&[[0.0, 0.0], [3.0, 4.0]])).unwrap();
         assert!((b.diagonal() - 5.0).abs() < 1e-12);
         assert_eq!(b.extent(0), 3.0);
         assert_eq!(b.extent(1), 4.0);
-    }
-
-    #[test]
-    fn center_is_midpoint() {
-        let b = BoundingBox::of(&[Point::xy(0.0, 0.0), Point::xy(2.0, 4.0)])
-            .unwrap()
-            .unwrap();
-        assert_eq!(b.center(), Point::xy(1.0, 2.0));
-    }
-
-    #[test]
-    fn of_rejects_mixed_dimensions_with_named_error() {
-        let err = BoundingBox::of(&[Point::xy(0.0, 0.0), Point::xyz(0.0, 0.0, 0.0)]).unwrap_err();
-        assert_eq!(
-            err,
-            DimensionMismatch {
-                expected: 2,
-                found: 3
-            }
-        );
-        assert!(err.to_string().contains("expected 2, found 3"));
-        // The parallel variant surfaces the same class of error instead of
-        // panicking mid-reduce.
-        let mut pts = vec![Point::xy(0.0, 0.0); 5000];
-        pts.push(Point::xyz(1.0, 2.0, 3.0));
-        assert!(BoundingBox::par_of(&pts).is_err());
     }
 }

@@ -29,10 +29,11 @@
 //! The hot scans never need actual distances — only their *order* (which
 //! center is nearest, which point is farthest).  [`Distance::surrogate`]
 //! returns a value that is order-equivalent to the distance but may be
-//! cheaper: squared Euclidean skips the `sqrt`.  [`Distance::surrogate_to_distance`] converts a surrogate
-//! value back (one `sqrt` per winner instead of one per pair), and
-//! [`Distance::distance_to_surrogate`] converts a distance threshold into
-//! surrogate space for early-exit scans.
+//! cheaper: squared Euclidean skips the `sqrt`.
+//! [`Distance::surrogate_to_distance`] converts a surrogate value back (one
+//! `sqrt` per winner instead of one per pair), and
+//! [`Distance::distance_to_wide_surrogate`] converts a distance threshold
+//! into certification space for early-exit scans.
 
 use crate::kernel::{self, dist2_auto, dist2_wide};
 use crate::point::Point;
@@ -87,14 +88,6 @@ pub trait Distance: Send + Sync {
     #[inline]
     fn surrogate_to_distance<S: Scalar>(&self, s: S) -> f64 {
         s.to_f64()
-    }
-
-    /// Maps a distance into surrogate space (the inverse of
-    /// [`Distance::surrogate_to_distance`] on non-negative values, up to
-    /// `S` rounding).
-    #[inline]
-    fn distance_to_surrogate<S: Scalar>(&self, d: f64) -> S {
-        S::from_f64(d)
     }
 
     /// The certification surrogate: order-equivalent to the distance (like
@@ -235,11 +228,6 @@ impl Distance for Euclidean {
     #[inline]
     fn surrogate_to_distance<S: Scalar>(&self, s: S) -> f64 {
         s.to_f64().sqrt()
-    }
-
-    #[inline]
-    fn distance_to_surrogate<S: Scalar>(&self, d: f64) -> S {
-        S::from_f64(d * d)
     }
 
     /// Squared distance accumulated in `f64` — the certification scan

@@ -9,7 +9,7 @@
 //! bounds are built on.  Two accelerators are provided:
 //!
 //! * [`GridRelaxer`] backs the fused Gonzalez relaxation
-//!   ([`MetricSpace::relax_max`]): the member rows are bucketed once, and
+//!   ([`VecSpace::relax_max`]): the member rows are bucketed once, and
 //!   each relax pass sweeps the occupied cells in ascending cell order,
 //!   skipping any cell whose bounding-box distance to the new center
 //!   proves that no `nearest[]` slot in it can change.
@@ -58,8 +58,8 @@
 //!   conservative rounding-slack margin (`(d + 8) · 4 · u` for storage
 //!   unit roundoff `u`) proves every member comparison in it is a no-op.
 //!   Comparison-space distances themselves are the per-pair
-//!   [`MetricSpace::cmp_distance`] values the dense argmin
-//!   ([`MetricSpace::nearest`]) computes, and the `wide_cmp_*` f64
+//!   [`VecSpace::cmp_distance`] values the dense argmin
+//!   ([`VecSpace::nearest`]) computes, and the `wide_cmp_*` f64
 //!   certification scans stay ground truth.
 //! * The per-pair comparison values match the dense fused relax kernels
 //!   bit-for-bit under the `scalar` and `portable` backends (identical
@@ -80,8 +80,9 @@
 //! candidate count or point count is small.  Call sites report which arm
 //! actually ran through the [`note_scan`] / [`scan_counts`] telemetry.
 
+use crate::distance::Distance;
 use crate::scalar::Scalar;
-use crate::space::MetricSpace;
+use crate::space::VecSpace;
 use crate::PointId;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -431,20 +432,23 @@ impl SpatialGrid {
     ///
     /// Returns `None` — callers fall back to the dense scan — when the
     /// space's surrogate is not squared Euclidean
-    /// ([`MetricSpace::grid_compatible`]), when the member list
+    /// ([`Distance::supports_grid`]), when the member list
     /// is empty or larger than `u32` positions, when the dimension is 0 or
     /// above [`MAX_GRID_DIM`], or when every dimension has zero extent
     /// (all members identical — the degenerate case where a cell width
     /// would be zero).
-    pub fn build<Sp: MetricSpace + ?Sized>(
-        space: &Sp,
+    pub fn build<D: Distance, S: Scalar>(
+        space: &VecSpace<D, S>,
         members: &[PointId],
         occupancy: usize,
     ) -> Option<SpatialGrid> {
-        if !space.grid_compatible() || members.is_empty() || members.len() > u32::MAX as usize {
+        if !space.metric().supports_grid()
+            || members.is_empty()
+            || members.len() > u32::MAX as usize
+        {
             return None;
         }
-        let dim = space.coord_row(members[0]).len();
+        let dim = space.row(members[0]).len();
         if dim == 0 || dim > MAX_GRID_DIM {
             return None;
         }
@@ -453,7 +457,7 @@ impl SpatialGrid {
         let mut lo = vec![f64::INFINITY; dim];
         let mut hi = vec![f64::NEG_INFINITY; dim];
         for &m in members {
-            let row = space.coord_row(m);
+            let row = space.row(m);
             for (i, &c) in row.iter().enumerate() {
                 let c = c.to_f64();
                 if c < lo[i] {
@@ -504,7 +508,7 @@ impl SpatialGrid {
             cell_lo: vec![f64::INFINITY; cells * dim],
             cell_hi: vec![f64::NEG_INFINITY; cells * dim],
             min_cell_width,
-            cmp_slack: cmp_slack::<Sp::Cmp>(dim),
+            cmp_slack: cmp_slack::<S>(dim),
             wide_slack: cmp_slack::<f64>(dim),
         };
 
@@ -512,7 +516,7 @@ impl SpatialGrid {
         // ascending within each cell.
         let mut counts = vec![0u32; cells];
         for &m in members {
-            counts[grid.cell_of(space.coord_row(m))] += 1;
+            counts[grid.cell_of(space.row(m))] += 1;
         }
         let mut acc = 0u32;
         for (c, &count) in counts.iter().enumerate() {
@@ -522,7 +526,7 @@ impl SpatialGrid {
         grid.starts[cells] = acc;
         let mut cursor: Vec<u32> = grid.starts[..cells].to_vec();
         for (pos, &m) in members.iter().enumerate() {
-            let row = space.coord_row(m);
+            let row = space.row(m);
             let cell = grid.cell_of(row);
             grid.bucket[cursor[cell] as usize] = pos as u32;
             cursor[cell] += 1;
@@ -667,17 +671,17 @@ impl SpatialGrid {
     /// `(position, cmp value)`.
     ///
     /// `members` must be the list the grid was built over.
-    pub fn nearest_member<Sp: MetricSpace + ?Sized>(
+    pub fn nearest_member<D: Distance, S: Scalar>(
         &self,
-        space: &Sp,
+        space: &VecSpace<D, S>,
         members: &[PointId],
         query: PointId,
-    ) -> (usize, Sp::Cmp) {
+    ) -> (usize, S) {
         debug_assert_eq!(members.len(), self.len, "grid/member list mismatch");
-        let row = space.coord_row(query);
+        let row = space.row(query);
         let mut q = [0usize; MAX_GRID_DIM];
         self.coords_of(row, &mut q);
-        let mut best = (0usize, <Sp::Cmp as Scalar>::INFINITY);
+        let mut best = (0usize, S::INFINITY);
         let mut found = false;
         for rho in 0..=self.max_ring(&q) {
             // Every member beyond this ring is strictly farther than the
@@ -704,20 +708,20 @@ impl SpatialGrid {
         best
     }
 
-    /// Grid variant of [`MetricSpace::wide_cmp_distance_to_set_bounded`]
+    /// Grid variant of [`VecSpace::wide_cmp_distance_to_set_bounded`]
     /// over the grid's members: an upper bound on the true
     /// certification-space minimum, exact whenever it exceeds
     /// `stop_below`.  All distances are the ground-truth f64
-    /// [`MetricSpace::wide_cmp_distance`] pairs.
-    pub fn wide_nearest_bounded<Sp: MetricSpace + ?Sized>(
+    /// [`VecSpace::wide_cmp_distance`] pairs.
+    pub fn wide_nearest_bounded<D: Distance, S: Scalar>(
         &self,
-        space: &Sp,
+        space: &VecSpace<D, S>,
         members: &[PointId],
         query: PointId,
         stop_below: f64,
     ) -> f64 {
         debug_assert_eq!(members.len(), self.len, "grid/member list mismatch");
-        let row = space.coord_row(query);
+        let row = space.row(query);
         let mut q = [0usize; MAX_GRID_DIM];
         self.coords_of(row, &mut q);
         let mut best = f64::INFINITY;
@@ -782,8 +786,8 @@ impl<S: Scalar> GridRelaxer<S> {
     /// Buckets `members` (the relax subset, positions `0..members.len()`)
     /// of `space` at [`RELAX_OCCUPANCY`]; `None` exactly when
     /// [`SpatialGrid::build`] refuses the space.
-    pub fn build<Sp: MetricSpace<Cmp = S> + ?Sized>(
-        space: &Sp,
+    pub fn build<D: Distance>(
+        space: &VecSpace<D, S>,
         members: &[PointId],
     ) -> Option<GridRelaxer<S>> {
         let grid = SpatialGrid::build(space, members, RELAX_OCCUPANCY)?;
@@ -795,7 +799,7 @@ impl<S: Scalar> GridRelaxer<S> {
     }
 
     /// One fused Gonzalez iteration, bit-identical to
-    /// [`MetricSpace::relax_max`] over `members` (lower `nearest[pos]` to the
+    /// [`VecSpace::relax_max`] over `members` (lower `nearest[pos]` to the
     /// distance to `center`, return the lowest-position maximum entry)
     /// whenever the per-pair comparison values match the dense kernel's —
     /// see the module docs for the backend caveat.
@@ -804,9 +808,9 @@ impl<S: Scalar> GridRelaxer<S> {
     ///
     /// Panics if `members`/`nearest` do not match the list the relaxer was
     /// built over.
-    pub fn relax_max<Sp: MetricSpace<Cmp = S> + ?Sized>(
+    pub fn relax_max<D: Distance>(
         &mut self,
-        space: &Sp,
+        space: &VecSpace<D, S>,
         members: &[PointId],
         center: PointId,
         nearest: &mut [S],
@@ -818,7 +822,7 @@ impl<S: Scalar> GridRelaxer<S> {
             "subset/nearest length mismatch"
         );
         let grid = &self.grid;
-        let center_row = space.coord_row(center);
+        let center_row = space.row(center);
         for (cell, best_pos, best) in &mut self.cells {
             let cell = *cell as usize;
             // No member of this cell can get closer than the box bound; if
@@ -862,7 +866,6 @@ mod tests {
     use super::*;
     use crate::distance::{Euclidean, Manhattan};
     use crate::flat::FlatPoints;
-    use crate::space::VecSpace;
 
     /// Deterministic integer-lattice coordinates: squared distances stay
     /// exactly representable at f32, so grid/dense parity is exact under
@@ -882,12 +885,12 @@ mod tests {
         FlatPoints::from_coords(coords, dim).unwrap()
     }
 
-    fn dense_nearest<Sp: MetricSpace + ?Sized>(
-        space: &Sp,
+    fn dense_nearest<D: Distance, S: Scalar>(
+        space: &VecSpace<D, S>,
         members: &[PointId],
         query: PointId,
-    ) -> (usize, Sp::Cmp) {
-        let mut best = (0usize, <Sp::Cmp as Scalar>::INFINITY);
+    ) -> (usize, S) {
+        let mut best = (0usize, S::INFINITY);
         for (i, &m) in members.iter().enumerate() {
             let d = space.cmp_distance(query, m);
             if d < best.1 {

@@ -16,7 +16,7 @@
 //! * [`relax_nearest`] and [`argmax`] — the same step as two plain passes,
 //!   kept as the reference the fused kernels are tested against.
 //!
-//! [`crate::MetricSpace::relax_max`] chunks the fused kernels over rayon
+//! [`crate::VecSpace::relax_max`] chunks the fused kernels over rayon
 //! above [`PAR_CUTOFF`] points, so small partitions (MRG reducers, EIM
 //! samples) don't pay scheduler overhead.
 //!
@@ -51,7 +51,7 @@
 //! the const-dimension [`dist2`], and the others run their own pairwise
 //! kernel per candidate, so each pair keeps the bits [`dist2_auto`] gives
 //! it.  [`wide_nearest_ids`] is the certification-space minimum with the
-//! early exit of `distance_to_set_bounded` (covering radii, coverage
+//! early exit of `wide_cmp_distance_to_set_bounded` (covering radii, coverage
 //! checks, every certificate): a const-dimension instantiation of
 //! [`dist2_wide`]'s summation order, which consults no backend.  Both
 //! change only how the loop is driven, never a pair's arithmetic, so every
@@ -73,7 +73,7 @@
 //! * at `S = f64` the wide kernel is bit-identical to the narrow one, so the
 //!   default precision is numerically unchanged by this refactor;
 //! * at `S = f32` every *reported* quantity (covering radius, coverage
-//!   checks — everything routed through `MetricSpace`'s `wide_cmp_*`
+//!   checks — everything routed through `VecSpace`'s `wide_cmp_*`
 //!   family) is exact `f64` arithmetic over the stored rows: the only error
 //!   an `f32` run carries is the one-time `2^-24` input rounding of each
 //!   coordinate, never accumulated scan error.
@@ -136,7 +136,7 @@ use crate::PointId;
 use simd::KernelBackend;
 
 /// Chunk length of the parallel relax scan
-/// ([`crate::MetricSpace::relax_max`]): big enough to amortise a spawn,
+/// ([`crate::VecSpace::relax_max`]): big enough to amortise a spawn,
 /// small enough to balance across cores on million-point inputs.
 pub const PAR_CHUNK: usize = 1 << 14;
 
@@ -258,7 +258,7 @@ pub fn relax_nearest<S: Scalar>(
 /// returns the position and value of the maximum updated entry (ties toward
 /// the smaller index) — one Gonzalez iteration in a single memory pass.
 /// This is the kernel behind `Distance::relax_rows_max` for the Euclidean
-/// metric; [`crate::MetricSpace::relax_max`] chunks over it when it runs
+/// metric; [`crate::VecSpace::relax_max`] chunks over it when it runs
 /// in parallel.
 ///
 /// The scalar and portable paths walk `nearest` four slots at a time
@@ -428,7 +428,7 @@ pub(crate) fn relax_ids<S: Scalar>(
 /// `candidates[i]` of `coords`, ties toward the smaller position (strict
 /// `<`); `(0, +inf)` when `candidates` is empty.  This is the kernel
 /// behind `Distance::nearest_ids` for the Euclidean metric, i.e.
-/// [`crate::MetricSpace::nearest`].
+/// [`crate::VecSpace::nearest`].
 pub fn nearest_ids<S: Scalar>(
     coords: &[S],
     dim: usize,
@@ -471,7 +471,7 @@ pub fn nearest_ids_with<S: Scalar>(
 /// [`dist2_wide`]'s summation order, so every pair keeps its bits; no
 /// backend is consulted.  This is the kernel behind
 /// `Distance::wide_nearest_ids` for the Euclidean metric, i.e.
-/// [`crate::MetricSpace::wide_cmp_distance_to_set_bounded`].
+/// [`crate::VecSpace::wide_cmp_distance_to_set_bounded`].
 pub fn wide_nearest_ids<S: Scalar>(
     coords: &[S],
     dim: usize,

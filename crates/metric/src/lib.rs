@@ -28,10 +28,10 @@
 //!   width-pinned AVX2+FMA / portable-lane backends behind a runtime
 //!   dispatch table (`KCENTER_KERNEL`, the `simd` cargo feature; see
 //!   *Kernel dispatch* below).
-//! * [`MetricSpace`] — the trait the clustering algorithms are written
-//!   against, and [`VecSpace`], its on-demand implementation (generic over
-//!   the storage scalar).  [`MetricSpace::relax_max`] is the Gonzalez
-//!   relax step, sequential or chunked over rayon.
+//! * [`VecSpace`] — the one metric space the clustering algorithms run
+//!   on: a [`FlatPoints`] store plus a [`Distance`], evaluated on demand
+//!   (generic over both).  [`VecSpace::relax_max`] is the Gonzalez relax
+//!   step, sequential or chunked over rayon.
 //! * [`BoundingBox`] and diameter estimation utilities.
 //! * [`lower_bound`] — simple instance lower bounds used to sanity-check
 //!   approximation factors in tests.
@@ -54,8 +54,10 @@
 //!    with one [`Distance::surrogate_to_distance`] call — one `sqrt` per
 //!    selected center rather than one per point-center pair.
 //!
-//! `bench_flat` in `kcenter-bench` measures the combined effect against the
-//! old pointer-chasing layout (see `BENCH_flat.json` at the workspace root).
+//! `bench_flat` in `kcenter-bench` times that scan at `f64` and `f32`
+//! storage, sequential and chunked-parallel, under the scalar and the
+//! dispatched kernels; `flat_report` writes the same rows to
+//! `BENCH_flat.json` at the workspace root.
 //!
 //! # Storage precision
 //!
@@ -111,7 +113,7 @@ pub mod point;
 pub mod scalar;
 pub mod space;
 
-pub use bbox::{BoundingBox, DimensionMismatch};
+pub use bbox::BoundingBox;
 pub use distance::{Distance, Euclidean, Manhattan, SquaredEuclidean};
 pub use flat::FlatPoints;
 pub use grid::{AssignChoice, AssignMode, AssignSelectError, GridRelaxer, SpatialGrid, ASSIGN_ENV};
@@ -119,7 +121,7 @@ pub use kernel::simd::{KernelBackend, KernelChoice, KernelSelectError, KERNEL_EN
 pub use lower_bound::{pairwise_lower_bound, scaled_diameter_lower_bound};
 pub use point::Point;
 pub use scalar::{Precision, Scalar};
-pub use space::{MetricSpace, VecSpace};
+pub use space::VecSpace;
 
 /// Index of a point inside a data set / metric space.
 ///

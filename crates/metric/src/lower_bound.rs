@@ -13,14 +13,19 @@
 //! Gonzalez's own output provides such a witness: the `k + 1` chosen centers
 //! plus the final farthest point are pairwise separated by the final radius.
 
-use crate::space::MetricSpace;
+use crate::distance::Distance;
+use crate::scalar::Scalar;
+use crate::space::VecSpace;
 use crate::PointId;
 
 /// Lower bound from an explicit witness set of `k + 1` mutually far points:
 /// returns `min_{a != b in witness} d(a, b) / 2`.
 ///
 /// Returns `0.0` if the witness has fewer than two points.
-pub fn pairwise_lower_bound<S: MetricSpace + ?Sized>(space: &S, witness: &[PointId]) -> f64 {
+pub fn pairwise_lower_bound<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
+    witness: &[PointId],
+) -> f64 {
     if witness.len() < 2 {
         return 0.0;
     }
@@ -40,7 +45,7 @@ pub fn pairwise_lower_bound<S: MetricSpace + ?Sized>(space: &S, witness: &[Point
             }
         }
     }
-    space.wide_cmp_to_distance(min) / 2.0
+    space.metric().wide_surrogate_to_distance(min) / 2.0
 }
 
 /// A crude lower bound valid for any instance: `diameter / (2 * k)` would be
@@ -50,7 +55,10 @@ pub fn pairwise_lower_bound<S: MetricSpace + ?Sized>(space: &S, witness: &[Point
 /// metrics.  We therefore only expose the safe `k = 1` case and otherwise
 /// fall back to zero; the function exists so callers can treat the `k = 1`
 /// case uniformly.
-pub fn scaled_diameter_lower_bound<S: MetricSpace + ?Sized>(space: &S, k: usize) -> f64 {
+pub fn scaled_diameter_lower_bound<D: Distance, S: Scalar>(
+    space: &VecSpace<D, S>,
+    k: usize,
+) -> f64 {
     if k != 1 || space.len() < 2 {
         return 0.0;
     }
@@ -62,14 +70,13 @@ pub fn scaled_diameter_lower_bound<S: MetricSpace + ?Sized>(space: &S, k: usize)
     let far = (1..n)
         .map(|t| space.wide_cmp_distance(0, t))
         .fold(0.0, f64::max);
-    space.wide_cmp_to_distance(far) / 2.0
+    space.metric().wide_surrogate_to_distance(far) / 2.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::point::Point;
-    use crate::space::VecSpace;
 
     fn line(n: usize) -> VecSpace {
         VecSpace::new((0..n).map(|i| Point::xy(i as f64, 0.0)).collect())

@@ -71,11 +71,6 @@ impl Point {
         &self.coords
     }
 
-    /// Consumes the point, returning the raw coordinate vector.
-    pub fn into_coords(self) -> Vec<f64> {
-        self.coords
-    }
-
     /// Euclidean norm of the point viewed as a vector.
     pub fn norm(&self) -> f64 {
         self.coords.iter().map(|c| c * c).sum::<f64>().sqrt()

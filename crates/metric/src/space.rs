@@ -1,32 +1,34 @@
-//! Metric spaces: a point collection plus a distance.
+//! The metric space: a point collection plus a distance.
 //!
 //! The clustering algorithms address points by [`PointId`] and only ever ask
-//! the space for distances between indexed points.  [`VecSpace`] is the one
-//! concrete space: it computes distances on demand from coordinates held in
-//! a contiguous [`FlatPoints`] store — the representation the paper uses
-//! for its experiments, because shipping a full `n × n` matrix between
+//! the space for distances between indexed points.  [`VecSpace`] is that
+//! space: it computes distances on demand from coordinates held in a
+//! contiguous [`FlatPoints`] store — the representation the paper uses for
+//! its experiments, because shipping a full `n × n` matrix between
 //! simulated machines would be wasteful (Section 7.3).  It is generic over
-//! the storage [`Scalar`] (`VecSpace<Euclidean, f32>` halves the scan
-//! bandwidth).  The solvers take one `S: MetricSpace` parameter instead of
-//! naming `VecSpace`'s two.
+//! the [`Distance`] and the storage [`Scalar`] (`VecSpace<Euclidean, f32>`
+//! halves the scan bandwidth), and every solver, evaluator and grid takes a
+//! `&VecSpace<D, S>`.
 //!
 //! # Comparison space and certification space
 //!
 //! The hot scans (farthest-point selection, nearest-center relaxation) only
-//! compare distances, so the trait exposes them in *comparison space*:
-//! [`MetricSpace::cmp_distance`] returns an order-equivalent surrogate of
-//! type [`MetricSpace::Cmp`] — the storage scalar, so an `f32` space runs
-//! these scans entirely in `f32` (squared Euclidean, no `sqrt` per pair) —
-//! and [`MetricSpace::cmp_to_distance`] converts a final winner back to a
-//! real distance.  [`MetricSpace::relax_max`] is the one Gonzalez relax
-//! step, over the whole space or a subset, sequential or chunked-parallel,
-//! and [`MetricSpace::nearest`] the one nearest-candidate scan (the
-//! assignment argmin).
+//! compare distances, so they run in *comparison space*:
+//! [`VecSpace::cmp_distance`] returns an order-equivalent surrogate of the
+//! storage scalar `S`, so an `f32` space runs these scans entirely in `f32`
+//! (squared Euclidean, no `sqrt` per pair), and the metric's
+//! [`Distance::surrogate_to_distance`] converts a final winner back to a
+//! real distance.  [`VecSpace::relax_max`] is the one Gonzalez relax step,
+//! over the whole space or a subset, sequential or chunked-parallel, and
+//! [`VecSpace::nearest`] the one nearest-candidate scan (the assignment
+//! argmin).
 //!
 //! Evaluation is different: a covering radius is a *reported* number, so
 //! the verifiers use the `wide_cmp_*` family instead, which is also
-//! order-equivalent but accumulated in `f64` from the stored rows.  Every
-//! real-distance query (`distance`, `distance_to_set`, …) and every
+//! order-equivalent but accumulated in `f64` from the stored rows, and
+//! convert with [`Distance::wide_surrogate_to_distance`] /
+//! [`Distance::distance_to_wide_surrogate`].  Every real-distance query
+//! ([`VecSpace::distance`], [`VecSpace::distance_to_set`]) and every
 //! `wide_cmp_*` scan is therefore exact `f64` arithmetic at any storage
 //! precision; only the comparison-space selection scans run narrow.
 
@@ -39,173 +41,24 @@ use crate::PointId;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// A finite metric space addressable by point index, backed by coordinate
-/// rows.
-pub trait MetricSpace: Send + Sync {
-    /// The comparison-space scalar: the type the selection scans run in
-    /// (the storage scalar of [`VecSpace`]).
-    type Cmp: Scalar;
-
-    /// Number of points in the space.
-    fn len(&self) -> usize;
-
-    /// Whether the space contains no points.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Distance between the points with indices `a` and `b` (exact: `f64`
-    /// accumulation regardless of the storage precision).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of bounds.
-    fn distance(&self, a: PointId, b: PointId) -> f64;
-
-    /// Name of the underlying distance function (for reports).
-    fn distance_name(&self) -> &'static str;
-
-    /// Whether the underlying distance satisfies the metric axioms.
-    fn is_metric(&self) -> bool;
-
-    /// Storage-precision name (`"f32"` / `"f64"`); experiment reports
-    /// record it next to the seed.
-    fn precision_name(&self) -> &'static str {
-        <Self::Cmp as Scalar>::NAME
-    }
-
-    /// The coordinate row of point `id` in the comparison scalar.  The
-    /// spatial grid (`crate::grid`) builds its geometry from these rows.
-    fn coord_row(&self, id: PointId) -> &[Self::Cmp];
-
-    /// Whether the spatial grid's axis-aligned box distance is a valid
-    /// lower bound for this space's comparison surrogates, i.e. the
-    /// surrogate is squared Euclidean
-    /// ([`crate::distance::Distance::supports_grid`]).
-    fn grid_compatible(&self) -> bool;
-
-    /// Minimum distance from point `from` to any point in `to`.
-    ///
-    /// Returns `f64::INFINITY` when `to` is empty (no center yet covers the
-    /// point), mirroring the convention used by Gonzalez-style algorithms.
-    fn distance_to_set(&self, from: PointId, to: &[PointId]) -> f64 {
-        // Scan in certification (f64-wide surrogate) space, convert the
-        // winner once — exact at any storage precision, one sqrt total.
-        self.wide_cmp_to_distance(self.wide_cmp_distance_to_set(from, to))
-    }
-
-    /// Like [`MetricSpace::distance_to_set`], but stops scanning `to` as
-    /// soon as the running minimum drops to `stop_below` or less.
-    ///
-    /// The returned value is an upper bound on the true minimum and is exact
-    /// whenever it exceeds `stop_below`.  Coverage checks ("is every point
-    /// within radius `r`?") and max-of-min scans only need that much, and
-    /// the early exit skips most of the center list once a nearby center has
-    /// been seen.
-    fn distance_to_set_bounded(&self, from: PointId, to: &[PointId], stop_below: f64) -> f64 {
-        // Distances are non-negative, so a negative threshold can never be
-        // reached — and mapping it through e.g. `d*d` would flip its sign.
-        let wide_stop = if stop_below < 0.0 {
-            f64::NEG_INFINITY
-        } else {
-            self.distance_to_wide_cmp(stop_below)
-        };
-        let wide = self.wide_cmp_distance_to_set_bounded(from, to, wide_stop);
-        self.wide_cmp_to_distance(wide)
-    }
-
-    /// Comparison-space distance between two points: order-equivalent to
-    /// [`MetricSpace::distance`] but cheaper (squared Euclidean at storage
-    /// precision).
-    fn cmp_distance(&self, a: PointId, b: PointId) -> Self::Cmp;
-
-    /// Converts a comparison-space value back to a real distance.
-    fn cmp_to_distance(&self, c: Self::Cmp) -> f64;
-
-    /// Converts a real distance into comparison space (the inverse of
-    /// [`MetricSpace::cmp_to_distance`] on non-negative values, up to `Cmp`
-    /// rounding).
-    fn distance_to_cmp(&self, d: f64) -> Self::Cmp;
-
-    /// Certification-space distance: order-equivalent to the distance (like
-    /// `cmp_distance`) but always an `f64` accumulated from the stored rows.
-    /// The covering-radius and coverage verifiers scan on this so that
-    /// reported quality numbers are exact at any storage precision.
-    fn wide_cmp_distance(&self, a: PointId, b: PointId) -> f64;
-
-    /// Converts a certification-space value back to a real distance.
-    fn wide_cmp_to_distance(&self, w: f64) -> f64;
-
-    /// Converts a real distance into certification space (the inverse of
-    /// [`MetricSpace::wide_cmp_to_distance`] on non-negative values).
-    fn distance_to_wide_cmp(&self, d: f64) -> f64;
-
-    /// Certification-space [`MetricSpace::distance_to_set`]: the bounded
-    /// scan that never stops early.
-    fn wide_cmp_distance_to_set(&self, from: PointId, to: &[PointId]) -> f64 {
-        self.wide_cmp_distance_to_set_bounded(from, to, f64::NEG_INFINITY)
-    }
-
-    /// Certification-space [`MetricSpace::distance_to_set_bounded`]: one
-    /// fused scan over `to` (`crate::kernel::wide_nearest_ids` for Euclidean
-    /// spaces).
-    fn wide_cmp_distance_to_set_bounded(
-        &self,
-        from: PointId,
-        to: &[PointId],
-        stop_below: f64,
-    ) -> f64;
-
-    /// The comparison-space nearest of `candidates` to point `p`: the
-    /// position (into `candidates`) and value of the minimum
-    /// [`MetricSpace::cmp_distance`], ties toward the smaller position;
-    /// `(0, +inf)` when `candidates` is empty.  One fused scan
-    /// (`crate::kernel::nearest_ids` for Euclidean spaces) with the
-    /// per-pair values of `cmp_distance`, so the result is bit-identical to
-    /// the pair-by-pair argmin.
-    fn nearest(&self, p: PointId, candidates: &[PointId]) -> (usize, Self::Cmp);
-
-    /// One fused Gonzalez iteration in comparison space: lowers
-    /// `nearest[i]` to `min(nearest[i], cmp_distance(p_i, center))` and
-    /// returns the position (into `nearest`) and value of the maximum
-    /// updated entry, ties toward the smaller position; `(0, -inf)` when
-    /// `nearest` is empty.
-    ///
-    /// `p_i` is point `i` when `subset` is `None` (the whole space, streamed
-    /// row by row with no index indirection) and `subset[i]` otherwise; an
-    /// identity subset `0..len` takes the whole-space path.  With
-    /// `parallel`, scans of at least [`kernel::PAR_CUTOFF`] points fork
-    /// into [`kernel::PAR_CHUNK`]-point chunks whose winners combine in
-    /// index order, so the result is bit-identical to the sequential scan.
-    /// The MapReduce reducers pass `false`: their machines already run in
-    /// parallel, and their sequential time is the simulated cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nearest` is not as long as the subset (or the space).
-    fn relax_max(
-        &self,
-        subset: Option<&[PointId]>,
-        center: PointId,
-        nearest: &mut [Self::Cmp],
-        parallel: bool,
-    ) -> (usize, Self::Cmp);
-}
-
 /// Whether `subset` is exactly the identity `0..n` — the full-space case
 /// the row-streaming kernels exploit (no index indirection).
 pub fn is_identity_subset(subset: &[PointId], n: usize) -> bool {
     subset.len() == n && subset.iter().enumerate().all(|(i, &p)| i == p)
 }
 
-/// A metric space backed by a contiguous [`FlatPoints`] store and a distance
-/// function evaluated on demand over coordinate rows.
+/// A finite metric space backed by a contiguous [`FlatPoints`] store and a
+/// distance function evaluated on demand over coordinate rows.
 ///
 /// The second type parameter is the storage [`Scalar`]: `VecSpace<Euclidean>`
 /// (i.e. `VecSpace<Euclidean, f64>`) is the exact reproduction mode, and
 /// `VecSpace<Euclidean, f32>` halves the memory traffic of every
 /// comparison-space scan while the `wide_cmp_*` certification scans keep the
 /// reported quality numbers exact (see the module docs).
+///
+/// Properties of the distance itself (its name, whether it is a metric,
+/// whether the spatial grid may serve it, the surrogate conversions) are
+/// read from [`VecSpace::metric`]; the storage precision is `S::NAME`.
 ///
 /// Cloning a `VecSpace` is cheap: the point storage is shared through an
 /// [`Arc`], which is exactly what the simulated MapReduce machines need
@@ -227,6 +80,16 @@ impl<D: Distance, S: Scalar> VecSpace<D, S> {
         }
     }
 
+    /// Number of points in the space.
+    pub fn len(&self) -> usize {
+        self.points.len()
+    }
+
+    /// Whether the space contains no points.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
     /// The coordinate dimension of the points, or `None` if the space is
     /// empty.
     pub fn dim(&self) -> Option<usize> {
@@ -242,7 +105,9 @@ impl<D: Distance, S: Scalar> VecSpace<D, S> {
         &self.points
     }
 
-    /// The coordinate row of the point with index `id`.
+    /// The coordinate row of the point with index `id`, in the storage
+    /// scalar.  The spatial grid (`crate::grid`) builds its geometry from
+    /// these rows.
     #[inline]
     pub fn row(&self, id: PointId) -> &[S] {
         self.points.row(id)
@@ -266,10 +131,143 @@ impl<D: Distance, S: Scalar> VecSpace<D, S> {
         &self.dist
     }
 
-    /// Distance between two explicit points (not necessarily members of the
-    /// space); computed on their own `f64` coordinates.
-    pub fn point_distance(&self, a: &Point, b: &Point) -> f64 {
-        self.dist.distance(a, b)
+    /// Distance between the points with indices `a` and `b` (exact: `f64`
+    /// accumulation regardless of the storage precision).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of bounds.
+    #[inline]
+    pub fn distance(&self, a: PointId, b: PointId) -> f64 {
+        self.dist.distance_slices(self.row(a), self.row(b))
+    }
+
+    /// Minimum distance from point `from` to any point in `to`.
+    ///
+    /// Returns `f64::INFINITY` when `to` is empty (no center yet covers the
+    /// point), mirroring the convention used by Gonzalez-style algorithms.
+    pub fn distance_to_set(&self, from: PointId, to: &[PointId]) -> f64 {
+        // Scan in certification (f64-wide surrogate) space, convert the
+        // winner once — exact at any storage precision, one sqrt total.
+        self.dist
+            .wide_surrogate_to_distance(self.wide_cmp_distance_to_set(from, to))
+    }
+
+    /// Comparison-space distance between two points: order-equivalent to
+    /// [`VecSpace::distance`] but cheaper (squared Euclidean at storage
+    /// precision).
+    #[inline]
+    pub fn cmp_distance(&self, a: PointId, b: PointId) -> S {
+        self.dist.surrogate(self.row(a), self.row(b))
+    }
+
+    /// Certification-space distance: order-equivalent to the distance (like
+    /// `cmp_distance`) but always an `f64` accumulated from the stored rows.
+    /// The covering-radius and coverage verifiers scan on this so that
+    /// reported quality numbers are exact at any storage precision.
+    #[inline]
+    pub fn wide_cmp_distance(&self, a: PointId, b: PointId) -> f64 {
+        self.dist.wide_surrogate(self.row(a), self.row(b))
+    }
+
+    /// Certification-space minimum from point `from` to the points `to`
+    /// (`+inf` when `to` is empty): the bounded scan that never stops
+    /// early.
+    pub fn wide_cmp_distance_to_set(&self, from: PointId, to: &[PointId]) -> f64 {
+        self.wide_cmp_distance_to_set_bounded(from, to, f64::NEG_INFINITY)
+    }
+
+    /// Like [`VecSpace::wide_cmp_distance_to_set`], but stops scanning `to`
+    /// as soon as the running minimum drops to `stop_below` or less: one
+    /// fused scan (`crate::kernel::wide_nearest_ids` for Euclidean spaces).
+    ///
+    /// The returned value is an upper bound on the true minimum and is exact
+    /// whenever it exceeds `stop_below`.  Coverage checks ("is every point
+    /// within radius `r`?") and max-of-min scans only need that much, and
+    /// the early exit skips most of the center list once a nearby center has
+    /// been seen.
+    pub fn wide_cmp_distance_to_set_bounded(
+        &self,
+        from: PointId,
+        to: &[PointId],
+        stop_below: f64,
+    ) -> f64 {
+        let flat = &*self.points;
+        self.dist
+            .wide_nearest_ids(flat.coords(), flat.dim(), to, flat.row(from), stop_below)
+    }
+
+    /// The comparison-space nearest of `candidates` to point `p`: the
+    /// position (into `candidates`) and value of the minimum
+    /// [`VecSpace::cmp_distance`], ties toward the smaller position;
+    /// `(0, +inf)` when `candidates` is empty.  One fused scan
+    /// (`crate::kernel::nearest_ids` for Euclidean spaces) with the
+    /// per-pair values of `cmp_distance`, so the result is bit-identical to
+    /// the pair-by-pair argmin.
+    pub fn nearest(&self, p: PointId, candidates: &[PointId]) -> (usize, S) {
+        let flat = &*self.points;
+        self.dist
+            .nearest_ids(flat.coords(), flat.dim(), candidates, flat.row(p))
+    }
+
+    /// One fused Gonzalez iteration in comparison space: lowers
+    /// `nearest[i]` to `min(nearest[i], cmp_distance(p_i, center))` and
+    /// returns the position (into `nearest`) and value of the maximum
+    /// updated entry, ties toward the smaller position; `(0, -inf)` when
+    /// `nearest` is empty.
+    ///
+    /// `p_i` is point `i` when `subset` is `None` (the whole space, streamed
+    /// row by row with no index indirection) and `subset[i]` otherwise; an
+    /// identity subset `0..len` takes the whole-space path.  With
+    /// `parallel`, scans of at least [`kernel::PAR_CUTOFF`] points fork
+    /// into [`kernel::PAR_CHUNK`]-point chunks whose winners combine in
+    /// index order, so the result is bit-identical to the sequential scan.
+    /// The MapReduce reducers pass `false`: their machines already run in
+    /// parallel, and their sequential time is the simulated cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nearest` is not as long as the subset (or the space).
+    pub fn relax_max(
+        &self,
+        subset: Option<&[PointId]>,
+        center: PointId,
+        nearest: &mut [S],
+        parallel: bool,
+    ) -> (usize, S) {
+        let flat = &*self.points;
+        let subset = subset.filter(|ids| !is_identity_subset(ids, flat.len()));
+        assert_eq!(
+            subset.map_or(flat.len(), <[PointId]>::len),
+            nearest.len(),
+            "subset/nearest length mismatch"
+        );
+        let (coords, dim) = (flat.coords(), flat.dim());
+        let center_row = flat.row(center);
+        // Relaxes the `near.len()` slots starting at position `offset`.
+        let scan = |offset: usize, near: &mut [S]| match subset {
+            None => {
+                let rows = &coords[offset * dim..(offset + near.len()) * dim];
+                self.dist.relax_rows_max(rows, dim, center_row, near)
+            }
+            Some(ids) => {
+                let ids = &ids[offset..offset + near.len()];
+                self.dist.relax_ids_max(coords, dim, ids, center_row, near)
+            }
+        };
+        if !parallel || nearest.len() < kernel::PAR_CUTOFF {
+            return scan(0, nearest);
+        }
+        const CHUNK: usize = kernel::PAR_CHUNK;
+        nearest
+            .par_chunks_mut(CHUNK)
+            .enumerate()
+            .map(|(chunk_idx, near_chunk)| {
+                let (pos, v) = scan(chunk_idx * CHUNK, near_chunk);
+                (chunk_idx * CHUNK + pos, v)
+            })
+            .reduce_with(|a, b| if b.1 > a.1 { b } else { a })
+            .unwrap_or((0, S::NEG_INFINITY))
     }
 }
 
@@ -317,127 +315,6 @@ impl<S: Scalar> VecSpace<Euclidean, S> {
     }
 }
 
-impl<D: Distance, S: Scalar> MetricSpace for VecSpace<D, S> {
-    type Cmp = S;
-
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    #[inline]
-    fn distance(&self, a: PointId, b: PointId) -> f64 {
-        self.dist
-            .distance_slices(self.points.row(a), self.points.row(b))
-    }
-
-    fn distance_name(&self) -> &'static str {
-        self.dist.name()
-    }
-
-    fn is_metric(&self) -> bool {
-        self.dist.is_metric()
-    }
-
-    #[inline]
-    fn coord_row(&self, id: PointId) -> &[S] {
-        self.points.row(id)
-    }
-
-    fn grid_compatible(&self) -> bool {
-        self.dist.supports_grid()
-    }
-
-    #[inline]
-    fn cmp_distance(&self, a: PointId, b: PointId) -> S {
-        self.dist.surrogate(self.points.row(a), self.points.row(b))
-    }
-
-    #[inline]
-    fn cmp_to_distance(&self, c: S) -> f64 {
-        self.dist.surrogate_to_distance(c)
-    }
-
-    #[inline]
-    fn distance_to_cmp(&self, d: f64) -> S {
-        self.dist.distance_to_surrogate(d)
-    }
-
-    #[inline]
-    fn wide_cmp_distance(&self, a: PointId, b: PointId) -> f64 {
-        self.dist
-            .wide_surrogate(self.points.row(a), self.points.row(b))
-    }
-
-    #[inline]
-    fn wide_cmp_to_distance(&self, w: f64) -> f64 {
-        self.dist.wide_surrogate_to_distance(w)
-    }
-
-    #[inline]
-    fn distance_to_wide_cmp(&self, d: f64) -> f64 {
-        self.dist.distance_to_wide_surrogate(d)
-    }
-
-    fn wide_cmp_distance_to_set_bounded(
-        &self,
-        from: PointId,
-        to: &[PointId],
-        stop_below: f64,
-    ) -> f64 {
-        let flat = &*self.points;
-        self.dist
-            .wide_nearest_ids(flat.coords(), flat.dim(), to, flat.row(from), stop_below)
-    }
-
-    fn nearest(&self, p: PointId, candidates: &[PointId]) -> (usize, S) {
-        let flat = &*self.points;
-        self.dist
-            .nearest_ids(flat.coords(), flat.dim(), candidates, flat.row(p))
-    }
-
-    fn relax_max(
-        &self,
-        subset: Option<&[PointId]>,
-        center: PointId,
-        nearest: &mut [S],
-        parallel: bool,
-    ) -> (usize, S) {
-        let flat = &*self.points;
-        let subset = subset.filter(|ids| !is_identity_subset(ids, flat.len()));
-        assert_eq!(
-            subset.map_or(flat.len(), <[PointId]>::len),
-            nearest.len(),
-            "subset/nearest length mismatch"
-        );
-        let (coords, dim) = (flat.coords(), flat.dim());
-        let center_row = flat.row(center);
-        // Relaxes the `near.len()` slots starting at position `offset`.
-        let scan = |offset: usize, near: &mut [S]| match subset {
-            None => {
-                let rows = &coords[offset * dim..(offset + near.len()) * dim];
-                self.dist.relax_rows_max(rows, dim, center_row, near)
-            }
-            Some(ids) => {
-                let ids = &ids[offset..offset + near.len()];
-                self.dist.relax_ids_max(coords, dim, ids, center_row, near)
-            }
-        };
-        if !parallel || nearest.len() < kernel::PAR_CUTOFF {
-            return scan(0, nearest);
-        }
-        const CHUNK: usize = kernel::PAR_CHUNK;
-        nearest
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .map(|(chunk_idx, near_chunk)| {
-                let (pos, v) = scan(chunk_idx * CHUNK, near_chunk);
-                (chunk_idx * CHUNK + pos, v)
-            })
-            .reduce_with(|a, b| if b.1 > a.1 { b } else { a })
-            .unwrap_or((0, S::NEG_INFINITY))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,16 +336,14 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.dim(), Some(2));
         assert!((s.distance(0, 3) - 2f64.sqrt()).abs() < 1e-12);
-        assert_eq!(s.distance_name(), "euclidean");
-        assert_eq!(s.precision_name(), "f64");
-        assert!(s.is_metric());
+        assert_eq!(s.metric().name(), "euclidean");
+        assert!(s.metric().is_metric());
     }
 
     #[test]
     fn f32_space_runs_cmp_scans_in_f32_and_certifies_in_f64() {
         let s: VecSpace<Euclidean, f32> =
             VecSpace::from_flat(FlatPoints::<f32>::from_points(&square()));
-        assert_eq!(s.precision_name(), "f32");
         // Comparison space is f32 (the storage scalar).
         let c: f32 = s.cmp_distance(0, 3);
         assert_eq!(c, 2.0f32);
@@ -482,7 +357,7 @@ mod tests {
     fn vecspace_with_alternative_distance() {
         let s = VecSpace::with_distance(square(), Manhattan);
         assert!((s.distance(0, 3) - 2.0).abs() < 1e-12);
-        assert_eq!(s.distance_name(), "manhattan");
+        assert_eq!(s.metric().name(), "manhattan");
     }
 
     #[test]
@@ -519,11 +394,14 @@ mod tests {
     #[test]
     fn bounded_distance_to_set_is_exact_above_threshold() {
         let s = VecSpace::new(square());
-        let exact = s.distance_to_set(3, &[0, 1, 2]);
+        let exact = s.wide_cmp_distance_to_set(3, &[0, 1, 2]);
         // Threshold below the true minimum: no early exit, exact result.
-        assert_eq!(s.distance_to_set_bounded(3, &[0, 1, 2], 0.5), exact);
+        assert_eq!(
+            s.wide_cmp_distance_to_set_bounded(3, &[0, 1, 2], 0.5),
+            exact
+        );
         // Generous threshold: may stop early but never understates.
-        assert!(s.distance_to_set_bounded(3, &[0, 1, 2], 10.0) >= exact);
+        assert!(s.wide_cmp_distance_to_set_bounded(3, &[0, 1, 2], 10.0) >= exact);
     }
 
     #[test]
@@ -531,10 +409,10 @@ mod tests {
         let s = VecSpace::new(square());
         let cmp = s.cmp_distance(0, 3);
         assert!((cmp - 2.0).abs() < 1e-12, "squared surrogate expected");
-        assert!((s.cmp_to_distance(cmp) - 2f64.sqrt()).abs() < 1e-12);
-        assert!((s.distance_to_cmp(2f64.sqrt()) - 2.0).abs() < 1e-12);
+        let m = s.metric();
+        assert!((m.surrogate_to_distance(cmp) - 2f64.sqrt()).abs() < 1e-12);
         assert_eq!(
-            s.cmp_to_distance(s.cmp_distance(3, 1)),
+            m.surrogate_to_distance(s.cmp_distance(3, 1)),
             s.distance_to_set(3, &[0, 1])
         );
     }
@@ -545,10 +423,14 @@ mod tests {
             VecSpace::from_flat(FlatPoints::<f32>::from_points(&square()));
         let w = s.wide_cmp_distance(0, 3);
         assert_eq!(w, 2.0);
-        assert_eq!(s.wide_cmp_to_distance(w), 2f64.sqrt());
-        assert_eq!(s.distance_to_wide_cmp(2f64.sqrt()), 2.0000000000000004);
+        let m = s.metric();
+        assert_eq!(m.wide_surrogate_to_distance(w), 2f64.sqrt());
         assert_eq!(
-            s.wide_cmp_to_distance(s.wide_cmp_distance_to_set(3, &[0, 1])),
+            m.distance_to_wide_surrogate(2f64.sqrt()),
+            2.0000000000000004
+        );
+        assert_eq!(
+            m.wide_surrogate_to_distance(s.wide_cmp_distance_to_set(3, &[0, 1])),
             s.distance_to_set(3, &[0, 1])
         );
     }

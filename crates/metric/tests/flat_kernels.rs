@@ -5,8 +5,7 @@
 
 use kcenter_metric::kernel::{argmax, dist2, relax_nearest, PAR_CUTOFF};
 use kcenter_metric::{
-    Distance, Euclidean, FlatPoints, Manhattan, MetricSpace, Point, Scalar, SquaredEuclidean,
-    VecSpace,
+    Distance, Euclidean, FlatPoints, Manhattan, Point, Scalar, SquaredEuclidean, VecSpace,
 };
 use proptest::prelude::*;
 
@@ -94,11 +93,6 @@ proptest! {
                     close(m.wide_surrogate_to_distance(w), d),
                     "{}: wide surrogate {} does not round-trip to {}", m.name(), w, d
                 );
-                let back: f64 = m.distance_to_surrogate(d);
-                prop_assert!(
-                    close(m.surrogate_to_distance(back), d),
-                    "{}: distance_to_surrogate is not inverse", m.name()
-                );
             }};
         }
         check!(Euclidean);
@@ -132,15 +126,17 @@ proptest! {
                 .iter()
                 .map(|&c| space.cmp_distance(p, c))
                 .fold(f64::INFINITY, f64::min);
-            let via_cmp = space.cmp_to_distance(nearest_cmp);
+            let m = space.metric();
+            let via_cmp = m.surrogate_to_distance(nearest_cmp);
             let direct = centers
                 .iter()
                 .map(|&c| space.distance(p, c))
                 .fold(f64::INFINITY, f64::min);
             prop_assert!(close(via_cmp, direct));
             // Early exit below the true minimum returns the exact minimum.
-            let bounded = space.distance_to_set_bounded(p, &centers, direct * 0.5 - 1.0);
-            prop_assert!(close(bounded, direct));
+            let stop = m.distance_to_wide_surrogate(direct * 0.5);
+            let bounded = space.wide_cmp_distance_to_set_bounded(p, &centers, stop);
+            prop_assert!(close(m.wide_surrogate_to_distance(bounded), direct));
         }
     }
 

@@ -11,10 +11,7 @@
 use kcenter::prelude::*;
 
 fn report(space: &VecSpace, family: &str, k_values: &[usize]) {
-    println!(
-        "\n=== {family} (n = {}) ===",
-        kcenter_metric::MetricSpace::len(space)
-    );
+    println!("\n=== {family} (n = {}) ===", space.len());
     println!("{:>6} {:>14} {:>14} {:>14}", "k", "MRG", "EIM", "GON");
     for &k in k_values {
         let mrg = MrgConfig::new(k)

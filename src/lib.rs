@@ -50,6 +50,6 @@ pub mod prelude {
     pub use kcenter_mapreduce::{Cluster, ClusterConfig, Executor, JobStats};
     pub use kcenter_metric::{
         AssignChoice, AssignMode, Distance, Euclidean, FlatPoints, KernelBackend, KernelChoice,
-        MetricSpace, Point, PointId, Precision, Scalar, VecSpace,
+        Point, PointId, Precision, Scalar, VecSpace,
     };
 }
