@@ -76,9 +76,7 @@ use kcenter_core::hash::Fnv;
 use kcenter_core::outliers::evaluate_with_outliers;
 use kcenter_core::prelude::*;
 use kcenter_data::{DatasetSpec, FamilyParams, SpecParam};
-use kcenter_mapreduce::{
-    install_thread_budget, Executor, ExecutorChoice, FaultConfig, FaultPlan, FaultPolicy,
-};
+use kcenter_mapreduce::{install_thread_budget, Executor, ExecutorChoice, FaultConfig, FaultPlan};
 use kcenter_metric::grid::{self, AssignChoice};
 use kcenter_metric::kernel::simd;
 use kcenter_metric::{
@@ -726,7 +724,7 @@ impl FaultSpec {
             FaultSpec::None => None,
             FaultSpec::Seeded { seed, degrade } => Some(
                 FaultConfig::new(FaultPlan::seeded(seed))
-                    .with_policy(FaultPolicy::with_max_attempts(max_attempts))
+                    .with_max_attempts(max_attempts)
                     .with_degrade(degrade),
             ),
         }
@@ -920,10 +918,10 @@ impl ScenarioSpec {
         }
         let seed = opt_u64(doc, "seed", 42)?;
         let machines = opt_usize(doc, "machines", 8)?;
-        let threads = opt_usize(doc, "threads", 2)?.max(1);
+        let threads = opt_positive(doc, "threads", 2)?;
         let epsilon = opt_f64(doc, "epsilon", 0.1)?;
         let phi = opt_f64(doc, "phi", 8.0)?;
-        let max_attempts = opt_usize(doc, "max_attempts", 64)?.max(1);
+        let max_attempts = opt_positive(doc, "max_attempts", 64)?;
 
         let grid = doc
             .get("grid")
@@ -1109,6 +1107,14 @@ fn opt_usize(doc: &Value, key: &str, default: usize) -> Result<usize, ScenarioEr
     Ok(maybe_usize(doc, key)?.unwrap_or(default))
 }
 
+/// An optional count that must be at least 1 when given.
+fn opt_positive(doc: &Value, key: &str, default: usize) -> Result<usize, ScenarioError> {
+    match opt_usize(doc, key, default)? {
+        0 => Err(invalid(key, 0, "a positive integer")),
+        n => Ok(n),
+    }
+}
+
 fn maybe_usize(doc: &Value, key: &str) -> Result<Option<usize>, ScenarioError> {
     doc.get(key)
         .map(|v| {
@@ -1182,8 +1188,8 @@ fn parse_ingest_axes(value: &Value) -> Result<IngestAxes, ScenarioError> {
     if batches.is_empty() {
         return Err(invalid("ingest.batches", "[]", "at least one batch count"));
     }
-    let coreset_size = opt_usize(value, "coreset_size", 32)?.max(1);
-    let budget = opt_usize(value, "budget", 4 * coreset_size)?.max(1);
+    let coreset_size = opt_positive(value, "coreset_size", 32)?;
+    let budget = opt_positive(value, "budget", 4 * coreset_size)?;
     let kernel = match value.get("kernel") {
         None => KernelChoice::Auto,
         Some(v) => {
@@ -2050,6 +2056,18 @@ k_prime = 3
             ScenarioSpec::parse("name = \"x\"\nk = 2\n[[dataset]]\nfamily = \"fractal\"\nn = 10\n")
                 .unwrap_err();
         assert!(matches!(err, ScenarioError::Invalid { ref what, .. } if what == "dataset.family"));
+        // Zero retry budget or zero worker threads, like k = 0.
+        for key in ["max_attempts", "threads"] {
+            let err = ScenarioSpec::parse(&format!(
+                "name = \"x\"\nk = 2\n{key} = 0\n[[dataset]]\nfamily = \"gau\"\nn = 10\n"
+            ))
+            .unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::Invalid { ref what, ref value, .. }
+                    if what == key && value == "0"),
+                "{key}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -2191,6 +2209,18 @@ k_prime = 3
         )
         .unwrap_err();
         assert!(matches!(err, ScenarioError::Invalid { ref what, .. } if what == "ingest.kernel"));
+        // Zero representatives per batch or a zero re-compression budget.
+        for key in ["coreset_size", "budget"] {
+            let err = ScenarioSpec::parse(&format!(
+                "name = \"x\"\nk = 2\n[ingest]\nbatches = [2]\n{key} = 0\n[[dataset]]\nfamily = \"gau\"\nn = 10\n"
+            ))
+            .unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::Invalid { ref what, ref value, .. }
+                    if what == key && value == "0"),
+                "{key}: {err}"
+            );
+        }
     }
 
     #[test]

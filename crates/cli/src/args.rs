@@ -450,10 +450,11 @@ queries from the final published snapshot; --report OUT.json writes a
 single-cell scenario report comparable with report_diff.
 
 --fault-seed S (or --fault-plan FILE for an explicit schedule) injects
-deterministic reducer faults into the MapReduce rounds: crashes,
-stragglers and corrupt outputs, retried up to --max-attempts times with
-charged backoff and straggler speculation.  When every shard eventually
-succeeds, results stay bit-identical to the fault-free run.  --degrade on
+deterministic reducer faults into the MapReduce rounds of mrg, eim,
+sweep and ingest: crashes, stragglers and corrupt outputs, retried up to
+--max-attempts times (default 3) with charged backoff (10 ms, doubling
+per retry).  When every shard eventually succeeds, results stay
+bit-identical to the fault-free run.  --degrade on
 drops shards that exhaust their attempts and reports an explicitly
 partial result (surviving coverage fraction and dropped-shard
 provenance) instead of failing.
@@ -589,6 +590,15 @@ fn parse_solve(args: &[String]) -> Result<SolveArgs, ParseError> {
         }
     }
     run.faults.validate()?;
+    if run.faults.is_active()
+        && matches!(algorithm, SolverChoice::Gon | SolverChoice::HochbaumShmoys)
+    {
+        return Err(ParseError(
+            "fault injection (--fault-plan/--fault-seed) targets the MapReduce \
+             algorithms; use mrg or eim (gon and hs run sequentially)"
+                .into(),
+        ));
+    }
     Ok(SolveArgs {
         algorithm,
         input: input.ok_or_else(|| ParseError("solve requires --input".into()))?,
@@ -1087,10 +1097,10 @@ mod tests {
     /// Runs each row through `solve`, `sweep` and `ingest`, each with its
     /// minimal required flags: a valid value lands in `run` (absent flags
     /// leave the defaults), and a bad value is a parse error naming the flag
-    /// and the value.
+    /// and the value.  `solve` runs MRG, which takes every run flag.
     fn assert_run_flags(valid: &[(&str, SetRun)], bad: &[(&str, &str)]) {
         for cmd in [
-            "solve gon --input x.csv --k 2",
+            "solve mrg --input x.csv --k 2",
             "sweep --input a.csv --ks 2",
             "ingest --family gau --n 100 --batches 2 --k 2 --checkpoint c",
         ] {
@@ -1401,6 +1411,15 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.to_string().contains("--degrade"));
+        // Sequential solvers reject fault injection by name, before any
+        // input is read.
+        for algo in ["gon", "hs"] {
+            let err = parse(&argv(&format!(
+                "solve {algo} --input missing.csv --k 2 --fault-seed 1"
+            )))
+            .unwrap_err();
+            assert!(err.to_string().contains("mrg or eim"), "{algo}: {err}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use kcenter_core::prelude::*;
 use kcenter_data::csv::{load_flat, save_points, CsvError, CsvOptions};
 use kcenter_mapreduce::{
     install_thread_budget, threads_from_env, Cluster, ClusterConfig, DegradedRun, Executor,
-    ExecutorChoice, FaultConfig, FaultPlan, FaultPolicy, JobStats, EXECUTOR_ENV, THREADS_ENV,
+    ExecutorChoice, FaultConfig, FaultPlan, JobStats, EXECUTOR_ENV, THREADS_ENV,
 };
 use kcenter_metric::grid;
 use kcenter_metric::kernel::simd;
@@ -228,8 +228,8 @@ fn report_assign_scans<W: Write>(out: &mut W) -> Result<(), CommandError> {
 }
 
 /// Assembles the [`FaultConfig`] requested by `--fault-plan`/`--fault-seed`
-/// plus the policy flags, or `None` for a fault-free run.  Unreadable or
-/// malformed plan files surface as named errors, not panics.
+/// plus `--max-attempts` and `--degrade`, or `None` for a fault-free run.
+/// Unreadable or malformed plan files surface as named errors, not panics.
 fn build_fault_config(args: &FaultArgs) -> Result<Option<FaultConfig>, CommandError> {
     let plan = if let Some(path) = &args.plan_file {
         let named = |e: &dyn fmt::Display| invalid("fault-plan", format!("{path}: {e}"));
@@ -239,15 +239,11 @@ fn build_fault_config(args: &FaultArgs) -> Result<Option<FaultConfig>, CommandEr
         args.fault_seed.map(FaultPlan::seeded)
     };
     let Some(plan) = plan else { return Ok(None) };
-    let policy = match args.max_attempts {
-        Some(attempts) => FaultPolicy::with_max_attempts(attempts),
-        None => FaultPolicy::default(),
-    };
-    Ok(Some(
-        FaultConfig::new(plan)
-            .with_policy(policy)
-            .with_degrade(args.degrade),
-    ))
+    let mut config = FaultConfig::new(plan).with_degrade(args.degrade);
+    if let Some(attempts) = args.max_attempts {
+        config = config.with_max_attempts(attempts);
+    }
+    Ok(Some(config))
 }
 
 /// Prints the job's fault accounting next to the round accounting: the
@@ -313,18 +309,6 @@ fn solve_at<S: Scalar, W: Write>(
     )?;
 
     let faults = build_fault_config(&args.run.faults)?;
-    if faults.is_some()
-        && matches!(
-            args.algorithm,
-            SolverChoice::Gon | SolverChoice::HochbaumShmoys
-        )
-    {
-        return Err(invalid(
-            "fault-plan",
-            "fault injection targets the MapReduce algorithms; \
-             use mrg or eim (gon and hs run sequentially)",
-        ));
-    }
 
     let (centers, radius, degraded): (Vec<PointId>, f64, Option<DegradedRun>) = match args.algorithm
     {
@@ -1361,9 +1345,6 @@ mod tests {
             })
         ));
         assert!(err.to_string().contains("/not/there.txt"));
-        // Sequential solvers reject fault injection by name.
-        let err = run_cli(&format!("solve gon --input {csv} --k 2 --fault-seed 1")).unwrap_err();
-        assert!(err.to_string().contains("mrg or eim"));
         std::fs::remove_file(&csv).ok();
         std::fs::remove_file(&plan).ok();
     }

@@ -463,7 +463,7 @@ mod tests {
 
     #[test]
     fn absorb_reingested_restores_full_coverage() {
-        use kcenter_mapreduce::{FaultConfig, FaultKind, FaultPlan, FaultPolicy, ScheduledFault};
+        use kcenter_mapreduce::{FaultConfig, FaultKind, FaultPlan, ScheduledFault};
         let space = cloud(2_000, 26);
         // Kill machine 2 of the data-holding round for good: 10 machines x
         // 200 points, ids 400..600 disclosed as lost.
@@ -478,7 +478,7 @@ mod tests {
                 .collect(),
         );
         let faults = FaultConfig::new(plan)
-            .with_policy(FaultPolicy::with_max_attempts(3))
+            .with_max_attempts(3)
             .with_degrade(true);
         let degraded = GonzalezCoresetConfig::new(64)
             .with_machines(10)

@@ -1126,7 +1126,7 @@ mod tests {
 
     #[test]
     fn zero_weight_representatives_are_never_selected() {
-        use kcenter_mapreduce::{FaultKind, FaultPlan, FaultPolicy, ScheduledFault};
+        use kcenter_mapreduce::{FaultKind, FaultPlan, ScheduledFault};
         // With t >= n every point is a representative; losing machine 3 of
         // the weights round (round index 2, 4 machines x 20 points) leaves
         // representatives 60..80 covering no surviving point.
@@ -1142,7 +1142,7 @@ mod tests {
                 .collect(),
         );
         let faults = FaultConfig::new(plan)
-            .with_policy(FaultPolicy::with_max_attempts(2))
+            .with_max_attempts(2)
             .with_degrade(true);
         let coreset = GonzalezCoresetConfig::new(100)
             .with_machines(4)
@@ -1255,10 +1255,9 @@ mod tests {
 
     #[test]
     fn eventually_succeeding_faults_leave_both_builds_bit_identical() {
-        use kcenter_mapreduce::{FaultPlan, FaultPolicy};
+        use kcenter_mapreduce::FaultPlan;
         let space = cloud(2_000, 16);
-        let faults = FaultConfig::new(FaultPlan::seeded(555))
-            .with_policy(FaultPolicy::with_max_attempts(64));
+        let faults = FaultConfig::new(FaultPlan::seeded(555)).with_max_attempts(64);
 
         let clean = GonzalezCoresetConfig::new(64)
             .with_machines(8)
@@ -1293,7 +1292,7 @@ mod tests {
 
     #[test]
     fn degrade_mode_build_reports_partial_coverage_and_partial_certificates() {
-        use kcenter_mapreduce::{FaultKind, FaultPlan, FaultPolicy, ScheduledFault};
+        use kcenter_mapreduce::{FaultKind, FaultPlan, ScheduledFault};
         let space = cloud(2_000, 17);
         // Machine 2 of the data-holding round 1 dies on all three attempts;
         // 10 machines x 200 points each.
@@ -1308,7 +1307,7 @@ mod tests {
                 .collect(),
         );
         let faults = FaultConfig::new(plan)
-            .with_policy(FaultPolicy::with_max_attempts(3))
+            .with_max_attempts(3)
             .with_degrade(true);
 
         // Without degrade mode the same plan fails the build outright.
@@ -1366,7 +1365,7 @@ mod tests {
 
     #[test]
     fn degraded_weights_round_drops_its_chunks_points_from_coverage() {
-        use kcenter_mapreduce::{FaultKind, FaultPlan, FaultPolicy, ScheduledFault};
+        use kcenter_mapreduce::{FaultKind, FaultPlan, ScheduledFault};
         let space = cloud(1_500, 18);
         // Round index 2 is the weights/certification round of the Gonzalez
         // build (rounds 0 and 1 are local coresets and the merge).
@@ -1381,7 +1380,7 @@ mod tests {
                 .collect(),
         );
         let faults = FaultConfig::new(plan)
-            .with_policy(FaultPolicy::with_max_attempts(2))
+            .with_max_attempts(2)
             .with_degrade(true);
         let coreset = GonzalezCoresetConfig::new(48)
             .with_machines(5)

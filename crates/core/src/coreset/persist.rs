@@ -740,7 +740,7 @@ mod tests {
 
     #[test]
     fn partial_coresets_round_trip_with_provenance() {
-        use kcenter_mapreduce::{FaultConfig, FaultKind, FaultPlan, FaultPolicy, ScheduledFault};
+        use kcenter_mapreduce::{FaultConfig, FaultKind, FaultPlan, ScheduledFault};
         let space = cloud(2_000, 42);
         let plan = FaultPlan::explicit(
             (0..3)
@@ -753,7 +753,7 @@ mod tests {
                 .collect(),
         );
         let faults = FaultConfig::new(plan)
-            .with_policy(FaultPolicy::with_max_attempts(3))
+            .with_max_attempts(3)
             .with_degrade(true);
         let coreset = GonzalezCoresetConfig::new(64)
             .with_machines(10)

@@ -81,7 +81,7 @@ pub struct EimConfig {
     /// if the threshold has not been reached (the paper's fixes make this
     /// unreachable in practice, but a probabilistic loop deserves a bound).
     pub max_iterations: usize,
-    /// Optional deterministic fault injection (plan + retry policy +
+    /// Optional deterministic fault injection (plan + attempt budget +
     /// degrade mode) installed on the simulated cluster.
     pub faults: Option<FaultConfig>,
     /// How the cluster executes each round's machines: the paper's
@@ -757,14 +757,13 @@ mod tests {
 
     #[test]
     fn eventually_succeeding_faults_leave_the_result_bit_identical() {
-        use kcenter_mapreduce::{FaultConfig, FaultPlan, FaultPolicy};
+        use kcenter_mapreduce::{FaultConfig, FaultPlan};
         let space = cloud(4_000, 10);
         let clean = sampling_config(2).run(&space).unwrap();
         // Seeded chaos at the default rates with a deep attempt budget:
         // every partition eventually succeeds, so the solution must be
         // bit-identical and only the accounting may differ.
-        let faults =
-            FaultConfig::new(FaultPlan::seeded(77)).with_policy(FaultPolicy::with_max_attempts(64));
+        let faults = FaultConfig::new(FaultPlan::seeded(77)).with_max_attempts(64);
         let faulty = sampling_config(2).with_faults(faults).run(&space).unwrap();
         assert_eq!(faulty.solution, clean.solution);
         assert_eq!(faulty.iterations, clean.iterations);
@@ -778,7 +777,7 @@ mod tests {
 
     #[test]
     fn degrade_mode_survives_a_dead_filter_shard_with_partial_coverage() {
-        use kcenter_mapreduce::{FaultConfig, FaultKind, FaultPlan, FaultPolicy, ScheduledFault};
+        use kcenter_mapreduce::{FaultConfig, FaultKind, FaultPlan, ScheduledFault};
         let space = cloud(4_000, 11);
         // Round index 2 is the first iteration's round 3 (filter R): kill
         // machine 0 there on every attempt.
@@ -793,7 +792,7 @@ mod tests {
                 .collect(),
         );
         let faults = FaultConfig::new(plan)
-            .with_policy(FaultPolicy::with_max_attempts(3))
+            .with_max_attempts(3)
             .with_degrade(true);
         let result = sampling_config(2).with_faults(faults).run(&space).unwrap();
         let degraded = result.degraded.expect("the run must be marked degraded");

@@ -225,26 +225,6 @@ pub fn cluster_sizes(assignment: &[usize], num_centers: usize) -> Vec<usize> {
     sizes
 }
 
-/// The per-point distance to the nearest center, for all points — useful for
-/// diagnostics and for the EIM distance cache tests.
-pub fn distances_to_centers<D: Distance, S: Scalar>(
-    space: &VecSpace<D, S>,
-    centers: &[PointId],
-) -> Vec<f64> {
-    let ids: Vec<PointId> = (0..space.len()).collect();
-    if centers.is_empty() {
-        return vec![f64::INFINITY; ids.len()];
-    }
-    // Min in certification space (these distances are reported), one
-    // conversion per point at the end.
-    let one = |p: PointId| space.distance_to_set(p, centers);
-    if ids.len().saturating_mul(centers.len()) >= PARALLEL_THRESHOLD {
-        ids.par_iter().map(|&p| one(p)).collect()
-    } else {
-        ids.iter().map(|&p| one(p)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,22 +320,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn cluster_sizes_rejects_bad_assignment() {
         cluster_sizes(&[0, 5], 2);
-    }
-
-    #[test]
-    fn distances_to_centers_matches_covering_radius() {
-        let s = line(50);
-        let centers = vec![10, 40];
-        let d = distances_to_centers(&s, &centers);
-        let max = d.iter().copied().fold(0.0, f64::max);
-        assert!((max - covering_radius(&s, &centers)).abs() < 1e-12);
-        assert_eq!(d.len(), 50);
-        assert_eq!(d[10], 0.0);
-    }
-
-    #[test]
-    fn distances_to_centers_with_no_centers_is_infinite() {
-        let d = distances_to_centers(&line(3), &[]);
-        assert!(d.iter().all(|x| x.is_infinite()));
     }
 }

@@ -53,7 +53,7 @@ pub struct MrgConfig {
     pub solver: SequentialSolver,
     /// First-center policy forwarded to the sub-procedure.
     pub first_center: FirstCenter,
-    /// Optional deterministic fault injection (plan + retry policy +
+    /// Optional deterministic fault injection (plan + attempt budget +
     /// degrade mode) installed on the simulated cluster.
     pub faults: Option<FaultConfig>,
     /// How the cluster executes each round's machines: the paper's
@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn eventually_succeeding_faults_leave_the_result_bit_identical() {
-        use kcenter_mapreduce::{FaultKind, FaultPlan, FaultPolicy, ScheduledFault};
+        use kcenter_mapreduce::{FaultKind, FaultPlan, ScheduledFault};
         let space = cloud(2_000, 11);
         let clean = MrgConfig::new(5).with_machines(10).run(&space).unwrap();
         // Crash two different reducers on their first attempt and straggle
@@ -503,7 +503,7 @@ mod tests {
         ]);
         let faulty = MrgConfig::new(5)
             .with_machines(10)
-            .with_faults(FaultConfig::new(plan).with_policy(FaultPolicy::with_max_attempts(3)))
+            .with_faults(FaultConfig::new(plan).with_max_attempts(3))
             .run(&space)
             .unwrap();
         assert_eq!(faulty.solution.centers, clean.solution.centers);
@@ -518,7 +518,7 @@ mod tests {
 
     #[test]
     fn degrade_mode_drops_a_dead_shard_and_reports_partial_coverage() {
-        use kcenter_mapreduce::{FaultKind, FaultPlan, FaultPolicy, ScheduledFault};
+        use kcenter_mapreduce::{FaultKind, FaultPlan, ScheduledFault};
         let space = cloud(2_000, 12);
         // Machine 3 dies on every attempt of round 0.
         let plan = FaultPlan::explicit(
@@ -532,7 +532,7 @@ mod tests {
                 .collect(),
         );
         let faults = FaultConfig::new(plan)
-            .with_policy(FaultPolicy::with_max_attempts(3))
+            .with_max_attempts(3)
             .with_degrade(true);
         let result = MrgConfig::new(5)
             .with_machines(10)

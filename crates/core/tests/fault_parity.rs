@@ -1,8 +1,8 @@
 //! Fault-tolerance parity properties.
 //!
 //! The fault layer's central promise: as long as every partition
-//! eventually succeeds within its attempt budget, retries, stragglers and
-//! speculation must not change a single bit of any driver's output — the
+//! eventually succeeds within its attempt budget, retries, backoff and
+//! stragglers must not change a single bit of any driver's output — the
 //! determinism tuple stays `(seed, precision, kernel, assign)`, never
 //! "and the fault schedule".  These tests drive random seeded fault plans
 //! through MRG, EIM and both coreset builders and demand bit-identical
@@ -14,13 +14,14 @@
 //! the threaded executor at a *random* worker budget — with the same
 //! random survivable fault plan active — must reproduce the simulated
 //! run's outputs bit for bit, so "executor" never joins the determinism
-//! tuple either.
+//! tuple either.  No measured time steers the fault handling, so each
+//! round's attempt count and fault-event lines match across executors too.
 
 use kcenter_core::hash::Fnv;
 use kcenter_core::prelude::*;
 use kcenter_mapreduce::{
     Cluster, ClusterConfig, DroppedShard, Executor, FaultCause, FaultConfig, FaultKind, FaultPlan,
-    FaultPolicy, FaultRates, JobStats, MapReduceError, ScheduledFault,
+    FaultRates, JobStats, MapReduceError, ScheduledFault,
 };
 use kcenter_metric::{Point, VecSpace};
 use proptest::prelude::*;
@@ -60,8 +61,7 @@ fn chaotic_faults() -> impl Strategy<Value = FaultConfig> {
                 corrupt,
                 straggle_factor,
             };
-            FaultConfig::new(FaultPlan::seeded_with_rates(seed, rates))
-                .with_policy(FaultPolicy::with_max_attempts(64))
+            FaultConfig::new(FaultPlan::seeded_with_rates(seed, rates)).with_max_attempts(64)
         })
 }
 
@@ -142,6 +142,7 @@ proptest! {
         prop_assert_eq!(&simulated.solution.centers, &threaded.solution.centers);
         prop_assert_eq!(simulated.solution.radius, threaded.solution.radius);
         prop_assert_eq!(simulated.mapreduce_rounds, threaded.mapreduce_rounds);
+        prop_assert_eq!(round_log(&simulated.stats), round_log(&threaded.stats));
         prop_assert!(threaded.degraded.is_none());
     }
 
@@ -165,6 +166,7 @@ proptest! {
         prop_assert_eq!(simulated.solution.radius, threaded.solution.radius);
         prop_assert_eq!(simulated.iterations, threaded.iterations);
         prop_assert_eq!(simulated.sample_size, threaded.sample_size);
+        prop_assert_eq!(round_log(&simulated.stats), round_log(&threaded.stats));
         prop_assert!(threaded.degraded.is_none());
     }
 
@@ -186,6 +188,7 @@ proptest! {
         prop_assert_eq!(simulated.source_ids(), threaded.source_ids());
         prop_assert_eq!(simulated.weights(), threaded.weights());
         prop_assert_eq!(simulated.construction_radius(), threaded.construction_radius());
+        prop_assert_eq!(round_log(simulated.stats()), round_log(threaded.stats()));
         prop_assert!(!threaded.is_partial());
         let solver = SequentialSolver::Gonzalez;
         let a = simulated.solve(4, solver, FirstCenter::default()).unwrap();
@@ -205,6 +208,7 @@ proptest! {
         prop_assert_eq!(simulated.source_ids(), threaded.source_ids());
         prop_assert_eq!(simulated.weights(), threaded.weights());
         prop_assert_eq!(simulated.construction_radius(), threaded.construction_radius());
+        prop_assert_eq!(round_log(simulated.stats()), round_log(threaded.stats()));
         prop_assert!(!threaded.is_partial());
     }
 }
@@ -227,7 +231,7 @@ fn degraded_coreset_pins_its_coverage_fraction_and_provenance() {
             .collect(),
     );
     let faults = FaultConfig::new(plan)
-        .with_policy(FaultPolicy::with_max_attempts(3))
+        .with_max_attempts(3)
         .with_degrade(true);
 
     let coreset = GonzalezCoresetConfig::new(64)
@@ -302,7 +306,7 @@ fn dropping(shards: &[(usize, usize)]) -> FaultConfig {
             .collect(),
     );
     FaultConfig::new(plan)
-        .with_policy(FaultPolicy::with_max_attempts(3))
+        .with_max_attempts(3)
         .with_degrade(true)
 }
 
@@ -324,6 +328,12 @@ fn pin(
     for shard in dropped {
         out += &format!("dropped {shard}\n");
     }
+    out + &round_log(stats)
+}
+
+/// Per round, its label and attempt count, then its fault-event lines.
+fn round_log(stats: &JobStats) -> String {
+    let mut out = String::new();
     for round in stats.rounds() {
         out += &format!("round {:?} attempts {}\n", round.label, round.attempts);
         for event in round.faults.events() {

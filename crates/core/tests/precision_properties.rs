@@ -10,7 +10,7 @@
 //! (the `wide_cmp_*` certification scans), input rounding is the *only*
 //! error source — which is exactly what this proptest pins down.
 
-use kcenter_core::evaluate::{covered_within, covering_radius, distances_to_centers};
+use kcenter_core::evaluate::{covered_within, covering_radius};
 use kcenter_metric::{Euclidean, FlatPoints, Scalar, VecSpace};
 use proptest::prelude::*;
 
@@ -58,9 +58,9 @@ proptest! {
         prop_assert!(covered_within(&space32, &centers, r32 * (1.0 + 1e-12) + 1e-12));
 
         // Per-point certified distances obey the same bound.
-        let d64 = distances_to_centers(&space64, &centers);
-        let d32 = distances_to_centers(&space32, &centers);
-        for (i, (a, b)) in d64.iter().zip(&d32).enumerate() {
+        for i in 0..n {
+            let a = space64.distance_to_set(i, &centers);
+            let b = space32.distance_to_set(i, &centers);
             prop_assert!(
                 (a - b).abs() <= tol,
                 "point {i}: certified distance drifted: |{a} - {b}| > {tol}"

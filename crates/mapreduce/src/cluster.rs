@@ -1,15 +1,16 @@
 //! The cluster round engine: machine execution behind an [`Executor`]
 //! (sequential simulated machines, or real `std::thread::scope` fan-out)
 //! with the paper's per-round cost accounting, plus optional deterministic
-//! fault injection with retry, backoff, straggler speculation and
-//! degrade-mode shard drops (see the [`crate::faults`] module docs for the
-//! determinism contract).
+//! fault injection with retries, charged backoff and degrade-mode shard
+//! drops (see the [`crate::faults`] module docs for the determinism
+//! contract).
 
 use crate::config::ClusterConfig;
 use crate::error::MapReduceError;
 use crate::executor::{run_wave, Executor};
 use crate::faults::{
-    DroppedShard, FaultCause, FaultConfig, FaultEvent, FaultKind, FaultLog, FaultPolicy,
+    retry_backoff, DroppedShard, FaultCause, FaultConfig, FaultEvent, FaultKind, FaultLog,
+    FaultPlan,
 };
 use crate::stats::{JobStats, RoundStats};
 use std::time::{Duration, Instant};
@@ -34,13 +35,11 @@ use std::time::{Duration, Instant};
 /// With [`Cluster::with_fault_injection`], every reducer execution
 /// first consults a fault plan: crashed or corrupt attempts lose their
 /// output and the failed partitions are re-executed (in ascending partition
-/// order, up to the policy's attempt budget, with simulated backoff charged
-/// between attempts); straggling attempts keep their output but are charged
-/// a multiple of their time, and may race a speculative copy — on the
-/// simulated clock under [`Executor::Simulated`], on the measured wall
-/// clock under [`Executor::Threads`].  Because reducers are pure, a round
-/// in which every partition eventually succeeds returns outputs
-/// bit-identical to the fault-free round — only the accounting differs.
+/// order, up to the configured attempt budget, with simulated backoff
+/// charged between attempts); straggling attempts keep their output but are
+/// charged a multiple of their time.  Because reducers are pure, a round in
+/// which every partition eventually succeeds returns outputs bit-identical
+/// to the fault-free round — only the accounting differs.
 ///
 /// The cluster alone decides what an exhausted partition does: with the
 /// fault configuration's `degrade` set, [`Cluster::run_round`] drops it,
@@ -111,18 +110,18 @@ impl Cluster {
         }
     }
 
-    /// Selects the executor for all subsequent rounds.  Outputs are
-    /// executor-invariant; only the `wall_time` accounting (and, under
-    /// faults, which speculation racer wins) depends on this choice.
+    /// Selects the executor for all subsequent rounds.  Outputs and fault
+    /// logs are executor-invariant; only the measured times depend on this
+    /// choice.
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
         self
     }
 
     /// Enables fault injection: every subsequent reducer execution consults
-    /// `faults.plan`, failures are handled per `faults.policy`, and
-    /// `faults.degrade` decides whether [`Cluster::run_round`] may drop a
-    /// partition that exhausts its attempts.
+    /// `faults.plan`, a failed partition gets up to `faults.max_attempts`
+    /// executions, and `faults.degrade` decides whether
+    /// [`Cluster::run_round`] may drop a partition that exhausts them.
     pub fn with_fault_injection(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
         self
@@ -162,8 +161,8 @@ impl Cluster {
     /// * [`MapReduceError::CapacityExceeded`] if any partition exceeds the
     ///   per-machine capacity (only when capacity is enforced).
     /// * [`MapReduceError::RoundFailed`] if fault injection is active
-    ///   without degrade mode and a partition fails every attempt the
-    ///   policy allows.
+    ///   without degrade mode and a partition fails every attempt its
+    ///   budget allows.
     pub fn run_round<T, R, F, C>(
         &mut self,
         label: &str,
@@ -187,12 +186,8 @@ impl Cluster {
     /// Executes attempt waves on the active executor: wave 0 runs every
     /// partition; each further wave re-runs the still-failed partitions
     /// (ascending partition index) until they succeed or exhaust the
-    /// policy's attempt budget.  Straggler speculation runs after the
-    /// waves, racing a speculative copy against each over-median machine —
-    /// on the simulated clock under [`Executor::Simulated`], on the
-    /// measured wall clock under [`Executor::Threads`].  A partition still
-    /// dead after that is dropped when `degrade` is set and fails the
-    /// round otherwise.
+    /// attempt budget.  A partition still dead after that is dropped when
+    /// `degrade` is set and fails the round otherwise.
     fn execute<T, R, F, C>(
         &mut self,
         label: &str,
@@ -231,14 +226,7 @@ impl Cluster {
         // The round index fault plans address: the next index this
         // cluster's `JobStats::push` will assign.
         let round = self.stats.num_rounds();
-        let policy = self
-            .faults
-            .as_ref()
-            .map(|f| f.policy)
-            .unwrap_or_else(|| FaultPolicy {
-                max_attempts: 1,
-                ..FaultPolicy::default()
-            });
+        let max_attempts = self.faults.as_ref().map_or(1, |f| f.max_attempts);
         let plan = self.faults.as_ref().map(|f| &f.plan);
 
         let executor = self.executor;
@@ -274,7 +262,7 @@ impl Cluster {
             let pending: Vec<(usize, usize)> = runs
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| r.output.is_none() && r.attempts < policy.max_attempts)
+                .filter(|(_, r)| r.output.is_none() && r.attempts < max_attempts)
                 .map(|(i, r)| (i, r.attempts))
                 .collect();
             if pending.is_empty() {
@@ -282,7 +270,7 @@ impl Cluster {
             }
             let retried: Vec<(usize, usize, Duration, AttemptOutcome<R>)> =
                 run_wave(executor, pending, |(i, attempt)| {
-                    let backoff = policy.backoff.delay(attempt);
+                    let backoff = retry_backoff(attempt);
                     let outcome = execute_attempt(i, attempt, &partitions[i], reduce, plan, round);
                     (i, attempt, backoff, outcome)
                 });
@@ -304,82 +292,6 @@ impl Cluster {
             }
         }
 
-        // Straggler speculation: machines whose completion time exceeds
-        // `threshold ×` the round median (over completed machines) race a
-        // speculative copy launched at the median mark.  The race clock is
-        // the executor's: the simulated (charged) clock in simulated mode,
-        // the measured wall clock of the actual executions in threaded
-        // mode.  Reducers are pure, so both racers produce the same bits;
-        // only the clock and the log depend on who wins, and the original
-        // wins ties.
-        if let Some(spec) = policy.speculation {
-            let race_run = |r: &MachineRun<R>| match executor {
-                Executor::Simulated => r.charged,
-                Executor::Threads { .. } => r.work,
-            };
-            let mut completed: Vec<Duration> = runs
-                .iter()
-                .filter(|r| r.output.is_some())
-                .map(race_run)
-                .collect();
-            if completed.len() >= 2 {
-                completed.sort_unstable();
-                let median = completed[completed.len() / 2];
-                let cutoff = median.mul_f64(spec.threshold.max(1.0));
-                let candidates: Vec<(usize, usize)> = runs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.output.is_some() && race_run(r) > cutoff)
-                    .map(|(i, r)| (i, r.attempts))
-                    .collect();
-                let raced: Vec<(usize, usize, AttemptOutcome<R>)> =
-                    run_wave(executor, candidates, |(i, attempt)| {
-                        (
-                            i,
-                            attempt,
-                            execute_attempt(i, attempt, &partitions[i], reduce, plan, round),
-                        )
-                    });
-                for (i, attempt, outcome) in raced {
-                    log.push(FaultEvent::SpeculationLaunched {
-                        machine: i,
-                        attempt,
-                    });
-                    for e in &outcome.events {
-                        log.push(e.clone());
-                    }
-                    let run = &mut runs[i];
-                    run.attempts += 1;
-                    if outcome.output.is_some() {
-                        // The copy starts when the straggler is detected
-                        // (the median mark) and finishes one execution
-                        // later, measured on the race clock.
-                        let spec_cost = match executor {
-                            Executor::Simulated => outcome.charged,
-                            Executor::Threads { .. } => outcome.work,
-                        };
-                        let spec_completion = median + spec_cost;
-                        if spec_completion < race_run(run) {
-                            // The winner's completion replaces the
-                            // straggler's on the simulated clock; `work`
-                            // stays Σ of real execution time on both
-                            // executors (the wall-clock race changes who
-                            // delivers the output, not how much real work
-                            // was done).
-                            if executor == Executor::Simulated {
-                                run.charged = spec_completion;
-                            }
-                            run.output = outcome.output;
-                            log.push(FaultEvent::SpeculationWon {
-                                machine: i,
-                                attempt,
-                            });
-                        }
-                    }
-                    run.work += outcome.work;
-                }
-            }
-        }
         let wall_time = wall_start.elapsed();
 
         // Dead shards: degrade mode drops them into the ledger, otherwise
@@ -502,7 +414,7 @@ fn execute_attempt<T, R, F>(
     attempt: usize,
     part: &[T],
     reduce: &F,
-    plan: Option<&crate::faults::FaultPlan>,
+    plan: Option<&FaultPlan>,
     round: usize,
 ) -> AttemptOutcome<R>
 where
@@ -549,7 +461,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultPlan, ScheduledFault};
+    use crate::faults::ScheduledFault;
     use crate::partition;
 
     fn config(machines: usize, capacity: usize) -> ClusterConfig {
@@ -752,7 +664,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let faults = FaultConfig::new(plan).with_policy(FaultPolicy::with_max_attempts(2));
+        let faults = FaultConfig::new(plan).with_max_attempts(2);
         let mut cluster = Cluster::new(config(2, 100)).with_fault_injection(faults);
         let err = cluster
             .run_round("sum", &[vec![1u64]], |_, xs| xs.iter().sum::<u64>(), |_| 1)
@@ -830,69 +742,38 @@ mod tests {
 
     #[test]
     fn backoff_is_charged_into_simulated_time() {
-        let plan = FaultPlan::explicit(vec![ScheduledFault {
-            round: 0,
-            machine: 0,
-            attempt: 0,
-            kind: FaultKind::Crash,
-        }]);
-        let policy = FaultPolicy {
-            max_attempts: 3,
-            backoff: crate::faults::Backoff {
-                base: Duration::from_secs(60),
-                exponential: false,
-            },
-            speculation: None,
-        };
+        // Machine 0 crashes on its first three attempts and succeeds on the
+        // fourth, after retries charged 10, 20 and 40 ms of backoff.
+        let plan = FaultPlan::explicit(
+            (0..3)
+                .map(|attempt| ScheduledFault {
+                    round: 0,
+                    machine: 0,
+                    attempt,
+                    kind: FaultKind::Crash,
+                })
+                .collect(),
+        );
         let mut cluster = Cluster::new(config(2, 100))
-            .with_fault_injection(FaultConfig::new(plan).with_policy(policy));
+            .with_fault_injection(FaultConfig::new(plan).with_max_attempts(4));
         cluster
             .run_round("sum", &[vec![1u64]], |_, xs| xs.iter().sum::<u64>(), |_| 1)
             .unwrap();
         let r = &cluster.stats().rounds()[0];
-        // One retry with a 60 s fixed backoff: the charged time must
-        // include it, the real work time must not.
-        assert!(r.simulated_time >= Duration::from_secs(60));
-        assert!(r.sequential_time < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn speculation_races_the_straggler_and_charges_the_winner() {
-        // Machine 0 straggles enormously on every attempt it runs directly,
-        // but the speculative copy (attempt 1) is clean.
-        let plan = FaultPlan::explicit(vec![ScheduledFault {
-            round: 0,
-            machine: 0,
-            attempt: 0,
-            kind: FaultKind::Straggle { factor: 1000.0 },
-        }]);
-        let policy = FaultPolicy {
-            max_attempts: 3,
-            backoff: crate::faults::Backoff::NONE,
-            speculation: Some(crate::faults::Speculation { threshold: 2.0 }),
-        };
-        let mut cluster = Cluster::new(config(4, 100_000))
-            .with_fault_injection(FaultConfig::new(plan).with_policy(policy));
-        let items: Vec<u64> = (0..80_000).collect();
-        let parts = partition::chunks(&items, 4);
-        let sums = cluster
-            .run_round(
-                "busy",
-                &parts,
-                |_, xs| xs.iter().map(|x| x.wrapping_mul(2654435761)).sum::<u64>(),
-                |_| 1,
-            )
-            .unwrap();
-        // Outputs are bit-identical regardless of who won the race.
-        let expected: Vec<Option<u64>> = parts
+        let backoffs: Vec<Duration> = r
+            .faults
+            .events()
             .iter()
-            .map(|xs| Some(xs.iter().map(|x| x.wrapping_mul(2654435761)).sum::<u64>()))
+            .filter_map(|e| match e {
+                FaultEvent::Retried { backoff, .. } => Some(*backoff),
+                _ => None,
+            })
             .collect();
-        assert_eq!(sums, expected);
-        let r = &cluster.stats().rounds()[0];
-        assert_eq!(r.faults.speculations_launched(), 1);
-        // With a 1000x straggler the clean copy must win the race.
-        assert_eq!(r.faults.speculations_won(), 1);
+        let ms = Duration::from_millis;
+        assert_eq!(backoffs, vec![ms(10), ms(20), ms(40)]);
+        // The charged time is the four executions plus the backoff; the
+        // real work time has no backoff in it.
+        assert_eq!(r.simulated_time, r.sequential_time + ms(70));
     }
 
     #[test]
@@ -926,11 +807,9 @@ mod tests {
         let clean_out = clean.run_round("sum", &parts, reduce, |_| 1).unwrap();
 
         // The identical fault plan (retries, stragglers, corruption) under
-        // the threaded executor, with speculation racing on the wall clock:
-        // every partition eventually succeeds, so the outputs must match the
-        // fault-free simulated round bit for bit.
-        let faults = FaultConfig::new(FaultPlan::seeded(1234))
-            .with_policy(FaultPolicy::with_max_attempts(64));
+        // the threaded executor: every partition eventually succeeds, so the
+        // outputs must match the fault-free simulated round bit for bit.
+        let faults = FaultConfig::new(FaultPlan::seeded(1234)).with_max_attempts(64);
         let mut chaotic = Cluster::new(config(8, 10_000))
             .with_executor(Executor::threads(4))
             .with_fault_injection(faults);
@@ -977,8 +856,7 @@ mod tests {
 
         // Default seeded rates with a deep attempt budget: every partition
         // succeeds eventually, outputs must match bit-for-bit.
-        let faults = FaultConfig::new(FaultPlan::seeded(1234))
-            .with_policy(FaultPolicy::with_max_attempts(64));
+        let faults = FaultConfig::new(FaultPlan::seeded(1234)).with_max_attempts(64);
         let mut chaotic = Cluster::new(config(8, 10_000)).with_fault_injection(faults);
         let chaotic_out = chaotic.run_round("sum", &parts, reduce, |_| 1).unwrap();
         assert_eq!(clean_out, chaotic_out);

@@ -76,11 +76,6 @@ impl Executor {
             Executor::Threads { threads } => threads.max(1),
         }
     }
-
-    /// Whether rounds fan out over real threads.
-    pub fn is_threaded(self) -> bool {
-        matches!(self, Executor::Threads { .. })
-    }
 }
 
 impl fmt::Display for Executor {
@@ -232,14 +227,12 @@ mod tests {
     fn default_is_the_papers_simulated_mode() {
         assert_eq!(Executor::default(), Executor::Simulated);
         assert_eq!(Executor::Simulated.thread_count(), 1);
-        assert!(!Executor::Simulated.is_threaded());
     }
 
     #[test]
     fn thread_budget_is_clamped_to_one() {
         assert_eq!(Executor::threads(0), Executor::Threads { threads: 1 });
         assert_eq!(Executor::threads(4).thread_count(), 4);
-        assert!(Executor::threads(4).is_threaded());
         assert!(Executor::host_threads().thread_count() >= 1);
     }
 

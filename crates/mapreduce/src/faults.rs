@@ -1,5 +1,5 @@
-//! Deterministic fault injection, retry policies, and fault accounting for
-//! the simulated cluster.
+//! Deterministic fault injection, retries, and fault accounting for the
+//! simulated cluster.
 //!
 //! The paper's cost model charges each round the slowest machine's time but
 //! assumes every reducer always succeeds.  Real clusters lose machines and
@@ -12,9 +12,11 @@
 //!   Plans are either an explicit schedule or generated statelessly from a
 //!   seed, and both forms serialise to a small text format so a failing run
 //!   can be reproduced exactly;
-//! * a [`FaultPolicy`] tells the cluster how to react: how many attempts a
-//!   partition gets, how much (simulated) backoff is charged between
-//!   attempts, and whether stragglers get a speculative copy;
+//! * a [`FaultConfig`] tells the cluster how to react: how many attempts a
+//!   partition gets, and whether a partition that exhausts them may be
+//!   dropped.  Between attempts the cluster charges a fixed simulated
+//!   backoff: 10 ms before the first retry, doubling on each further one
+//!   (capped at 2^20×);
 //! * a [`FaultLog`] records what actually happened in a round, and lands in
 //!   the round's `RoundStats` next to the usual time accounting.
 //!
@@ -32,13 +34,9 @@
 //!   whenever every partition eventually succeeds within its attempt
 //!   budget, the round's outputs are **bit-identical** to the fault-free
 //!   run — retries and backoff only show up in the time accounting and the
-//!   fault log.
-//! * Straggler speculation races two executions of the same pure reducer,
-//!   so either winner carries the identical output; the tie-break (the
-//!   original wins on equal completion) is fixed so even the *log* is
-//!   deterministic given the measured times.  (Which machines get
-//!   speculative copies depends on measured wall times and is therefore
-//!   not deterministic across hosts — but the outputs are.)
+//!   fault log.  No measured time decides anything, so the fault log (and
+//!   each round's attempt count) is a function of the plan alone, the same
+//!   on every executor and host.
 //! * Only **degrade mode** ([`FaultConfig::degrade`], acted on by
 //!   `Cluster::run_round`) changes results: a partition that exhausts its
 //!   attempts is dropped, its output slot comes back `None`, and the
@@ -81,7 +79,7 @@ impl fmt::Display for FaultKind {
 
 /// One entry of an explicit fault schedule: reducer `machine` at round
 /// `round` (0-based index within the cluster's job), attempt `attempt`
-/// (0-based; retries and speculative copies consume successive indices)
+/// (0-based; retries consume successive indices)
 /// suffers `kind`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledFault {
@@ -376,106 +374,24 @@ fn unit_variate(seed: u64, round: usize, machine: usize, attempt: usize) -> f64 
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Simulated backoff charged between attempts of a failed partition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Backoff {
-    /// Delay charged before the first retry.
-    pub base: Duration,
-    /// Whether the delay doubles on every further retry (capped at 2^20×).
-    pub exponential: bool,
-}
-
-impl Backoff {
-    /// No backoff at all: retries are charged only their execution time.
-    pub const NONE: Backoff = Backoff {
-        base: Duration::ZERO,
-        exponential: false,
-    };
-
-    /// The delay charged before retry number `retry` (1-based: the first
-    /// retry is 1).  Zero for `retry == 0` (the initial attempt).
-    pub fn delay(&self, retry: usize) -> Duration {
-        if retry == 0 || self.base.is_zero() {
-            return Duration::ZERO;
-        }
-        if self.exponential {
-            self.base.saturating_mul(1u32 << (retry - 1).min(20) as u32)
-        } else {
-            self.base
-        }
-    }
-}
-
-impl Default for Backoff {
-    /// 10 ms base, exponential — visible next to millisecond-scale round
-    /// times without dominating them.
-    fn default() -> Self {
-        Self {
-            base: Duration::from_millis(10),
-            exponential: true,
-        }
-    }
-}
-
-/// Straggler speculation: when a reducer's charged time exceeds
-/// `threshold ×` the round median (over machines that completed), a
-/// speculative copy is launched and the first finisher wins, with the
-/// original winning ties.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Speculation {
-    /// Multiple of the round-median charged time beyond which a reducer is
-    /// considered a straggler (must exceed 1 to be useful).
-    pub threshold: f64,
-}
-
-impl Default for Speculation {
-    fn default() -> Self {
-        Self { threshold: 2.0 }
-    }
-}
-
-/// How the cluster reacts to faults: attempt budget, backoff, speculation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPolicy {
-    /// Maximum executions a partition gets per round (≥ 1); a partition
-    /// that fails `max_attempts` times is dead for the round.
-    pub max_attempts: usize,
-    /// Simulated backoff charged between attempts.
-    pub backoff: Backoff,
-    /// Straggler speculation, if enabled.
-    pub speculation: Option<Speculation>,
-}
-
-impl Default for FaultPolicy {
-    /// Three attempts with the default exponential backoff, no speculation.
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff: Backoff::default(),
-            speculation: None,
-        }
-    }
-}
-
-impl FaultPolicy {
-    /// A policy with the given attempt budget and the other defaults.
-    pub fn with_max_attempts(max_attempts: usize) -> Self {
-        Self {
-            max_attempts: max_attempts.max(1),
-            ..Self::default()
-        }
-    }
+/// The simulated backoff charged before retry number `retry` (1-based: the
+/// first retry is 1): 10 ms, doubling on every further retry, capped at
+/// 2^20× — visible next to millisecond-scale round times without
+/// dominating them.
+pub(crate) fn retry_backoff(retry: usize) -> Duration {
+    Duration::from_millis(10).saturating_mul(1u32 << retry.saturating_sub(1).min(20))
 }
 
 /// Everything the cluster needs to simulate failures: the plan (what goes
-/// wrong), the policy (how to react), and whether exhausted partitions may
-/// be dropped (degrade mode) instead of failing the round.
+/// wrong), the attempt budget, and whether exhausted partitions may be
+/// dropped (degrade mode) instead of failing the round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// The injected-fault schedule.
     pub plan: FaultPlan,
-    /// Retry/backoff/speculation policy.
-    pub policy: FaultPolicy,
+    /// Maximum executions a partition gets per round (≥ 1); a partition
+    /// that fails `max_attempts` times is dead for the round.
+    pub max_attempts: usize,
     /// Whether the cluster may drop a partition that exhausts its attempts
     /// in a multi-reducer round (`Cluster::run_round`) and hand the caller
     /// the survivors, recording the drop in its ledger; the drivers (MRG,
@@ -487,18 +403,19 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// A fault configuration with the default policy and no degrade mode.
+    /// A fault configuration with three attempts per partition and no
+    /// degrade mode.
     pub fn new(plan: FaultPlan) -> Self {
         Self {
             plan,
-            policy: FaultPolicy::default(),
+            max_attempts: 3,
             degrade: false,
         }
     }
 
-    /// Replaces the policy.
-    pub fn with_policy(mut self, policy: FaultPolicy) -> Self {
-        self.policy = policy;
+    /// Replaces the attempt budget (clamped to at least one attempt).
+    pub fn with_max_attempts(mut self, max_attempts: usize) -> Self {
+        self.max_attempts = max_attempts.max(1);
         self
     }
 
@@ -575,21 +492,6 @@ pub enum FaultEvent {
         /// Simulated backoff charged before this attempt.
         backoff: Duration,
     },
-    /// A speculative copy of a straggling reducer was launched.
-    SpeculationLaunched {
-        /// Machine index.
-        machine: usize,
-        /// 0-based attempt index consumed by the speculative copy.
-        attempt: usize,
-    },
-    /// The speculative copy finished before the original and its (bit-
-    /// identical) result was taken.
-    SpeculationWon {
-        /// Machine index.
-        machine: usize,
-        /// Attempt index of the winning speculative copy.
-        attempt: usize,
-    },
     /// Degrade mode dropped a partition that exhausted its attempts.
     ShardDropped {
         /// Machine index.
@@ -628,15 +530,6 @@ impl fmt::Display for FaultEvent {
                 f,
                 "machine {machine}: retry as attempt {attempt} after {backoff:?} backoff"
             ),
-            FaultEvent::SpeculationLaunched { machine, attempt } => {
-                write!(
-                    f,
-                    "machine {machine}: speculative copy as attempt {attempt}"
-                )
-            }
-            FaultEvent::SpeculationWon { machine, attempt } => {
-                write!(f, "machine {machine}: speculative attempt {attempt} won")
-            }
             FaultEvent::ShardDropped {
                 machine,
                 attempts,
@@ -650,8 +543,7 @@ impl fmt::Display for FaultEvent {
 }
 
 /// The fault events of one round, in deterministic order (attempt waves,
-/// machines ascending within each wave; speculation events after the waves;
-/// shard drops last).
+/// machines ascending within each wave; shard drops last).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultLog {
     events: Vec<FaultEvent>,
@@ -666,11 +558,6 @@ impl FaultLog {
     /// Appends an event.
     pub fn push(&mut self, event: FaultEvent) {
         self.events.push(event);
-    }
-
-    /// Appends all events of another log.
-    pub fn extend(&mut self, other: FaultLog) {
-        self.events.extend(other.events);
     }
 
     /// The recorded events in order.
@@ -701,16 +588,6 @@ impl FaultLog {
     /// Number of retries (re-executions after a failed attempt).
     pub fn retries(&self) -> usize {
         self.count(|e| matches!(e, FaultEvent::Retried { .. }))
-    }
-
-    /// Number of speculative copies launched.
-    pub fn speculations_launched(&self) -> usize {
-        self.count(|e| matches!(e, FaultEvent::SpeculationLaunched { .. }))
-    }
-
-    /// Number of speculative copies that won their race.
-    pub fn speculations_won(&self) -> usize {
-        self.count(|e| matches!(e, FaultEvent::SpeculationWon { .. }))
     }
 
     /// Number of shards dropped by degrade mode.
@@ -780,7 +657,7 @@ impl DegradedRun {
 /// what the CLI prints next to the round accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
-    /// Total reducer executions, including retries and speculative copies.
+    /// Total reducer executions, including retries.
     pub attempts: usize,
     /// Re-executions after failed attempts.
     pub retries: usize,
@@ -790,10 +667,6 @@ pub struct FaultSummary {
     pub rejections: usize,
     /// Straggling attempts.
     pub stragglers: usize,
-    /// Speculative copies launched.
-    pub speculations_launched: usize,
-    /// Speculative copies that won their race.
-    pub speculations_won: usize,
     /// Shards dropped by degrade mode.
     pub shards_dropped: usize,
     /// The job's total simulated time (the paper's charged metric).
@@ -813,7 +686,6 @@ impl FaultSummary {
             && self.crashes == 0
             && self.rejections == 0
             && self.stragglers == 0
-            && self.speculations_launched == 0
             && self.shards_dropped == 0
     }
 }
@@ -823,15 +695,12 @@ impl fmt::Display for FaultSummary {
         write!(
             f,
             "{} attempts, {} retries, {} crashes, {} rejected outputs, {} stragglers, \
-             {} speculative copies ({} won), {} shards dropped; \
-             simulated {:?}, wall {:?} on {}",
+             {} shards dropped; simulated {:?}, wall {:?} on {}",
             self.attempts,
             self.retries,
             self.crashes,
             self.rejections,
             self.stragglers,
-            self.speculations_launched,
-            self.speculations_won,
             self.shards_dropped,
             self.simulated_time,
             self.wall_time,
@@ -994,23 +863,12 @@ mod tests {
 
     #[test]
     fn backoff_schedules() {
-        let fixed = Backoff {
-            base: Duration::from_millis(5),
-            exponential: false,
-        };
-        assert_eq!(fixed.delay(0), Duration::ZERO);
-        assert_eq!(fixed.delay(1), Duration::from_millis(5));
-        assert_eq!(fixed.delay(4), Duration::from_millis(5));
-
-        let expo = Backoff {
-            base: Duration::from_millis(5),
-            exponential: true,
-        };
-        assert_eq!(expo.delay(1), Duration::from_millis(5));
-        assert_eq!(expo.delay(2), Duration::from_millis(10));
-        assert_eq!(expo.delay(4), Duration::from_millis(40));
-
-        assert_eq!(Backoff::NONE.delay(3), Duration::ZERO);
+        assert_eq!(retry_backoff(1), Duration::from_millis(10));
+        assert_eq!(retry_backoff(2), Duration::from_millis(20));
+        assert_eq!(retry_backoff(3), Duration::from_millis(40));
+        // The doubling stops at 2^20×.
+        assert_eq!(retry_backoff(21), Duration::from_millis(10 << 20));
+        assert_eq!(retry_backoff(64), Duration::from_millis(10 << 20));
     }
 
     #[test]
@@ -1045,7 +903,6 @@ mod tests {
         assert_eq!(log.stragglers(), 1);
         assert_eq!(log.rejections(), 1);
         assert_eq!(log.shards_dropped(), 1);
-        assert_eq!(log.speculations_launched(), 0);
         assert!(!log.is_empty());
         assert_eq!(log.events().len(), 5);
     }
@@ -1077,8 +934,6 @@ mod tests {
             crashes: 1,
             rejections: 1,
             stragglers: 3,
-            speculations_launched: 1,
-            speculations_won: 1,
             shards_dropped: 0,
             simulated_time: Duration::from_millis(12),
             wall_time: Duration::from_millis(34),

@@ -21,8 +21,8 @@
 //!   wall-clock time is recorded alongside.  Outputs are bit-identical
 //!   across executors (waves merge in ascending partition order), so the
 //!   executor extends the determinism tuple only as an *invariant*;
-//! * [`partition`] provides the mapper side: deterministic chunking,
-//!   round-robin, and seeded random partitioners;
+//! * [`partition`] provides the mapper side: deterministic contiguous
+//!   chunking within the `⌈n/m⌉` size bound;
 //! * [`JobStats`] / [`RoundStats`] accumulate per-round accounting
 //!   (simulated time, wall time, items processed and shuffled) so the bench
 //!   harness can report both the paper's metric and real elapsed time;
@@ -30,9 +30,10 @@
 //!   producing results a real cluster could not have produced;
 //! * [`faults`] adds deterministic fault injection on top: a reproducible
 //!   [`FaultPlan`] can crash reducers, slow them down, or corrupt their
-//!   output, and the cluster retries, speculates, and — when the
-//!   [`FaultConfig`] opts into degrade mode — degrades gracefully, with
-//!   every event accounted in the round statistics.  The cluster alone
+//!   output, and the cluster retries with charged backoff up to the
+//!   [`FaultConfig`]'s attempt budget and — when it opts into degrade
+//!   mode — degrades gracefully, with every event accounted in the round
+//!   statistics.  The cluster alone
 //!   makes that drop-or-fail choice: [`Cluster::run_round`] hands back
 //!   `None` for a dropped shard and records it in
 //!   [`Cluster::dropped_shards`], while [`Cluster::run_single`] never
@@ -57,7 +58,7 @@ pub use executor::{
     ExecutorSelectError, EXECUTOR_ENV, THREADS_ENV,
 };
 pub use faults::{
-    Backoff, DegradedRun, DroppedShard, FaultCause, FaultConfig, FaultKind, FaultLog, FaultPlan,
-    FaultPolicy, FaultRates, FaultSummary, ScheduledFault, Speculation,
+    DegradedRun, DroppedShard, FaultCause, FaultConfig, FaultKind, FaultLog, FaultPlan, FaultRates,
+    FaultSummary, ScheduledFault,
 };
 pub use stats::{JobStats, RoundStats};

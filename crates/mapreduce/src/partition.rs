@@ -1,14 +1,10 @@
-//! Mapper-side partitioners.
+//! Mapper-side partitioning.
 //!
 //! The map phase of every algorithm in the paper "arbitrarily partitions"
 //! the current point set across the reducers (MRG line 3, EIM lines 3 and
-//! 7).  Three deterministic strategies are provided; all of them guarantee
-//! that every input item is assigned to exactly one partition and that no
+//! 7).  [`chunks`] assigns every input item to exactly one partition and no
 //! partition exceeds `ceil(len / parts)` items — the bound MRG's analysis
 //! relies on (`|V_i| ≤ ⌈n/m⌉`).
-
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// Splits `items` into at most `parts` contiguous chunks of size
 /// `ceil(len / parts)` (the last chunk may be smaller).  Chunks are never
@@ -23,39 +19,8 @@ pub fn chunks<T: Clone>(items: &[T], parts: usize) -> Vec<Vec<T>> {
     items.chunks(size).map(|c| c.to_vec()).collect()
 }
 
-/// Deals items round-robin over at most `parts` partitions (partition `i`
-/// receives items `i`, `i + parts`, `i + 2·parts`, …).  Empty partitions are
-/// dropped.
-pub fn round_robin<T: Clone>(items: &[T], parts: usize) -> Vec<Vec<T>> {
-    assert!(parts > 0, "cannot partition into zero parts");
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let used = parts.min(items.len());
-    let mut out: Vec<Vec<T>> = (0..used)
-        .map(|_| Vec::with_capacity(items.len() / used + 1))
-        .collect();
-    for (i, item) in items.iter().enumerate() {
-        out[i % used].push(item.clone());
-    }
-    out
-}
-
-/// Shuffles the items with a seeded RNG and then chunks them — the closest
-/// analogue of a random hash partitioner while staying reproducible.
-pub fn random<T: Clone>(items: &[T], parts: usize, seed: u64) -> Vec<Vec<T>> {
-    assert!(parts > 0, "cannot partition into zero parts");
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let mut shuffled: Vec<T> = items.to_vec();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    shuffled.shuffle(&mut rng);
-    chunks(&shuffled, parts)
-}
-
-/// Maximum partition size any of the strategies in this module will produce
-/// for the given input length: `ceil(len / parts)`.
+/// Maximum partition size [`chunks`] produces for the given input length:
+/// `ceil(len / parts)`.
 pub fn max_partition_size(len: usize, parts: usize) -> usize {
     assert!(parts > 0, "cannot partition into zero parts");
     len.div_ceil(parts)
@@ -64,7 +29,6 @@ pub fn max_partition_size(len: usize, parts: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     fn flatten_sorted(parts: &[Vec<usize>]) -> Vec<usize> {
         let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
@@ -92,56 +56,12 @@ mod tests {
     #[test]
     fn chunks_of_empty_input_is_empty() {
         assert!(chunks::<usize>(&[], 5).is_empty());
-        assert!(round_robin::<usize>(&[], 5).is_empty());
-        assert!(random::<usize>(&[], 5, 0).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "zero parts")]
     fn chunks_rejects_zero_parts() {
         chunks(&[1], 0);
-    }
-
-    #[test]
-    fn round_robin_balances_partition_sizes() {
-        let items: Vec<usize> = (0..100).collect();
-        let parts = round_robin(&items, 7);
-        assert_eq!(flatten_sorted(&parts), items);
-        let sizes: BTreeSet<usize> = parts.iter().map(Vec::len).collect();
-        // Sizes differ by at most one.
-        assert!(sizes.len() <= 2);
-        let max = *sizes.iter().max().unwrap();
-        let min = *sizes.iter().min().unwrap();
-        assert!(max - min <= 1);
-    }
-
-    #[test]
-    fn round_robin_respects_max_size_bound() {
-        let items: Vec<usize> = (0..95).collect();
-        let parts = round_robin(&items, 10);
-        let bound = max_partition_size(items.len(), 10);
-        assert!(parts.iter().all(|p| p.len() <= bound));
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed_and_covers_input() {
-        let items: Vec<usize> = (0..200).collect();
-        let a = random(&items, 8, 42);
-        let b = random(&items, 8, 42);
-        let c = random(&items, 8, 43);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(flatten_sorted(&a), items);
-        assert_eq!(flatten_sorted(&c), items);
-    }
-
-    #[test]
-    fn random_respects_size_bound() {
-        let items: Vec<usize> = (0..1001).collect();
-        let parts = random(&items, 50, 7);
-        let bound = max_partition_size(items.len(), 50);
-        assert!(parts.iter().all(|p| p.len() <= bound));
-        assert!(parts.len() <= 50);
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub struct RoundStats {
     /// pairs its early-exit certification pruned.  Empty for rounds that
     /// report nothing.
     pub counters: Vec<(String, u64)>,
-    /// Total reducer executions in the round, including retries and
-    /// speculative copies (equals `machines_used` in a fault-free round).
+    /// Total reducer executions in the round, including retries (equals
+    /// `machines_used` in a fault-free round).
     pub attempts: usize,
     /// What the fault-injection machinery did during the round (empty when
     /// nothing fault-related happened).
@@ -149,12 +149,6 @@ impl JobStats {
         self.rounds_labelled(prefix).count()
     }
 
-    /// Total simulated time of the rounds whose label starts with `prefix`
-    /// (the paper's charged time, restricted to one phase of a job).
-    pub fn simulated_time_labelled(&self, prefix: &str) -> Duration {
-        self.rounds_labelled(prefix).map(|r| r.simulated_time).sum()
-    }
-
     /// Sum of the named counter over all rounds that recorded it — how a
     /// caller reads e.g. the coreset weights round's pruned-pair count out
     /// of the job accounting.
@@ -163,7 +157,7 @@ impl JobStats {
     }
 
     /// Fault-accounting totals over all rounds: attempts, retries, crashes,
-    /// stragglers, speculation and dropped shards, plus the job's total
+    /// rejections, stragglers and dropped shards, plus the job's total
     /// simulated and wall-clock time labelled with the executor that ran
     /// it.  All-zero (apart from `attempts == Σ machines_used` and the
     /// time columns) for a fault-free job.
@@ -175,8 +169,6 @@ impl JobStats {
             s.crashes += r.faults.crashes();
             s.rejections += r.faults.rejections();
             s.stragglers += r.faults.stragglers();
-            s.speculations_launched += r.faults.speculations_launched();
-            s.speculations_won += r.faults.speculations_won();
             s.shards_dropped += r.faults.shards_dropped();
             // A job's rounds all run on one cluster, hence one executor;
             // record the one that actually executed (the last round wins
@@ -268,14 +260,6 @@ mod tests {
         assert_eq!(job.num_rounds_labelled("coreset"), 2);
         assert_eq!(job.num_rounds_labelled("sweep solve"), 2);
         assert_eq!(job.num_rounds_labelled("missing"), 0);
-        assert_eq!(
-            job.simulated_time_labelled("coreset"),
-            Duration::from_millis(15)
-        );
-        assert_eq!(
-            job.simulated_time_labelled("sweep solve"),
-            Duration::from_millis(7)
-        );
         let labels: Vec<&str> = job
             .rounds_labelled("sweep")
             .map(|r| r.label.as_str())

@@ -1,5 +1,5 @@
-//! Property-based tests for the MapReduce substrate: partitioners must
-//! cover their input exactly once within the size bound, and the simulated
+//! Property-based tests for the MapReduce substrate: the partitioner must
+//! cover its input exactly once within the size bound, and the simulated
 //! cluster's accounting must be internally consistent.
 
 use kcenter_mapreduce::{partition, Cluster, ClusterConfig};
@@ -11,28 +11,21 @@ proptest! {
     #[test]
     fn every_partitioner_covers_input_exactly_once(
         items in prop::collection::vec(any::<u32>(), 0..400),
-        parts in 1usize..60,
-        seed in any::<u64>()
+        parts in 1usize..60
     ) {
-        for strategy in ["chunks", "round_robin", "random"] {
-            let out = match strategy {
-                "chunks" => partition::chunks(&items, parts),
-                "round_robin" => partition::round_robin(&items, parts),
-                _ => partition::random(&items, parts, seed),
-            };
-            // Exactly-once coverage (as multisets).
-            let mut flattened: Vec<u32> = out.iter().flatten().copied().collect();
-            let mut expected = items.clone();
-            flattened.sort_unstable();
-            expected.sort_unstable();
-            prop_assert_eq!(&flattened, &expected, "strategy {} lost or duplicated items", strategy);
-            // Never more partitions than requested, never an empty partition.
-            prop_assert!(out.len() <= parts);
-            prop_assert!(out.iter().all(|p| !p.is_empty()));
-            // Size bound the MRG analysis relies on.
-            let bound = partition::max_partition_size(items.len(), parts);
-            prop_assert!(out.iter().all(|p| p.len() <= bound), "strategy {} exceeded ceil(n/m)", strategy);
-        }
+        let out = partition::chunks(&items, parts);
+        // Exactly-once coverage (as multisets).
+        let mut flattened: Vec<u32> = out.iter().flatten().copied().collect();
+        let mut expected = items.clone();
+        flattened.sort_unstable();
+        expected.sort_unstable();
+        prop_assert_eq!(&flattened, &expected, "chunks lost or duplicated items");
+        // Never more partitions than requested, never an empty partition.
+        prop_assert!(out.len() <= parts);
+        prop_assert!(out.iter().all(|p| !p.is_empty()));
+        // Size bound the MRG analysis relies on.
+        let bound = partition::max_partition_size(items.len(), parts);
+        prop_assert!(out.iter().all(|p| p.len() <= bound), "chunks exceeded ceil(n/m)");
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl<D: Distance + Default + Clone, S: Scalar> Ingestor<D, S> {
             None => h.write(b"fault-free"),
             Some(f) => {
                 h.write(f.plan.to_text().as_bytes());
-                h.write_u64(f.policy.max_attempts as u64);
+                h.write_u64(f.max_attempts as u64);
                 h.write(&[u8::from(f.degrade)]);
             }
         }
@@ -451,7 +451,7 @@ impl<D: Distance + Default + Clone, S: Scalar> Ingestor<D, S> {
 mod tests {
     use super::*;
     use kcenter_data::DatasetSpec;
-    use kcenter_mapreduce::{FaultKind, FaultPolicy, ScheduledFault};
+    use kcenter_mapreduce::{FaultKind, ScheduledFault};
     use kcenter_metric::Euclidean;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -488,7 +488,7 @@ mod tests {
                 attempt: 0,
                 kind: FaultKind::Crash,
             }]))
-            .with_policy(FaultPolicy::with_max_attempts(1))
+            .with_max_attempts(1)
             .with_degrade(true),
         );
         c
