@@ -268,13 +268,13 @@ impl Cluster {
             if pending.is_empty() {
                 break;
             }
-            let retried: Vec<(usize, usize, Duration, AttemptOutcome<R>)> =
+            let retried: Vec<(usize, usize, AttemptOutcome<R>)> =
                 run_wave(executor, pending, |(i, attempt)| {
-                    let backoff = retry_backoff(attempt);
                     let outcome = execute_attempt(i, attempt, &partitions[i], reduce, plan, round);
-                    (i, attempt, backoff, outcome)
+                    (i, attempt, outcome)
                 });
-            for (i, attempt, backoff, outcome) in retried {
+            for (i, attempt, outcome) in retried {
+                let backoff = retry_backoff(attempt);
                 log.push(FaultEvent::Retried {
                     machine: i,
                     attempt,
