@@ -2,7 +2,7 @@
 //!
 //! The fault layer's central promise: as long as every partition
 //! eventually succeeds within its attempt budget, retries, backoff and
-//! stragglers must not change a single bit of any driver's output — the
+//! stragglers must not change a single bit of any algorithm's output — the
 //! determinism tuple stays `(seed, precision, kernel, assign)`, never
 //! "and the fault schedule".  These tests drive random seeded fault plans
 //! through MRG, EIM and both coreset builders and demand bit-identical
