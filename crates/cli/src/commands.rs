@@ -298,6 +298,8 @@ fn solve_at<S: Scalar, W: Write>(
     executor: Executor,
     out: &mut W,
 ) -> Result<(), CommandError> {
+    // The plan file is read before the input, so a bad plan costs no parse.
+    let faults = build_fault_config(&args.run.faults)?;
     let space = load_space::<S>(&args.input, args.skip_columns)?;
     writeln!(
         out,
@@ -307,8 +309,6 @@ fn solve_at<S: Scalar, W: Write>(
         args.input,
         S::NAME
     )?;
-
-    let faults = build_fault_config(&args.run.faults)?;
 
     let (centers, radius, degraded): (Vec<PointId>, f64, Option<DegradedRun>) = match args.algorithm
     {
@@ -472,6 +472,8 @@ fn sweep_at<S: Scalar, W: Write>(
     executor: Executor,
     out: &mut W,
 ) -> Result<(), CommandError> {
+    // The plan file is read before the input, so a bad plan costs no parse.
+    let faults = build_fault_config(&args.run.faults)?;
     let space: VecSpace<Euclidean, S> = match &args.source {
         SweepSource::Csv { path, skip_columns } => load_space::<S>(path, *skip_columns)?,
         SweepSource::Generated(spec) => spec.build_at::<S>(args.seed).space,
@@ -494,7 +496,6 @@ fn sweep_at<S: Scalar, W: Write>(
         .max()
         .ok_or_else(|| invalid("ks", "sweep needs at least one k value"))?;
     let phi_max = args.phis.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let faults = build_fault_config(&args.run.faults)?;
 
     // ---- Phase 1: build the coreset exactly once.
     let coreset: WeightedCoreset<Euclidean, S> = match args.builder {
@@ -1345,6 +1346,25 @@ mod tests {
             })
         ));
         assert!(err.to_string().contains("/not/there.txt"));
+        // The plan is read before the input: with both missing, the plan
+        // error is the one reported.
+        for cmd in [
+            "solve mrg --input /not/there.csv --k 2",
+            "sweep --input /not/there.csv --ks 2 --phis 4",
+        ] {
+            let err = run_cli(&format!("{cmd} --fault-plan /not/there.txt")).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CommandError::Algorithm(KCenterError::InvalidParameter {
+                        name: "fault-plan",
+                        ..
+                    })
+                ),
+                "{cmd}: {err}"
+            );
+            assert!(err.to_string().contains("/not/there.txt"), "{cmd}: {err}");
+        }
         std::fs::remove_file(&csv).ok();
         std::fs::remove_file(&plan).ok();
     }

@@ -10,7 +10,9 @@
 //! * **[`WeightedCoreset::merge`]** — concatenate the representative rows
 //!   of two summaries over *disjoint* source prefixes.  Every source point
 //!   still reaches a representative within its own builder's radius, so the
-//!   composed certificate is `max(r_a, r_b)` — no slack is added.
+//!   composed certificate is `max(r_a, r_b)` — no slack is added.  The
+//!   merged summary carries empty [`JobStats`]: it spans many builds, and
+//!   its accounting is its parts'.
 //! * **[`WeightedCoreset::recompress`]** — when the accumulated summary
 //!   exceeds a budget, re-run a farthest-point selection *on the
 //!   positive-weight representatives* and fold each old representative's
@@ -18,7 +20,12 @@
 //!   (to its old representative, then to that representative's survivor),
 //!   so the certificate composes **additively**: `r_new = r_old + r_compress`,
 //!   where `r_compress` is the certified covering radius of the survivors
-//!   over the positive-weight old representatives.
+//!   over the positive-weight old representatives.  Only the rows the
+//!   selection dropped are scanned against the survivors: a survivor the
+//!   traversal chose is its own nearest survivor at distance 0, so it
+//!   keeps its weight and adds nothing to `r_compress` (see
+//!   [`WeightedCoreset::recompress`] for why that is exact, and for the
+//!   fits-the-budget case, where every row is scanned).
 //! * **[`WeightedCoreset::absorb_reingested`]** — a degraded batch build
 //!   (PR 6's disclose-as-lost semantics) names exactly which source ids
 //!   fell out of its claim; a service that still holds the source of
@@ -35,9 +42,9 @@
 
 use super::{gather_rows, CoresetBuilder, CoresetCoverage, WeightedCoreset};
 use crate::error::KCenterError;
-use crate::evaluate::{assign, covering_radius_subset};
 use crate::gonzalez::FirstCenter;
 use crate::solver::SequentialSolver;
+use kcenter_mapreduce::JobStats;
 use kcenter_metric::distance::Distance;
 use kcenter_metric::{PointId, Scalar, VecSpace};
 
@@ -54,6 +61,9 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
     /// provenance concatenates with the same id shift, and the builder
     /// becomes [`CoresetBuilder::Merged`].  The build seed survives only
     /// when both sides agree (otherwise there is no single seed to report).
+    /// The merged summary's [`WeightedCoreset::stats`] are empty: it spans
+    /// many builds, and each build's accounting belongs to that build (a
+    /// stream's fold would otherwise copy its whole job history per batch).
     ///
     /// # Errors
     ///
@@ -112,8 +122,6 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
             lost_source_ids: lost,
         };
 
-        let mut stats = self.stats.clone();
-        stats.extend(other.stats.clone());
         let seed = if self.seed == other.seed {
             self.seed
         } else {
@@ -128,7 +136,7 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
             self.construction_radius.max(other.construction_radius),
             CoresetBuilder::Merged,
             seed,
-            stats,
+            JobStats::new(),
             coverage,
         ))
     }
@@ -136,8 +144,8 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
     /// Shrinks the summary to at most `budget` representatives by a
     /// farthest-point selection **on the positive-weight representatives**,
     /// folding each old representative's weight into its nearest survivor
-    /// (the [`assign`] convention: comparison-space argmin, ties to the
-    /// smaller survivor position).
+    /// (the [`crate::evaluate::assign`] convention: comparison-space
+    /// argmin, ties to the smaller survivor position).
     ///
     /// The certificate composes additively: a covered source point reaches
     /// its old representative within `r_old` and that representative
@@ -146,6 +154,25 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
     /// covering radius of the survivors over the positive-weight old
     /// representatives (a zero-weight row is neither a candidate nor an
     /// obligation, as in every solve).
+    ///
+    /// Only the positive-weight rows the selection dropped are scanned.
+    /// Each adds its weight to its [`VecSpace::nearest`] survivor, and can
+    /// raise `r_compress` only past the pruning of the build's weights
+    /// round: the wide distance to its assigned survivor first, the full
+    /// wide scan over the survivors only when that exceeds the running
+    /// maximum.  A survivor keeps its own weight and adds 0 to the radius,
+    /// which is exact whenever the traversal's loop chose it: the loop
+    /// promotes a row only at positive comparison distance from every
+    /// earlier survivor, and whether a sum of per-coordinate squares or
+    /// absolute differences is zero depends on neither the kernel backend
+    /// nor the summation order, so no earlier survivor ties with a
+    /// survivor's own slot.  When the support already fits the budget the
+    /// loop never runs: the survivors are the whole support, duplicate rows
+    /// included, so every support row is scanned and a duplicate folds into
+    /// its first copy.  Survivors, weights and certificate are bit for bit
+    /// those of assigning and certifying every row against the survivors,
+    /// at about `(support − budget) · budget` pairs instead of twice
+    /// `len · budget`.
     ///
     /// Returns a clone when the summary already fits the budget.
     ///
@@ -170,14 +197,36 @@ impl<D: Distance + Clone, S: Scalar> WeightedCoreset<D, S> {
             budget,
             FirstCenter::default(),
         );
-        let r_compress = covering_radius_subset(&self.space, &support, &survivors);
-
-        // Fold every old representative's weight into its nearest survivor.
-        let assignment = assign(&self.space, &survivors);
-        let mut weights = vec![0u64; survivors.len()];
-        for (old, &slot) in assignment.iter().enumerate() {
-            weights[slot] += self.weights[old];
+        // The loop chose the survivors only when the support exceeded the
+        // budget; otherwise they are the support itself, duplicates too.
+        let (mut weights, scanned) = if support.len() > budget {
+            let mut kept = vec![false; self.len()];
+            for &s in &survivors {
+                kept[s] = true;
+            }
+            let own = survivors.iter().map(|&s| self.weights[s]).collect();
+            let dropped: Vec<PointId> = support.into_iter().filter(|&r| !kept[r]).collect();
+            (own, dropped)
+        } else {
+            (vec![0u64; survivors.len()], support)
+        };
+        let mut wide_max = f64::NEG_INFINITY;
+        for &row in &scanned {
+            let (slot, _) = self.space.nearest(row, &survivors);
+            weights[slot] += self.weights[row];
+            // wide_min(row) <= wide(row, its survivor): within the running
+            // max the row cannot raise it — skip the wide scan.
+            if self.space.wide_cmp_distance(row, survivors[slot]) > wide_max {
+                let w = self
+                    .space
+                    .wide_cmp_distance_to_set_bounded(row, &survivors, wide_max);
+                wide_max = wide_max.max(w);
+            }
         }
+        let r_compress = self
+            .space
+            .metric()
+            .wide_surrogate_to_distance(wide_max.max(0.0));
 
         let source_ids: Vec<PointId> = survivors.iter().map(|&s| self.source_ids[s]).collect();
         Ok(Self::from_parts(
@@ -442,6 +491,26 @@ mod tests {
             y.construction_radius().to_bits()
         );
         assert_eq!(x.space().flat().coords(), y.space().flat().coords());
+    }
+
+    #[test]
+    fn folding_a_stream_keeps_the_accumulated_stats_empty() {
+        let space = cloud(2_000, 27);
+        let mut acc: Option<WeightedCoreset> = None;
+        for part in split(&space, 8) {
+            let built = GonzalezCoresetConfig::new(40).build(&part).unwrap();
+            assert_eq!(built.stats().num_rounds(), 3);
+            let mut next = match acc.take() {
+                None => built,
+                Some(a) => a.merge(&built).unwrap(),
+            };
+            if next.len() > 90 {
+                next = next.recompress(90).unwrap();
+            }
+            acc = Some(next);
+        }
+        // Each batch's rounds stay with its build: the fold copies none.
+        assert_eq!(acc.unwrap().stats().num_rounds(), 0);
     }
 
     #[test]

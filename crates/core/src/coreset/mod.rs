@@ -333,6 +333,12 @@ impl<D: Distance, S: Scalar> WeightedCoreset<D, S> {
 
     /// MapReduce accounting of the construction (simulated time, per-round
     /// items) — the build-once cost a sweep amortises.
+    ///
+    /// A summary returned by [`WeightedCoreset::merge`] (so any fold of two
+    /// or more batches) or restored by [`WeightedCoreset::from_bytes`] has
+    /// empty stats: its accounting belongs to the builds it came from.
+    /// [`WeightedCoreset::recompress`] keeps its input's stats, and
+    /// [`WeightedCoreset::absorb_reingested`] concatenates its two inputs'.
     pub fn stats(&self) -> &JobStats {
         &self.stats
     }

@@ -52,10 +52,9 @@
 //! is the identity on valid buffers, and coordinates/certificates travel
 //! as raw IEEE-754 bit patterns (no text round-off).
 //!
-//! Job accounting ([`WeightedCoreset::stats`]) and the lazily built relax
-//! grid are process-local artifacts and deliberately **not** persisted: a
-//! loaded summary starts with empty stats and rebuilds its grid on first
-//! use, bit-identically.
+//! Job accounting ([`WeightedCoreset::stats`]) is a process-local
+//! artifact and deliberately **not** persisted: a loaded summary starts
+//! with empty stats.
 
 use super::{CoresetBuilder, CoresetCoverage, WeightedCoreset};
 use crate::hash::fnv1a64;

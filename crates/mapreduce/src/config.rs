@@ -56,52 +56,6 @@ impl ClusterConfig {
     pub fn allows_two_round(&self, n: usize, k: usize) -> bool {
         n.div_ceil(self.machines) <= self.capacity && k * self.machines <= self.capacity
     }
-
-    /// The machine-count bound of Inequality (1) after `i` reduction rounds:
-    /// `m(i) ≤ m·(k/c)^i + (1 − (k/c)^i) / (1 − k/c)`.
-    ///
-    /// Returns `None` when `k ≥ c`, in which case the recurrence does not
-    /// shrink and the paper notes the algorithm cannot finish without
-    /// external memory.
-    pub fn machines_after_rounds(&self, k: usize, rounds: u32) -> Option<f64> {
-        let ratio = k as f64 / self.capacity as f64;
-        if ratio >= 1.0 {
-            return None;
-        }
-        let m = self.machines as f64;
-        let r_i = ratio.powi(rounds as i32);
-        Some(m * r_i + (1.0 - r_i) / (1.0 - ratio))
-    }
-
-    /// The number of reduction rounds MRG needs before the surviving sample
-    /// fits on a single machine, following the Lemma 3 recurrence: starting
-    /// from `n` points on `m` machines, each round turns the current point
-    /// count `s` into `k · ceil(s / c)` (one GON run of `k` centers per
-    /// occupied machine), and the loop ends once `s ≤ c`.
-    ///
-    /// Returns `None` if the recurrence stops shrinking before fitting
-    /// (which happens when `k ≥ c`).
-    pub fn rounds_needed(&self, n: usize, k: usize) -> Option<u32> {
-        if n == 0 {
-            return Some(0);
-        }
-        if k >= self.capacity && n > self.capacity {
-            return None;
-        }
-        let mut s = n;
-        let mut rounds = 0u32;
-        while s > self.capacity {
-            let machines_needed = s.div_ceil(self.capacity).max(1);
-            let next = k.saturating_mul(machines_needed);
-            rounds += 1;
-            if next >= s {
-                // No progress: the sample no longer shrinks.
-                return None;
-            }
-            s = next;
-        }
-        Some(rounds + 1) // +1 for the final single-machine round.
-    }
 }
 
 #[cfg(test)]
@@ -147,47 +101,5 @@ mod tests {
         assert!(!c.allows_two_round(1000, 20));
         // n/m = 101 > 100.
         assert!(!c.allows_two_round(1010, 5));
-    }
-
-    #[test]
-    fn machines_after_rounds_matches_inequality_one() {
-        let c = ClusterConfig::new(50, 1000);
-        // k/c = 0.1: after one round m(1) <= 50*0.1 + (1-0.1)/(1-0.1) = 6.
-        let bound = c.machines_after_rounds(100, 1).unwrap();
-        assert!((bound - 6.0).abs() < 1e-9);
-        // As i grows the bound approaches 1/(1-k/c).
-        let limit = c.machines_after_rounds(100, 30).unwrap();
-        assert!((limit - 1.0 / 0.9).abs() < 1e-6);
-        assert!(c.machines_after_rounds(1000, 1).is_none());
-    }
-
-    #[test]
-    fn rounds_needed_two_round_case() {
-        // n/m <= c and k*m <= c: classic 2-round MRG.
-        let c = ClusterConfig::new(50, 20_000);
-        assert_eq!(c.rounds_needed(1_000_000, 100), Some(2));
-    }
-
-    #[test]
-    fn rounds_needed_when_everything_fits_on_one_machine() {
-        let c = ClusterConfig::new(50, 10_000);
-        assert_eq!(c.rounds_needed(5_000, 10), Some(1));
-        assert_eq!(c.rounds_needed(0, 10), Some(0));
-    }
-
-    #[test]
-    fn rounds_needed_multi_round_case() {
-        // Capacity too small for k*m after one round: k*m = 5*50 = 250 > c = 100,
-        // so a second reduction round is required before the final round.
-        let c = ClusterConfig::new(50, 100);
-        let rounds = c.rounds_needed(5_000, 5).unwrap();
-        assert!(rounds >= 3, "expected at least three rounds, got {rounds}");
-    }
-
-    #[test]
-    fn rounds_needed_detects_non_convergence() {
-        // k >= c: selecting k centers per machine cannot shrink the sample.
-        let c = ClusterConfig::new(10, 50);
-        assert_eq!(c.rounds_needed(10_000, 60), None);
     }
 }

@@ -19,13 +19,6 @@ pub fn chunks<T: Clone>(items: &[T], parts: usize) -> Vec<Vec<T>> {
     items.chunks(size).map(|c| c.to_vec()).collect()
 }
 
-/// Maximum partition size [`chunks`] produces for the given input length:
-/// `ceil(len / parts)`.
-pub fn max_partition_size(len: usize, parts: usize) -> usize {
-    assert!(parts > 0, "cannot partition into zero parts");
-    len.div_ceil(parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,12 +55,5 @@ mod tests {
     #[should_panic(expected = "zero parts")]
     fn chunks_rejects_zero_parts() {
         chunks(&[1], 0);
-    }
-
-    #[test]
-    fn max_partition_size_is_ceiling() {
-        assert_eq!(max_partition_size(100, 10), 10);
-        assert_eq!(max_partition_size(101, 10), 11);
-        assert_eq!(max_partition_size(0, 10), 0);
     }
 }

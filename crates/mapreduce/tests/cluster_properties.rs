@@ -24,7 +24,7 @@ proptest! {
         prop_assert!(out.len() <= parts);
         prop_assert!(out.iter().all(|p| !p.is_empty()));
         // Size bound the MRG analysis relies on.
-        let bound = partition::max_partition_size(items.len(), parts);
+        let bound = items.len().div_ceil(parts);
         prop_assert!(out.iter().all(|p| p.len() <= bound), "chunks exceeded ceil(n/m)");
     }
 
@@ -69,21 +69,6 @@ proptest! {
             prop_assert!(result.is_ok());
         } else {
             prop_assert!(result.is_err());
-        }
-    }
-
-    #[test]
-    fn rounds_needed_is_consistent_with_two_round_predicate(
-        n in 1usize..2_000_000,
-        k in 1usize..500,
-        machines in 1usize..100,
-        capacity in 1usize..100_000
-    ) {
-        let config = ClusterConfig::new(machines, capacity);
-        if config.allows_two_round(n, k) {
-            let rounds = config.rounds_needed(n, k);
-            prop_assert!(rounds.is_some());
-            prop_assert!(rounds.unwrap() <= 2, "two-round precondition met but {} rounds predicted", rounds.unwrap());
         }
     }
 }
