@@ -267,6 +267,9 @@ fn recompressed_bytes<D: Distance + Clone, S: Scalar>(
     radius: f64,
 ) -> Vec<u8> {
     let bytes = c.to_bytes();
+    // Magic (4), version (2) and scalar tag (1) precede the builder tag at
+    // 7, the flags at 8 (bit 0: seed present) and the name length at 9;
+    // the name, the optional seed and the `u32` dimension follow.
     let seed_len = if bytes[8] & 1 == 1 { 8 } else { 0 };
     let count_at = 10 + usize::from(bytes[9]) + seed_len + 4;
     let row_len = c.space().flat().dim() * S::BYTE_WIDTH;
