@@ -15,6 +15,9 @@
 //! the grid wins, which `kcenter_metric::grid::ASSIGN_CROSSOVER` copies.
 //! `relax_crossover` does the same for whole k-center Gonzalez selections
 //! (the relax loop) under each pinned arm; `RELAX_CROSSOVER` copies it.
+//! Each crossover cell is timed as `PAIRS` interleaved dense/grid block
+//! pairs; the record holds each arm's median, which the crossover reads,
+//! and its quartiles, so a reader can see how far host load moved it.
 //!
 //! A further section (`sweep_results`) measures the coreset layer's
 //! build-once/solve-many amortisation: one weighted coreset (Gonzalez and
@@ -53,9 +56,14 @@ const ASSIGN_DIMS: [usize; 5] = [2, 3, 4, 8, 16];
 /// Headline assignment rows: the paper-scale clustered workload.
 const ASSIGN_N: usize = 1_000_000;
 const ASSIGN_K: usize = 50;
-/// Crossover sweeps: point counts probed per dimension; the smallest count
-/// where the grid wins anywhere becomes `auto`'s point floor.
+/// Assignment crossover sweeps: point counts probed per dimension; the
+/// smallest count where the grid wins anywhere becomes `auto`'s point
+/// floor.
 const CROSS_NS: [usize; 3] = [1 << 12, 1 << 15, 1 << 18];
+/// Relax crossover sweeps add n = 2^10, the shape of a stream's
+/// re-compression selection (budget 1,000 over ~1,050 rows).  Only `k < n`
+/// is probed: at `k ≥ n` both arms return every row without scanning.
+const RELAX_NS: [usize; 4] = [1 << 10, 1 << 12, 1 << 15, 1 << 18];
 /// Assignment candidate counts, up to the coreset sizes the weights round
 /// buckets.
 const CROSS_KS: [usize; 13] = [4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 256, 512, 1024];
@@ -70,6 +78,9 @@ const RELAX_BLOCK_POINTS: usize = 1 << 16;
 /// not 1), so they use a lighter best-of.
 const ASSIGN_WARMUP: usize = 1;
 const ASSIGN_REPEATS: usize = 3;
+/// Timed dense/grid block pairs per crossover cell (after `ASSIGN_WARMUP`
+/// untimed pairs): each arm reads as the median of its blocks.
+const PAIRS: usize = 5;
 /// Scans per timed block: one block = one `select_centers(k = SCANS + 1)`
 /// worth of consecutive nearest-center scans, the way the solver actually
 /// runs them (so each layout sees its own true cache residency).
@@ -103,6 +114,50 @@ fn best_interleaved_n(
         }
     }
     best
+}
+
+/// Lower quartile, median and upper quartile of one arm's block times in
+/// a crossover cell.
+#[derive(Clone, Copy)]
+struct Quartiles {
+    q1: u128,
+    median: u128,
+    q3: u128,
+}
+
+/// Times one crossover cell: `ASSIGN_WARMUP` untimed, then `PAIRS` timed
+/// dense/grid block pairs, alternating which arm runs first so neither
+/// always follows the other.  Returns each arm's quartiles per unit of
+/// work, a block running `per_block` scans or selections.
+fn median_pairs(
+    per_block: usize,
+    dense: &mut dyn FnMut(),
+    grid: &mut dyn FnMut(),
+) -> (Quartiles, Quartiles) {
+    let mut times = [Vec::with_capacity(PAIRS), Vec::with_capacity(PAIRS)];
+    for pair in 0..ASSIGN_WARMUP + PAIRS {
+        for arm in [pair % 2, 1 - pair % 2] {
+            let start = Instant::now();
+            if arm == 0 {
+                dense();
+            } else {
+                grid();
+            }
+            let t = start.elapsed().as_nanos() / per_block as u128;
+            if pair >= ASSIGN_WARMUP {
+                times[arm].push(t);
+            }
+        }
+    }
+    let [dense, grid] = times.map(|mut t| {
+        t.sort_unstable();
+        Quartiles {
+            q1: t[PAIRS / 4],
+            median: t[PAIRS / 2],
+            q3: t[PAIRS * 3 / 4],
+        }
+    });
+    (dense, grid)
 }
 
 fn main() {
@@ -277,37 +332,31 @@ fn main() {
             let space = VecSpace::from_flat(clustered_flat::<f64>(n, dim, 25, 43));
             let max_k = *CROSS_KS.iter().max().expect("CROSS_KS is non-empty");
             let all_centers = gonzalez_centers(&space, max_k);
-            let mut dense_ns = Vec::new();
-            let mut grid_ns = Vec::new();
-            for &k in &CROSS_KS {
-                let centers = all_centers[..k].to_vec();
-                let timed = best_interleaved_n(
-                    ASSIGN_WARMUP,
-                    ASSIGN_REPEATS,
-                    &mut [
+            let (dense, grid): (Vec<_>, Vec<_>) = CROSS_KS
+                .iter()
+                .map(|&k| {
+                    let centers = &all_centers[..k];
+                    median_pairs(
+                        scans,
                         &mut || {
                             for _ in 0..scans {
-                                black_box(dense_assign_scan(&space, &centers));
+                                black_box(dense_assign_scan(&space, centers));
                             }
                         },
                         &mut || {
                             for _ in 0..scans {
                                 black_box(
-                                    grid_assign_scan(&space, &centers)
+                                    grid_assign_scan(&space, centers)
                                         .expect("center set buckets fine"),
                                 );
                             }
                         },
-                    ],
-                );
-                dense_ns.push(timed[0] / scans as u128);
-                grid_ns.push(timed[1] / scans as u128);
-            }
-            let crossover = crossover_k(&CROSS_KS, &dense_ns, &grid_ns);
-            eprintln!(
-                "assign crossover n={n} d={dim:>2}: dense {dense_ns:?} vs grid {grid_ns:?} -> grid wins from k = {crossover:?}"
-            );
-            crossover_rows.push((n, dim, dense_ns, grid_ns, crossover));
+                    )
+                })
+                .unzip();
+            let row = CrossoverRow::new(n, dim, CROSS_KS.to_vec(), dense, grid);
+            eprintln!("assign {}", row.summary());
+            crossover_rows.push(row);
         }
     }
 
@@ -316,8 +365,9 @@ fn main() {
     // each selection), against the sequential dense kernel that every
     // MapReduce reducer and coreset round runs.
     let mut relax_rows = Vec::new();
-    for &n in &CROSS_NS {
+    for &n in &RELAX_NS {
         let selections = (RELAX_BLOCK_POINTS / n).max(1);
+        let ks: Vec<usize> = RELAX_KS.iter().copied().filter(|&k| k < n).collect();
         for &dim in &ASSIGN_DIMS {
             let space = VecSpace::from_flat(clustered_flat::<f64>(n, dim, 25, 43));
             let ids: Vec<usize> = (0..n).collect();
@@ -333,24 +383,19 @@ fn main() {
                     ));
                 }
             };
-            let mut dense_ns = Vec::new();
-            let mut grid_ns = Vec::new();
-            for &k in &RELAX_KS {
-                let timed = best_interleaved_n(
-                    ASSIGN_WARMUP,
-                    ASSIGN_REPEATS,
-                    &mut [&mut || select(AssignMode::Dense, k), &mut || {
-                        select(AssignMode::Grid, k)
-                    }],
-                );
-                dense_ns.push(timed[0] / selections as u128);
-                grid_ns.push(timed[1] / selections as u128);
-            }
-            let crossover = crossover_k(&RELAX_KS, &dense_ns, &grid_ns);
-            eprintln!(
-                "relax crossover n={n} d={dim:>2}: dense {dense_ns:?} vs grid {grid_ns:?} -> grid wins from k = {crossover:?}"
-            );
-            relax_rows.push((n, dim, dense_ns, grid_ns, crossover));
+            let (dense, grid): (Vec<_>, Vec<_>) = ks
+                .iter()
+                .map(|&k| {
+                    median_pairs(
+                        selections,
+                        &mut || select(AssignMode::Dense, k),
+                        &mut || select(AssignMode::Grid, k),
+                    )
+                })
+                .unzip();
+            let row = CrossoverRow::new(n, dim, ks.clone(), dense, grid);
+            eprintln!("relax {}", row.summary());
+            relax_rows.push(row);
         }
     }
     grid::set_choice(AssignChoice::Auto);
@@ -407,24 +452,22 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"assign_crossover_note\": \"per (n, dim), the smallest probed candidate count from which the grid assignment scan beats the dense one at every larger probed count (ns per scan, best of {ASSIGN_REPEATS} blocks of at least {CROSS_BLOCK_POINTS} scanned points); kcenter_metric::grid::ASSIGN_CROSSOVER copies these records and a kcenter-bench test fails when they disagree\","
+        "  \"assign_crossover_note\": \"per (n, dim), the smallest probed candidate count from which the grid assignment scan beats the dense one at every larger probed count (ns per scan: the median of {PAIRS} interleaved dense/grid pairs of blocks of at least {CROSS_BLOCK_POINTS} scanned points, after {ASSIGN_WARMUP} warm-up pair, with the quartiles in the *_q1_ns/*_q3_ns columns); kcenter_metric::grid::ASSIGN_CROSSOVER copies these records and a kcenter-bench test fails when they disagree\","
     );
     write_crossover(
         &mut json,
         "assign_crossover",
-        ["dense_assign_ns", "grid_assign_ns"],
-        &CROSS_KS,
+        ["dense_assign", "grid_assign"],
         &crossover_rows,
     );
     let _ = writeln!(
         json,
-        "  \"relax_crossover_note\": \"per (n, dim), the smallest probed selection size k from which a k-center Gonzalez selection (select_centers, sequential scan) runs faster with the grid relax arm pinned, bucketing included, than with the dense fused kernel, at every larger probed k (ns per selection, best of {ASSIGN_REPEATS} blocks of at least {RELAX_BLOCK_POINTS} points); kcenter_metric::grid::RELAX_CROSSOVER copies these records and a kcenter-bench test fails when they disagree\","
+        "  \"relax_crossover_note\": \"per (n, dim), the smallest probed selection size k from which a k-center Gonzalez selection (select_centers, sequential scan) runs faster with the grid relax arm pinned, bucketing and the cell-order row copy included, than with the dense fused kernel, at every larger probed k below n (ns per selection: the median of {PAIRS} interleaved dense/grid pairs of blocks of at least {RELAX_BLOCK_POINTS} points, after {ASSIGN_WARMUP} warm-up pair, with the quartiles in the *_q1_ns/*_q3_ns columns); a grid of one occupied cell runs the dense scan on both arms (n = 2^10 at d = 8, and every n at d = 16); kcenter_metric::grid::RELAX_CROSSOVER copies these records and a kcenter-bench test fails when they disagree\","
     );
     write_crossover(
         &mut json,
         "relax_crossover",
-        ["dense_select_ns", "grid_select_ns"],
-        &RELAX_KS,
+        ["dense_select", "grid_select"],
         &relax_rows,
     );
 
@@ -552,31 +595,82 @@ fn main() {
     println!("wrote {out_path}");
 }
 
-/// One crossover record per probed `(n, dim)`: timings of both arms per
-/// probed count and the crossover they give.
-type CrossoverRow = (usize, usize, Vec<u128>, Vec<u128>, Option<usize>);
+/// One crossover record per probed `(n, dim)`: both arms' timings per
+/// probed count and the crossover their medians give.
+struct CrossoverRow {
+    n: usize,
+    dim: usize,
+    ks: Vec<usize>,
+    arms: [Vec<Quartiles>; 2],
+    crossover: Option<usize>,
+}
+
+/// One arm's medians, the timings `crossover_k` reads.
+fn medians(arm: &[Quartiles]) -> Vec<u128> {
+    arm.iter().map(|q| q.median).collect()
+}
+
+impl CrossoverRow {
+    /// The record of one `(n, dim)` sweep, with the crossover its medians
+    /// give.
+    fn new(
+        n: usize,
+        dim: usize,
+        ks: Vec<usize>,
+        dense: Vec<Quartiles>,
+        grid: Vec<Quartiles>,
+    ) -> Self {
+        let crossover = crossover_k(&ks, &medians(&dense), &medians(&grid));
+        CrossoverRow {
+            n,
+            dim,
+            ks,
+            arms: [dense, grid],
+            crossover,
+        }
+    }
+
+    /// The progress line: both arms' medians and the crossover.
+    fn summary(&self) -> String {
+        format!(
+            "crossover n={} d={:>2}: dense {:?} vs grid {:?} -> grid wins from k = {:?}",
+            self.n,
+            self.dim,
+            medians(&self.arms[0]),
+            medians(&self.arms[1]),
+            self.crossover
+        )
+    }
+}
 
 /// Writes the `section` array of crossover records, naming the dense and
-/// grid timing columns `arms`.
-fn write_crossover(
-    json: &mut String,
-    section: &str,
-    arms: [&str; 2],
-    ks: &[usize],
-    rows: &[CrossoverRow],
-) {
-    let list = |v: &mut dyn Iterator<Item = String>| v.collect::<Vec<_>>().join(", ");
+/// grid timing columns after `arms`: `<arm>_ns` holds the medians and
+/// `<arm>_q1_ns` / `<arm>_q3_ns` the quartiles.
+fn write_crossover(json: &mut String, section: &str, arms: [&str; 2], rows: &[CrossoverRow]) {
+    let list =
+        |v: &mut dyn Iterator<Item = u128>| v.map(|t| t.to_string()).collect::<Vec<_>>().join(", ");
     let _ = writeln!(json, "  \"{section}\": [");
-    for (i, (n, dim, dense_ns, grid_ns, crossover)) in rows.iter().enumerate() {
+    for (i, row) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"n\": {n}, \"dim\": {dim}, \"ks\": [{}], \"{}\": [{}], \"{}\": [{}], \"crossover_k\": {}}}",
-            list(&mut ks.iter().map(|k| k.to_string())),
-            arms[0],
-            list(&mut dense_ns.iter().map(|t| t.to_string())),
-            arms[1],
-            list(&mut grid_ns.iter().map(|t| t.to_string())),
-            crossover.map_or("null".to_string(), |k| k.to_string()),
+            "    {{\"n\": {}, \"dim\": {}, \"ks\": [{}]",
+            row.n,
+            row.dim,
+            list(&mut row.ks.iter().map(|&k| k as u128)),
+        );
+        for (name, arm) in arms.iter().zip(&row.arms) {
+            let _ = write!(
+                json,
+                ", \"{name}_ns\": [{}], \"{name}_q1_ns\": [{}], \"{name}_q3_ns\": [{}]",
+                list(&mut arm.iter().map(|q| q.median)),
+                list(&mut arm.iter().map(|q| q.q1)),
+                list(&mut arm.iter().map(|q| q.q3)),
+            );
+        }
+        let _ = write!(
+            json,
+            ", \"crossover_k\": {}}}",
+            row.crossover.map_or("null".to_string(), |k| k.to_string()),
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }

@@ -249,13 +249,13 @@ mod tests {
                 ScanKind::Assign,
                 "assign_crossover",
                 ["dense_assign_ns", "grid_assign_ns"],
-                &ASSIGN_CROSSOVER,
+                &ASSIGN_CROSSOVER[..],
             ),
             (
                 ScanKind::Relax,
                 "relax_crossover",
                 ["dense_select_ns", "grid_select_ns"],
-                &RELAX_CROSSOVER,
+                &RELAX_CROSSOVER[..],
             ),
         ] {
             let rows = bench

@@ -173,13 +173,16 @@ pub fn select_centers<D: Distance, S: Scalar>(
     } else {
         Some(subset)
     };
-    // Grid arm: bucket the subset once and serve every relax pass from the
-    // occupied-cell sweep, when the `--assign` pin or the measured relax
-    // crossover picks it.  The build itself refuses incompatible spaces
-    // (non-Euclidean surrogate, all-duplicate data), in which case the
-    // dense kernels below run.  Results are bit-identical either way (see
-    // `kcenter_metric::grid`).  The relax records time the sequential dense
-    // kernel, so under `auto` a parallel selection keeps the dense scan.
+    // Grid arm: bucket the subset once, rows and relax slots in cell order,
+    // and serve every relax pass by running the dense fused kernel on the
+    // cells the new center can reach, when the `--assign` pin or the
+    // measured relax crossover picks it.  The build itself refuses spaces
+    // it cannot prune (non-Euclidean surrogate, all-duplicate data, a
+    // single occupied cell), in which case the dense kernels below run.
+    // Results are bit-identical either way under the scalar and portable
+    // backends (see `kcenter_metric::grid`).  The relax records time the
+    // sequential dense kernel, so under `auto` a parallel selection keeps
+    // the dense scan.
     let mode = match grid::active_choice() {
         AssignChoice::Fixed(mode) => mode,
         AssignChoice::Auto if parallel => AssignMode::Dense,
@@ -200,11 +203,17 @@ pub fn select_centers<D: Distance, S: Scalar>(
     } else {
         grid::AssignMode::Dense
     });
-    let mut nearest: Vec<S> = vec![S::INFINITY; subset.len()];
+    // The grid arm keeps its relax slots in cell order; only the dense arm
+    // needs this array.
+    let mut nearest: Vec<S> = if relaxer.is_none() {
+        vec![S::INFINITY; subset.len()]
+    } else {
+        Vec::new()
+    };
     let mut newest = first_center;
     while centers.len() < k {
         let (far_pos, far_dist) = match relaxer.as_mut() {
-            Some(relaxer) => relaxer.relax_max(space, subset, newest, &mut nearest),
+            Some(relaxer) => relaxer.relax_max(space, newest),
             None => space.relax_max(scan, newest, &mut nearest, parallel),
         };
         // All remaining points coincide with existing centers: no point in

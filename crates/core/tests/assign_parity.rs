@@ -400,3 +400,38 @@ fn assign_above_the_vector_width_matches_the_pairwise_oracle() {
         assert_eq!(g, want, "grid arm, {} centers", centers.len());
     }
 }
+
+/// A stream's re-compression selects about 1,000 of 1,050 representatives
+/// at d = 3.  Under `auto` the n = 2^10 relax records send that selection
+/// to the grid arm (the dropped-row scan records no scan), and the summary
+/// it leaves is the dense-pinned one, bit for bit.
+#[test]
+fn fold_recompression_follows_the_relax_crossover() {
+    use kcenter_data::{GauGenerator, PointGenerator};
+    const BUDGET: usize = 1_000;
+    let batch = |seed| {
+        let space: VecSpace = VecSpace::from_flat(GauGenerator::new(4_000, 25).generate_flat(seed));
+        GonzalezCoresetConfig::new(525)
+            .with_machines(4)
+            .build(&space)
+            .unwrap()
+    };
+    let _guard = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    grid::set_choice(AssignChoice::Fixed(AssignMode::Dense));
+    let merged = batch(1).merge(&batch(2)).unwrap();
+    let support = merged.weights().iter().filter(|&&w| w > 0).count();
+    assert!(support >= 1 << 10, "{support} positive-weight rows");
+    let dense = merged.recompress(BUDGET).unwrap();
+    grid::set_choice(AssignChoice::Auto);
+    grid::reset_scan_counts();
+    let auto = merged.recompress(BUDGET).unwrap();
+    let counts = grid::scan_counts();
+    assert_eq!(counts, (1, 0), "the selection must run on the grid arm");
+    assert_eq!(auto.source_ids(), dense.source_ids());
+    assert_eq!(auto.weights(), dense.weights());
+    assert_eq!(
+        auto.construction_radius().to_bits(),
+        dense.construction_radius().to_bits()
+    );
+    assert_eq!(auto.to_bytes(), dense.to_bytes());
+}

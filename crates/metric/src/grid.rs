@@ -9,12 +9,17 @@
 //! bounds are built on.  Two accelerators are provided:
 //!
 //! * [`GridRelaxer`] backs the fused Gonzalez relaxation
-//!   ([`VecSpace::relax_max`]): the member rows are bucketed once, and
-//!   each relax pass sweeps the occupied cells in ascending cell order,
-//!   skipping any cell whose bounding-box distance to the new center
-//!   proves that no `nearest[]` slot in it can change.
-//!   It pays once the selection picks enough centers for the radius to
-//!   shrink below the cell spread (the `relax_crossover` records).
+//!   ([`VecSpace::relax_max`]): the members are bucketed once and their
+//!   rows and relax slots copied into cell order, and each relax pass
+//!   sweeps the occupied cells in ascending cell order, skipping any cell
+//!   whose bounding-box distance to the new center proves that no slot in
+//!   it can change, and relaxing every other cell with one call to the
+//!   dense arm's fused kernel ([`Distance::relax_rows_max`]) on its
+//!   contiguous rows.  It pays once the selection picks enough centers for
+//!   the radius to shrink below the cell spread (the `relax_crossover`
+//!   records), as in a stream's re-compression, which selects 1,000 of
+//!   ~1,050 representatives.  A grid of one occupied cell could skip
+//!   nothing, so the build refuses it and the dense scan runs.
 //! * [`SpatialGrid::nearest_member`] and
 //!   [`SpatialGrid::wide_nearest_bounded`] back the nearest-candidate
 //!   argmin scans (the coreset weights round, per-point assignment) by
@@ -57,17 +62,22 @@
 //! * Pruning never changes a value: a cell is skipped only when a
 //!   conservative rounding-slack margin (`(d + 8) · 4 · u` for storage
 //!   unit roundoff `u`) proves every member comparison in it is a no-op.
-//!   Comparison-space distances themselves are the per-pair
+//!   The ring argmin's comparison-space distances are the per-pair
 //!   [`VecSpace::cmp_distance`] values the dense argmin
 //!   ([`VecSpace::nearest`]) computes, and the `wide_cmp_*` f64
 //!   certification scans stay ground truth.
-//! * The per-pair comparison values match the dense fused relax kernels
-//!   bit-for-bit under the `scalar` and `portable` backends (identical
-//!   summation order); the AVX2 fused-rows kernels use a different
-//!   reduction tree, so under `avx2` the relax arms agree exactly only on
-//!   inputs whose squared distances are exactly representable (e.g.
+//! * The relax sweep runs the dense arm's own kernel on each cell's rows,
+//!   and under the `scalar` and `portable` backends that kernel computes
+//!   every row on its own in one summation order, wherever the row sits:
+//!   each slot gets the bits the full scan gives it.  Under `avx2` at
+//!   `dim >= LANES` the rows kernel sums a row in a 4-row block or alone
+//!   by its place in the slice, so a row can fall in the kernel's tail in
+//!   a cell slice but in a 4-row block in the full scan (and the dense
+//!   subset scan sums every row alone).  There the arms agree exactly only
+//!   on inputs whose squared distances are exactly representable (e.g.
 //!   integer lattices) — same caveat as the kernel A/B in
-//!   [`crate::kernel::simd`].
+//!   [`crate::kernel::simd`].  Below one vector of coordinates every
+//!   backend runs the scalar kernels, so `d = 2, 3` are exact everywhere.
 //!
 //! # Dispatch
 //!
@@ -293,7 +303,7 @@ pub const ASSIGN_CROSSOVER: [(usize, usize, Option<usize>); 15] = [
     (1 << 12, 3, Some(128)),
     (1 << 12, 4, Some(64)),
     (1 << 12, 8, Some(1024)),
-    (1 << 12, 16, Some(1024)),
+    (1 << 12, 16, None),
     (1 << 15, 2, Some(64)),
     (1 << 15, 3, Some(96)),
     (1 << 15, 4, Some(64)),
@@ -301,30 +311,38 @@ pub const ASSIGN_CROSSOVER: [(usize, usize, Option<usize>); 15] = [
     (1 << 15, 16, None),
     (1 << 18, 2, Some(96)),
     (1 << 18, 3, Some(96)),
-    (1 << 18, 4, Some(64)),
+    (1 << 18, 4, Some(96)),
     (1 << 18, 8, Some(1024)),
     (1 << 18, 16, None),
 ];
 
 /// The `relax_crossover` records of `BENCH_flat.json`, in the layout of
 /// [`ASSIGN_CROSSOVER`]: a `k`-center Gonzalez selection over the `n`-point
-/// workload ran faster on the grid relax arm (bucketing charged) than on
-/// the sequential dense fused kernel from `crossover_k` centers on.
-pub const RELAX_CROSSOVER: [(usize, usize, Option<usize>); 15] = [
-    (1 << 12, 2, Some(96)),
-    (1 << 12, 3, Some(96)),
-    (1 << 12, 4, Some(192)),
-    (1 << 12, 8, Some(128)),
+/// workload ran faster on the grid relax arm (bucketing and the cell-order
+/// copy charged) than on the sequential dense fused kernel from
+/// `crossover_k` centers on, comparing medians of interleaved blocks.  The
+/// `n = 2^10` rows probe `k < n` only; they send a stream's re-compression
+/// selection (1,000 of ~1,050 rows) to the grid.
+pub const RELAX_CROSSOVER: [(usize, usize, Option<usize>); 20] = [
+    (1 << 10, 2, Some(64)),
+    (1 << 10, 3, Some(48)),
+    (1 << 10, 4, Some(96)),
+    (1 << 10, 8, None),
+    (1 << 10, 16, None),
+    (1 << 12, 2, Some(48)),
+    (1 << 12, 3, Some(48)),
+    (1 << 12, 4, Some(64)),
+    (1 << 12, 8, Some(96)),
     (1 << 12, 16, None),
-    (1 << 15, 2, Some(96)),
-    (1 << 15, 3, Some(96)),
-    (1 << 15, 4, Some(192)),
-    (1 << 15, 8, Some(192)),
+    (1 << 15, 2, Some(48)),
+    (1 << 15, 3, Some(48)),
+    (1 << 15, 4, Some(64)),
+    (1 << 15, 8, Some(64)),
     (1 << 15, 16, None),
-    (1 << 18, 2, Some(512)),
-    (1 << 18, 3, Some(1024)),
-    (1 << 18, 4, None),
-    (1 << 18, 8, Some(192)),
+    (1 << 18, 2, Some(48)),
+    (1 << 18, 3, Some(48)),
+    (1 << 18, 4, Some(64)),
+    (1 << 18, 8, Some(48)),
     (1 << 18, 16, None),
 ];
 
@@ -764,64 +782,76 @@ fn cmp_slack<S: Scalar>(dim: usize) -> f64 {
 }
 
 /// Grid accelerator for the fused Gonzalez relaxation: buckets the subset
-/// once, then serves [`GridRelaxer::relax_max`] passes that sweep occupied
-/// cells in ascending order, skipping cells the new center provably cannot
-/// touch.
+/// once, copying each member's row and relax slot into cell order, then
+/// serves [`GridRelaxer::relax_max`] passes that run the dense fused kernel
+/// ([`Distance::relax_rows_max`]) on each occupied cell's contiguous rows,
+/// skipping cells the new center provably cannot touch.
 ///
 /// Each occupied cell caches `(position, value)` of the lowest-position
-/// maximum `nearest[]` entry among its members; a skipped cell's record
-/// stays valid because the skip condition proves no slot in it changed.
-/// Folding the records with a "greater value, or equal value at a lower
-/// position" rule reproduces the dense lowest-index argmax bit-for-bit.
+/// maximum slot among its members; a skipped cell's record stays valid
+/// because the skip condition proves no slot in it changed.  Folding the
+/// records with a "greater value, or equal value at a lower position" rule
+/// reproduces the dense lowest-index argmax bit-for-bit.
 pub struct GridRelaxer<S: Scalar> {
     grid: SpatialGrid,
+    /// The members' rows in cell order: row `i` is member position
+    /// `grid.bucket[i]`, and cell `c` owns rows `grid.starts[c]..grid.starts[c + 1]`.
+    rows: Vec<S>,
+    /// The relax slots (each member's comparison-space distance to its
+    /// nearest center so far), in the cell order of `rows`.
+    slots: Vec<S>,
     /// Per occupied cell, ascending: `(cell, best position, best value)`,
-    /// the lowest-position argmax of `nearest[]` over the cell's members.
-    /// Starts at `(cell, first member, +inf)` — every slot is `+inf` before
-    /// the first relax pass.
+    /// the lowest-position argmax of the cell's slots.  Starts at
+    /// `(cell, first member, +inf)` — every slot is `+inf` before the first
+    /// relax pass.
     cells: Vec<(u32, u32, S)>,
 }
 
 impl<S: Scalar> GridRelaxer<S> {
     /// Buckets `members` (the relax subset, positions `0..members.len()`)
-    /// of `space` at [`RELAX_OCCUPANCY`]; `None` exactly when
-    /// [`SpatialGrid::build`] refuses the space.
+    /// of `space` at [`RELAX_OCCUPANCY`] and copies their rows into cell
+    /// order.  `None` when [`SpatialGrid::build`] refuses the space, and
+    /// when only one cell is occupied: that cell can never be skipped, so
+    /// the dense scan does the same work without the copy.
     pub fn build<D: Distance>(
         space: &VecSpace<D, S>,
         members: &[PointId],
     ) -> Option<GridRelaxer<S>> {
         let grid = SpatialGrid::build(space, members, RELAX_OCCUPANCY)?;
-        let cells = (0..grid.cells())
+        let cells: Vec<(u32, u32, S)> = (0..grid.cells())
             .filter(|&c| grid.starts[c] < grid.starts[c + 1])
             .map(|c| (c as u32, grid.bucket[grid.starts[c] as usize], S::INFINITY))
             .collect();
-        Some(GridRelaxer { grid, cells })
+        if cells.len() < 2 {
+            return None;
+        }
+        let rows = grid
+            .bucket
+            .iter()
+            .flat_map(|&pos| space.row(members[pos as usize]))
+            .copied()
+            .collect();
+        Some(GridRelaxer {
+            slots: vec![S::INFINITY; members.len()],
+            rows,
+            grid,
+            cells,
+        })
     }
 
     /// One fused Gonzalez iteration, bit-identical to
-    /// [`VecSpace::relax_max`] over `members` (lower `nearest[pos]` to the
-    /// distance to `center`, return the lowest-position maximum entry)
-    /// whenever the per-pair comparison values match the dense kernel's —
-    /// see the module docs for the backend caveat.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members`/`nearest` do not match the list the relaxer was
-    /// built over.
+    /// [`VecSpace::relax_max`] over the members the relaxer was built on
+    /// (lower each member's slot to its distance to `center`, return the
+    /// lowest-position maximum slot) whenever the kernel gives each row
+    /// the bits the dense scan gives it — see the module docs for the
+    /// backend caveat.
     pub fn relax_max<D: Distance>(
         &mut self,
         space: &VecSpace<D, S>,
-        members: &[PointId],
         center: PointId,
-        nearest: &mut [S],
     ) -> (usize, S) {
-        assert_eq!(members.len(), self.grid.len, "grid/member list mismatch");
-        assert_eq!(
-            members.len(),
-            nearest.len(),
-            "subset/nearest length mismatch"
-        );
         let grid = &self.grid;
+        let dim = grid.dim;
         let center_row = space.row(center);
         for (cell, best_pos, best) in &mut self.cells {
             let cell = *cell as usize;
@@ -832,20 +862,14 @@ impl<S: Scalar> GridRelaxer<S> {
             if grid.lb_dist2(cell, center_row) * (1.0 - grid.cmp_slack) >= best.to_f64() {
                 continue;
             }
-            let mut rec = (u32::MAX, S::NEG_INFINITY);
             let span = grid.starts[cell] as usize..grid.starts[cell + 1] as usize;
-            for &pos in &grid.bucket[span] {
-                let p = pos as usize;
-                let d = space.cmp_distance(members[p], center);
-                let slot = &mut nearest[p];
-                if d < *slot {
-                    *slot = d;
-                }
-                if *slot > rec.1 {
-                    rec = (pos, *slot);
-                }
-            }
-            (*best_pos, *best) = rec;
+            let (i, v) = space.metric().relax_rows_max(
+                &self.rows[span.start * dim..span.end * dim],
+                dim,
+                center_row,
+                &mut self.slots[span.clone()],
+            );
+            (*best_pos, *best) = (grid.bucket[span.start + i], v);
         }
         let mut far = (usize::MAX, S::NEG_INFINITY);
         for &(_, p, v) in &self.cells {
@@ -953,8 +977,8 @@ mod tests {
     #[test]
     fn auto_mode_reads_the_next_probed_dimension_up() {
         for (kind, table) in [
-            (ScanKind::Assign, &ASSIGN_CROSSOVER),
-            (ScanKind::Relax, &RELAX_CROSSOVER),
+            (ScanKind::Assign, &ASSIGN_CROSSOVER[..]),
+            (ScanKind::Relax, &RELAX_CROSSOVER[..]),
         ] {
             // Every dimension above the previous probed one reads this
             // record.
@@ -1078,22 +1102,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn relax_trajectory_matches_dense_over_many_centers() {
-        let flat = lattice_flat::<f64>(512, 2, 42);
-        let space = VecSpace::from_flat(flat);
-        let members: Vec<PointId> = (0..512).collect();
-        let mut relaxer = GridRelaxer::build(&space, &members).unwrap();
-        let mut grid_nearest = vec![f64::INFINITY; members.len()];
-        let mut dense_nearest = vec![f64::INFINITY; members.len()];
-        let mut center = 17;
-        for round in 0..24 {
-            let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
-            let d = space.relax_max(Some(&members), center, &mut dense_nearest, false);
+    /// The relaxer's slots in member-position order.
+    fn member_slots<S: Scalar>(relaxer: &GridRelaxer<S>) -> Vec<S> {
+        let mut slots = vec![S::NEG_INFINITY; relaxer.slots.len()];
+        for (&pos, &v) in relaxer.grid.bucket.iter().zip(&relaxer.slots) {
+            slots[pos as usize] = v;
+        }
+        slots
+    }
+
+    /// Runs `rounds` Gonzalez steps from `first` on the grid relaxer and on
+    /// the dense [`VecSpace::relax_max`], asserting that every step returns
+    /// the same `(position, value)` and leaves the same slots; returns the
+    /// grid trajectory's winners.
+    fn assert_relax_parity<S: Scalar>(
+        space: &VecSpace<Euclidean, S>,
+        members: &[PointId],
+        first: PointId,
+        rounds: usize,
+    ) -> Vec<(usize, S)> {
+        let mut relaxer = GridRelaxer::build(space, members).expect("the members span cells");
+        let mut dense_nearest = vec![S::INFINITY; members.len()];
+        let mut center = first;
+        let mut winners = Vec::with_capacity(rounds);
+        for round in 0..rounds {
+            let g = relaxer.relax_max(space, center);
+            let d = space.relax_max(Some(members), center, &mut dense_nearest, false);
             assert_eq!(g, d, "round {round}");
-            assert_eq!(grid_nearest, dense_nearest, "round {round}");
+            assert_eq!(member_slots(&relaxer), dense_nearest, "round {round}");
+            winners.push(g);
             center = members[g.0];
         }
+        winners
+    }
+
+    #[test]
+    fn relax_trajectory_matches_dense_over_many_centers() {
+        let space = VecSpace::from_flat(lattice_flat::<f64>(512, 2, 42));
+        let members: Vec<PointId> = (0..512).collect();
+        assert_relax_parity(&space, &members, 17, 24);
     }
 
     #[test]
@@ -1106,35 +1153,121 @@ mod tests {
         }
         let space: VecSpace<Euclidean, f32> = VecSpace::from_flat(flat);
         let members: Vec<PointId> = (0..440).collect();
-        let mut relaxer = GridRelaxer::build(&space, &members).unwrap();
-        let mut grid_nearest = vec![f32::INFINITY; members.len()];
-        let mut dense_nearest = vec![f32::INFINITY; members.len()];
-        let mut center = 3;
-        for round in 0..16 {
-            let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
-            let d = space.relax_max(Some(&members), center, &mut dense_nearest, false);
-            assert_eq!(g, d, "round {round}");
-            assert_eq!(grid_nearest, dense_nearest, "round {round}");
-            center = members[g.0];
-        }
+        assert_relax_parity(&space, &members, 3, 16);
     }
 
     #[test]
     fn relax_handles_non_identity_subsets() {
-        let flat = lattice_flat::<f64>(600, 4, 77);
-        let space = VecSpace::from_flat(flat);
+        let space = VecSpace::from_flat(lattice_flat::<f64>(600, 4, 77));
         let members: Vec<PointId> = (0..600).step_by(2).collect();
-        let mut relaxer = GridRelaxer::build(&space, &members).unwrap();
-        let mut grid_nearest = vec![f64::INFINITY; members.len()];
-        let mut dense_nearest = vec![f64::INFINITY; members.len()];
-        let mut center = members[5];
-        for round in 0..12 {
-            let g = relaxer.relax_max(&space, &members, center, &mut grid_nearest);
-            let d = space.relax_max(Some(&members), center, &mut dense_nearest, false);
-            assert_eq!(g, d, "round {round}");
-            assert_eq!(grid_nearest, dense_nearest, "round {round}");
-            center = members[g.0];
+        assert_relax_parity(&space, &members, members[5], 12);
+    }
+
+    #[test]
+    fn one_occupied_cell_falls_back_to_the_dense_scan() {
+        // d = 16: `floor((n / RELAX_OCCUPANCY)^(1/16))` is 1 up to 2^18
+        // members, so the grid is one cell, which no center can skip.
+        let space = VecSpace::from_flat(lattice_flat::<f64>(1 << 10, 16, 5));
+        let members: Vec<PointId> = (0..1 << 10).collect();
+        let grid = SpatialGrid::build(&space, &members, RELAX_OCCUPANCY).unwrap();
+        assert_eq!(grid.cells(), 1);
+        assert!(GridRelaxer::build(&space, &members).is_none());
+        // The same count at d = 2 spans many cells and builds.
+        let space = VecSpace::from_flat(lattice_flat::<f64>(1 << 10, 2, 5));
+        assert!(GridRelaxer::build(&space, &members).is_some());
+    }
+
+    /// Clustered rows the way a stream's coreset holds them: 25 tight
+    /// clusters of continuous coordinates in `[0, 1000]^dim`, so occupied
+    /// cells hold tens of members, plus three planted rows.  Row 0 is the
+    /// integer point `500·1`; rows 1 and 2 are its integer mirror images
+    /// `500·1 ± δ` far outside the clusters, in opposite corner cells, and
+    /// tie exactly as the farthest rows from it.  The last `dups` rows
+    /// copy rows `3 + 24·j`, tying with them inside one cell.
+    fn clustered_rows(n: usize, dim: usize, dups: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let centres: Vec<f64> = (0..25 * dim).map(|_| unit() * 1000.0).collect();
+        let mut coords = Vec::with_capacity(n * dim);
+        for sign in [0.0, 1.0, -1.0] {
+            coords.extend((0..dim).map(|i| 500.0 + sign * (1500.0 - 400.0 * i as f64)));
         }
+        for p in 3..n - dups {
+            let c = (p % 25) * dim;
+            coords.extend((0..dim).map(|i| centres[c + i] + (unit() - 0.5) * 20.0));
+        }
+        for j in 0..dups {
+            let src = (3 + 24 * j) * dim;
+            coords.extend_from_within(src..src + dim);
+        }
+        coords
+    }
+
+    #[test]
+    fn cell_sliced_relax_matches_dense_at_coreset_scale() {
+        use crate::kernel::simd::{self, KernelBackend, SimdScalar};
+        const N: usize = 1050;
+        const DUPS: usize = 40;
+        let prior = simd::active();
+        for backend in simd::available_backends() {
+            simd::set_active(backend).unwrap();
+            for dim in [2usize, 3, 4] {
+                let coords = clustered_rows(N, dim, DUPS, 7 + dim as u64);
+                let all: Vec<PointId> = (0..N).collect();
+                let reversed: Vec<PointId> = (0..N).rev().collect();
+                let gapped: Vec<PointId> = (0..N).filter(|p| p % 7 != 4).collect();
+                for members in [&all, &reversed, &gapped] {
+                    // k = members - 50, as a re-compression selects 1,000
+                    // of ~1,050 rows.
+                    let rounds = members.len() - 51;
+                    macro_rules! check {
+                        ($s:ty) => {{
+                            // The module's caveat: the AVX2 rows kernel
+                            // sums a row in a 4-row block or alone by its
+                            // place in the slice.
+                            if backend != KernelBackend::Avx2 || dim < <$s>::LANES {
+                                let flat = FlatPoints::from_coords(
+                                    coords.iter().map(|&c| <$s>::from_f64(c)).collect(),
+                                    dim,
+                                )
+                                .unwrap();
+                                let space = VecSpace::from_flat(flat);
+                                let relaxer = GridRelaxer::build(&space, members).unwrap();
+                                let cell_of = |p: PointId| relaxer.grid.cell_of(space.row(p));
+                                assert_ne!(cell_of(1), cell_of(2), "mirror rows share a cell");
+                                let winners = assert_relax_parity(&space, members, 0, rounds);
+                                // The mirror rows tie across two cells as the
+                                // first farthest rows; the lower position wins.
+                                let pos = |p| members.iter().position(|&m| m == p).unwrap();
+                                assert_eq!(winners[0].0, pos(1).min(pos(2)), "{backend} d={dim}");
+                                assert_eq!(winners[1].0, pos(1).max(pos(2)), "{backend} d={dim}");
+                                // Some duplicate was picked while its twin,
+                                // in the same cell, tied with it.
+                                let twins = (0..DUPS).any(|j| {
+                                    let (Some(a), Some(b)) = (
+                                        members.iter().position(|&m| m == 3 + 24 * j),
+                                        members.iter().position(|&m| m == N - DUPS + j),
+                                    ) else {
+                                        return false;
+                                    };
+                                    assert_eq!(cell_of(members[a]), cell_of(members[b]));
+                                    winners.iter().any(|w| w.0 == a.min(b))
+                                });
+                                assert!(twins, "{backend} d={dim}: no duplicate tie was exercised");
+                            }
+                        }};
+                    }
+                    check!(f64);
+                    check!(f32);
+                }
+            }
+        }
+        simd::set_active(prior).unwrap();
     }
 
     #[test]
